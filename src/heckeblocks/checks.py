@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import _kernels
 from .cartan import AffineRank, RootVec, lambda_rep, mu_rep, null_root, pair_coroot
 from .classify import FINITE, SIMPLE, TAME, WILD, ClassifierConfig, classify_canonical
 from .fock import (
@@ -311,6 +310,21 @@ def _all_bipartitions(total: int) -> list[Bipartition]:
     return out
 
 
+def _contexts(ell: int) -> list[FockContext]:
+    """Every level-two context of the rank, one per charge, then the
+    level-one context."""
+    rank = AffineRank(ell)
+    level_two = [FockContext(rank, s, level=2) for s in range(ell + 1)]
+    return level_two + [FockContext(rank, 0, level=1)]
+
+
+def _shapes(ctx: FockContext, total: int) -> list[Bipartition]:
+    """The (bi)partitions of the given size that the context admits."""
+    if ctx.level == 1:
+        return [Bipartition(parts) for parts in _all_partitions(total)]
+    return _all_bipartitions(total)
+
+
 def _weight_vectors(ell: int, max_height: int) -> list[RootVec]:
     rank = AffineRank(ell)
     out = []
@@ -474,10 +488,11 @@ def acceptance_suite() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _brute_addable(bp: Bipartition) -> list[tuple[int, int, int]]:
-    """Cells whose addition keeps both components valid partitions."""
+def _brute_addable(ctx: FockContext, bp: Bipartition) -> list[tuple[int, int, int]]:
+    """Cells whose addition keeps every component of the context a valid
+    partition."""
     out = []
-    for c in (1, 2):
+    for c in range(1, ctx.level + 1):
         parts = bp.component(c)
         for row in range(1, len(parts) + 2):
             col = (parts[row - 1] if row <= len(parts) else 0) + 1
@@ -491,10 +506,11 @@ def _brute_addable(bp: Bipartition) -> list[tuple[int, int, int]]:
     return out
 
 
-def _brute_removable(bp: Bipartition) -> list[tuple[int, int, int]]:
-    """Cells whose removal keeps both components valid partitions."""
+def _brute_removable(ctx: FockContext, bp: Bipartition) -> list[tuple[int, int, int]]:
+    """Cells whose removal keeps every component of the context a valid
+    partition."""
     out = []
-    for c in (1, 2):
+    for c in range(1, ctx.level + 1):
         parts = bp.component(c)
         for row in range(1, len(parts) + 1):
             trial = list(parts)
@@ -524,12 +540,12 @@ def _brute_stat(
 
     add = sum(
         1
-        for cell in _brute_addable(bp)
+        for cell in _brute_addable(ctx, bp)
         if _brute_residue(ctx, cell) == i and matters(cell)
     )
     rem = sum(
         1
-        for cell in _brute_removable(bp)
+        for cell in _brute_removable(ctx, bp)
         if _brute_residue(ctx, cell) == i and matters(cell)
     )
     return add - rem
@@ -539,11 +555,9 @@ def oracle_corner_stats() -> CheckResult:
     name = "O1"
     count = 0
     for ell in (1, 2):
-        rank = AffineRank(ell)
-        for s in range(ell + 1):
-            ctx = FockContext(rank, s, level=2)
+        for ctx in _contexts(ell):
             for n in range(1, 5):
-                for bp in _all_bipartitions(n):
+                for bp in _shapes(ctx, n):
                     for node in removable_nodes(ctx, bp):
                         i = _brute_residue(ctx, (node.component, node.row, node.col))
                         mu = remove_node(bp, node)
@@ -580,7 +594,7 @@ def _brute_kostka(ctx: FockContext, shape: Bipartition, nu: tuple[int, ...]) -> 
             if i != nu[step] % ctx.rank.e:
                 ok = False
                 break
-            if (node.component, node.row, node.col) not in _brute_addable(partial):
+            if (node.component, node.row, node.col) not in _brute_addable(ctx, partial):
                 ok = False
                 break
             comp1 = list(partial.component(1))
@@ -603,11 +617,9 @@ def oracle_kostka() -> CheckResult:
     name = "O2"
     count = 0
     for ell in (1, 2):
-        rank = AffineRank(ell)
-        for s in range(ell + 1):
-            ctx = FockContext(rank, s, level=2)
+        for ctx in _contexts(ell):
             for n in range(1, 5):
-                for shape in _all_bipartitions(n):
+                for shape in _shapes(ctx, n):
                     words = {
                         tableau_stats(ctx, tab)[1]
                         for tab in enumerate_standard(ctx, shape)
@@ -676,11 +688,9 @@ def oracle_conventions() -> CheckResult:
     name = "O5"
     count = 0
     for ell in (1, 2):
-        rank = AffineRank(ell)
-        for s in range(ell + 1):
-            ctx = FockContext(rank, s, level=2)
+        for ctx in _contexts(ell):
             for n in range(1, 5):
-                for shape in _all_bipartitions(n):
+                for shape in _shapes(ctx, n):
                     for tab in enumerate_standard(ctx, shape):
                         post = tableau_stats(ctx, tab, "post")
                         pre = tableau_stats(ctx, tab, "pre")
@@ -708,35 +718,69 @@ def oracle_reduction() -> CheckResult:
     return _ok(name, "dominant reduction is idempotent and lands in the chamber")
 
 
-def oracle_kernel_parity() -> CheckResult:
-    name = "O7"
-    if not _kernels.using_numba:
-        if _kernels.disabled_by_env:
-            why = "accelerated kernel disabled by HECKEBLOCKS_NO_NUMBA"
-        else:
-            why = "numba not importable"
-        return _ok(name, f"{why}; single code path in use")
-    import numpy as np
+def _replay_blocks(ctx: FockContext, height: int) -> dict[tuple, dict]:
+    """K_q of every realised word on every shape of size `height`, read only
+    from ``enumerate_standard`` and ``tableau_stats`` and grouped by block:
+    {content: {shape: {word: K_q}}}."""
+    blocks: dict[tuple, dict] = {}
+    for shape in _shapes(ctx, height):
+        row = blocks.setdefault(content(ctx, shape).coeffs, {}).setdefault(shape, {})
+        for tab in enumerate_standard(ctx, shape):
+            deg, word = tableau_stats(ctx, tab)
+            row[word] = row.get(word, QPoly.zero()) + QPoly.monomial(deg)
+    return blocks
 
-    rank = AffineRank(2)
-    ctx = FockContext(rank, 1, level=2)
-    beta = null_root(rank) * 2
-    mismatches = 0
-    for shape in block_bipartitions(ctx, beta):
-        for nu in residue_sequences(ctx, beta):
-            t1 = np.array(shape.component(1), dtype=np.int64)
-            t2 = np.array(shape.component(2), dtype=np.int64)
-            word = np.array(nu, dtype=np.int64)
-            bound = shape.size * (len(t1) + len(t2) + 2) + 1
-            fast = np.zeros(2 * bound + 1, dtype=np.int64)
-            slow = np.zeros(2 * bound + 1, dtype=np.int64)
-            _kernels.kostka_counts(t1, t2, word, ctx.rank.e, ctx.s, fast, bound)
-            _kernels.kostka_counts_python(t1, t2, word, ctx.rank.e, ctx.s, slow, bound)
-            if not np.array_equal(fast, slow):
-                mismatches += 1
-    if mismatches:
-        return _fail(name, f"{mismatches} kernel calls disagree with the fallback")
-    return _ok(name, "accelerated kernel matches the pure fallback")
+
+def oracle_engine_replay() -> CheckResult:
+    name = "O7"
+    count = 0
+    for ell in (1, 2):
+        for ctx in _contexts(ell):
+            for height in range(7):
+                for coeffs, table in _replay_blocks(ctx, height).items():
+                    beta = RootVec(ctx.rank, coeffs)
+                    where = f"level {ctx.level}, ell={ell}, s={ctx.s}, block {beta}"
+                    words = sorted({word for row in table.values() for word in row})
+                    classes: dict[tuple, tuple[int, ...]] = {}
+                    for word in words:
+                        key = tuple(
+                            tuple(row.get(word, QPoly.zero()).items()) for row in table.values()
+                        )
+                        classes.setdefault(key, word)
+                    idems = sorted(classes.values())
+                    if residue_sequences(ctx, beta) != words:
+                        return _fail(name, f"{where}: residue words differ from the replay")
+                    if nonzero_idempotents(ctx, beta) != idems:
+                        return _fail(name, f"{where}: idempotent classes differ from the replay")
+                    for shape, row in table.items():
+                        for word in words:
+                            got = kostka_q(ctx, shape, word)
+                            want = row.get(word, QPoly.zero())
+                            if got != want:
+                                return _fail(
+                                    name,
+                                    f"{where}: K_q at {shape}, {word} is {got}, "
+                                    f"replay gives {want}",
+                                )
+                    matrix = dim_matrix(ctx, beta, idems)
+                    for a, one in enumerate(idems):
+                        for b, other in enumerate(idems[: a + 1]):
+                            want = QPoly.zero()
+                            for row in table.values():
+                                if one in row and other in row:
+                                    want = want + row[one] * row[other]
+                            if matrix.entry(a, b) != want:
+                                return _fail(
+                                    name,
+                                    f"{where}: dimension at {one}, {other} is "
+                                    f"{matrix.entry(a, b)}, replay gives {want}",
+                                )
+                    count += 1
+    return _ok(
+        name,
+        f"engine words, classes, K_q and dimension matrices match the tableau "
+        f"replay on {count} blocks",
+    )
 
 
 def oracle_suite() -> list[CheckResult]:
@@ -747,7 +791,7 @@ def oracle_suite() -> list[CheckResult]:
         oracle_block_tables(),
         oracle_conventions(),
         oracle_reduction(),
-        oracle_kernel_parity(),
+        oracle_engine_replay(),
     ]
 
 

@@ -3,9 +3,26 @@
 The central quantity is the q-weighted tableau count K_q(shape, nu): the sum
 of q^degree over standard bitableaux of the shape whose residue word is nu.
 Graded dimensions between two idempotents are sums of K_q products over the
-bipartitions sharing the idempotents' content.  The hot per-(shape, word)
-walk runs in a compiled kernel; a pure-Python replay of the same statistics
-backs the alternate degree convention and the cross-checking oracles.
+bipartitions sharing the idempotents' content.
+
+Everything is computed by one step, read along residue words.  A state maps
+each (bi)partition -- a plain tuple of parts tuples, one component at level
+one and two at level two -- to its degree histogram {degree: count}.
+``_step(ctx, state, i)`` adds one i-node to every shape in every addable
+way, shifting the histogram by the node's below-statistic.  Folding the
+step along a word gives K_q(shape, word) for every shape at once, which is
+the Fock-space form of the graded dimension formula (e_i read along the
+word; Brundan-Kleshchev, with the degrees of Brundan-Kleshchev-Wang):
+
+- ``kostka_q`` ("post") looks the shape up in the fold of the word;
+- ``graded_dim`` is the dot product of the folds of its two words;
+- ``dim_matrix`` folds each idempotent once and takes pairwise products;
+- ``residue_sequences`` and ``nonzero_idempotents`` walk the prefix trie of
+  the block's words depth first, within the per-residue budget of beta, so
+  words share their prefixes' states; a word's class is its final state.
+
+The "pre" reading of ``kostka_q`` replays each standard bitableau with
+``fock.tableau_stats`` instead, so the two conventions stay independent.
 """
 
 from __future__ import annotations
@@ -15,9 +32,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-import numpy as np
-
-from . import _kernels
 from .cartan import RootVec
 from .fock import (
     Bipartition,
@@ -29,6 +43,8 @@ from .fock import (
 from .qpoly import QPoly
 
 ResidueSeq = tuple[int, ...]
+Shape = tuple[tuple[int, ...], ...]
+State = dict[Shape, dict[int, int]]
 
 
 class QuiverShapeError(ValueError):
@@ -54,6 +70,107 @@ def _seq_content(ctx: FockContext, nu: ResidueSeq) -> tuple[int, ...]:
     return tuple(cnt)
 
 
+def _check_block(ctx: FockContext, beta: RootVec) -> None:
+    if beta.rank != ctx.rank:
+        raise ValueError("rank mismatch between context and root vector")
+    if not beta.in_positive_cone():
+        raise ValueError(f"{beta} is not in the positive cone")
+
+
+def _step(ctx: FockContext, state: State, i: int) -> State:
+    """Add one i-node to every shape of the state in every addable way.
+
+    The node's degree is the number of addable minus removable i-nodes
+    strictly below it (later components, then larger rows), read in the
+    larger shape.  Apart from the new node itself, which is not below
+    itself, adding an i-node toggles only corners of the neighbouring
+    residues, so the i-corners of the smaller shape are the ones scanned.
+    """
+    e = ctx.rank.e
+    out: State = {}
+    for shape, hist in state.items():
+        corners = []  # (+1 addable / -1 removable, component, row), top to bottom
+        for k, parts in enumerate(shape):
+            charge = ctx.s if k else 0
+            last = len(parts)
+            for r in range(last + 1):
+                p = parts[r] if r < last else 0
+                if (r == 0 or parts[r - 1] > p) and (p - r + charge) % e == i:
+                    corners.append((1, k, r))
+                if r < last and (r + 1 == last or parts[r + 1] < p) and (
+                    p - 1 - r + charge
+                ) % e == i:
+                    corners.append((-1, k, r))
+        below = 0
+        for sign, k, r in reversed(corners):
+            if sign > 0:
+                parts = shape[k]
+                if r < len(parts):
+                    grown = parts[:r] + (parts[r] + 1,) + parts[r + 1 :]
+                else:
+                    grown = parts + (1,)
+                new = shape[:k] + (grown,) + shape[k + 1 :]
+                acc = out.get(new)
+                if acc is None:
+                    out[new] = {d + below: c for d, c in hist.items()}
+                else:
+                    for d, c in hist.items():
+                        acc[d + below] = acc.get(d + below, 0) + c
+            below += sign
+    return out
+
+
+def _start(ctx: FockContext) -> State:
+    return {((),) * ctx.level: {0: 1}}
+
+
+def _fold(ctx: FockContext, word: ResidueSeq) -> State:
+    """K_q(shape, word) as a degree histogram, for every shape it is nonzero on."""
+    state = _start(ctx)
+    for i in word:
+        state = _step(ctx, state, i)
+    return state
+
+
+def _walk(ctx: FockContext, beta: RootVec) -> Iterator[tuple[ResidueSeq, State]]:
+    """Every residue word realised in the block of beta, in lexicographic
+    order, with its fold."""
+    _check_block(ctx, beta)
+    budget = list(beta.coeffs)
+    height = beta.height
+    word: list[int] = []
+
+    def visit(state: State) -> Iterator[tuple[ResidueSeq, State]]:
+        if len(word) == height:
+            yield tuple(word), state
+            return
+        for i, left in enumerate(budget):
+            if left:
+                grown = _step(ctx, state, i)
+                if grown:
+                    budget[i] -= 1
+                    word.append(i)
+                    yield from visit(grown)
+                    word.pop()
+                    budget[i] += 1
+
+    return visit(_start(ctx))
+
+
+def _dot(one: State, other: State) -> QPoly:
+    """Sum over shared shapes of the product of the two histograms."""
+    if len(other) < len(one):
+        one, other = other, one
+    acc: dict[int, int] = {}
+    for shape, ha in one.items():
+        hb = other.get(shape)
+        if hb:
+            for da, ca in ha.items():
+                for db, cb in hb.items():
+                    acc[da + db] = acc.get(da + db, 0) + ca * cb
+    return QPoly(acc)
+
+
 def kostka_q(
     ctx: FockContext, shape: Bipartition, nu: Sequence[int], convention: str = "post"
 ) -> QPoly:
@@ -65,25 +182,19 @@ def kostka_q(
         raise ValueError(
             f"residue word has length {len(seq)}, shape has {shape.size} nodes"
         )
+    if convention not in ("post", "pre"):
+        raise ValueError(f"convention must be 'post' or 'pre', got {convention}")
     if _residue_multiset(ctx, shape) != _seq_content(ctx, seq):
         return QPoly.zero()
-    if convention == "pre":
-        acc = QPoly.zero()
-        for tab in enumerate_standard(ctx, shape):
-            deg, res = tableau_stats(ctx, tab, convention="pre")
-            if res == seq:
-                acc = acc + QPoly.monomial(deg)
-        return acc
-    if convention != "post":
-        raise ValueError(f"convention must be 'post' or 'pre', got {convention}")
-    t1 = np.asarray(shape.comp1, dtype=np.int64)
-    t2 = np.asarray(shape.comp2, dtype=np.int64)
-    word = np.asarray(seq, dtype=np.int64)
-    n = shape.size
-    bound = n * (len(shape.comp1) + len(shape.comp2) + 2) + 1
-    counts = np.zeros(2 * bound + 1, dtype=np.int64)
-    _kernels.kostka_counts(t1, t2, word, ctx.rank.e, ctx.s, counts, bound)
-    return QPoly({d - bound: int(c) for d, c in enumerate(counts) if c})
+    if convention == "post":
+        key = (shape.comp1, shape.comp2)[: ctx.level]
+        return QPoly(_fold(ctx, seq).get(key, {}))
+    acc = QPoly.zero()
+    for tab in enumerate_standard(ctx, shape):
+        deg, res = tableau_stats(ctx, tab, convention="pre")
+        if res == seq:
+            acc = acc + QPoly.monomial(deg)
+    return acc
 
 
 def _partitions(total: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -98,10 +209,7 @@ def _partitions(total: int, cap: int | None = None) -> Iterator[tuple[int, ...]]
 
 def block_bipartitions(ctx: FockContext, beta: RootVec) -> list[Bipartition]:
     """All bipartitions whose residue content equals beta, sorted."""
-    if beta.rank != ctx.rank:
-        raise ValueError("rank mismatch between context and root vector")
-    if not beta.in_positive_cone():
-        raise ValueError(f"{beta} is not in the positive cone")
+    _check_block(ctx, beta)
     n = beta.height
     target = tuple(beta.coeffs)
     out = []
@@ -119,12 +227,7 @@ def block_bipartitions(ctx: FockContext, beta: RootVec) -> list[Bipartition]:
 def residue_sequences(ctx: FockContext, beta: RootVec) -> list[ResidueSeq]:
     """Every distinct residue word realised by a standard bitableau in the
     block of beta, sorted lexicographically."""
-    seen = set()
-    for shape in block_bipartitions(ctx, beta):
-        for tab in enumerate_standard(ctx, shape):
-            _, res = tableau_stats(ctx, tab)
-            seen.add(res)
-    return sorted(seen)
+    return [word for word, _ in _walk(ctx, beta)]
 
 
 def nonzero_idempotents(ctx: FockContext, beta: RootVec) -> list[ResidueSeq]:
@@ -135,19 +238,10 @@ def nonzero_idempotents(ctx: FockContext, beta: RootVec) -> list[ResidueSeq]:
     columns.  The returned list holds the lexicographically smallest word of
     each class, sorted; every listed word has nonzero diagonal dimension.
     """
-    shapes = block_bipartitions(ctx, beta)
-    table: dict[ResidueSeq, list[QPoly]] = {}
-    for idx, shape in enumerate(shapes):
-        for tab in enumerate_standard(ctx, shape):
-            deg, res = tableau_stats(ctx, tab)
-            row = table.setdefault(res, [QPoly.zero()] * len(shapes))
-            row[idx] = row[idx] + QPoly.monomial(deg)
-    classes: dict[tuple, ResidueSeq] = {}
-    for res, polys in table.items():
-        key = tuple(tuple(p.items()) for p in polys)
-        cur = classes.get(key)
-        if cur is None or res < cur:
-            classes[key] = res
+    classes: dict[frozenset, ResidueSeq] = {}
+    for word, state in _walk(ctx, beta):
+        key = frozenset((shape, frozenset(hist.items())) for shape, hist in state.items())
+        classes.setdefault(key, word)
     return sorted(classes.values())
 
 
@@ -160,16 +254,8 @@ def graded_dim(ctx: FockContext, nu_prime: Sequence[int], nu: Sequence[int]) -> 
         raise ValueError(f"residue words differ in length: {len(a)} vs {len(b)}")
     if _seq_content(ctx, a) != _seq_content(ctx, b):
         return QPoly.zero()
-    beta = RootVec(ctx.rank, _seq_content(ctx, a))
-    acc = QPoly.zero()
-    for shape in block_bipartitions(ctx, beta):
-        ka = kostka_q(ctx, shape, a)
-        if not ka:
-            continue
-        kb = ka if b == a else kostka_q(ctx, shape, b)
-        if kb:
-            acc = acc + ka * kb
-    return acc
+    fa = _fold(ctx, a)
+    return _dot(fa, fa if b == a else _fold(ctx, b))
 
 
 @dataclass(frozen=True)
@@ -238,22 +324,18 @@ def dim_matrix(
     ctx: FockContext, beta: RootVec, idems: Sequence[Sequence[int]]
 ) -> DimMatrix:
     """Graded dimensions between all pairs of the given residue words."""
+    _check_block(ctx, beta)
     target = tuple(beta.coeffs)
     seqs = [_as_residue_seq(ctx, nu) for nu in idems]
     for nu in seqs:
         if _seq_content(ctx, nu) != target:
             raise ValueError(f"residue word {nu} does not have content {beta}")
-    shapes = block_bipartitions(ctx, beta)
-    kcols = [[kostka_q(ctx, shape, nu) for shape in shapes] for nu in seqs]
+    folds = [_fold(ctx, nu) for nu in seqs]
     m = len(seqs)
-    entries = [[QPoly.zero() for _ in range(m)] for _ in range(m)]
+    entries = [[QPoly.zero()] * m for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
-            acc = QPoly.zero()
-            for ka, kb in zip(kcols[i], kcols[j]):
-                if ka and kb:
-                    acc = acc + ka * kb
-            entries[i][j] = entries[j][i] = acc
+            entries[i][j] = entries[j][i] = _dot(folds[i], folds[j])
     result = DimMatrix(tuple(seqs), tuple(tuple(row) for row in entries))
     for i in range(m):
         diag = result.entries[i][i]

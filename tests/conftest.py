@@ -2,14 +2,7 @@
 
 import pytest
 
-from heckeblocks import AffineRank, FockContext, graded_dim, null_root
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernel():
-    """Touch the counting kernel once so compilation cost is paid up front."""
-    ctx = FockContext(AffineRank(1), 1, level=2)
-    graded_dim(ctx, (0, 1), (0, 1))
+from heckeblocks import AffineRank, FockContext, null_root
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ from heckeblocks import (
     content,
     count_standard,
     dim_matrix,
+    enumerate_standard,
     graded_dim,
     kostka_q,
     lambda_rep,
@@ -20,8 +21,20 @@ from heckeblocks import (
     null_root,
     quiver_bounds,
     residue_sequences,
+    tableau_stats,
     ungraded_block_dim,
 )
+from heckeblocks.checks import oracle_engine_replay
+
+
+def replay_kostka(ctx, shape, nu):
+    """K_q by replaying every standard bitableau of the shape."""
+    acc = QPoly.zero()
+    for tab in enumerate_standard(ctx, shape):
+        deg, word = tableau_stats(ctx, tab)
+        if word == tuple(nu):
+            acc = acc + QPoly.monomial(deg)
+    return acc
 
 
 def test_kostka_explicit_values(ctx11):
@@ -32,6 +45,67 @@ def test_kostka_explicit_values(ctx11):
     assert kostka_q(ctx11, shape, (0, 0, 1)) == QPoly.zero()
     with pytest.raises(ValueError):
         kostka_q(ctx11, shape, (0, 1))
+
+
+# (component 1, component 2, word, ell, s, K_q) on a level-two context
+KOSTKA_CASES = [
+    ((2,), (1,), (0, 1, 1), 1, 1, QPoly({0: 1, 2: 1})),
+    ((2,), (1,), (1, 0, 1), 1, 1, QPoly({2: 1})),
+    ((3, 1), (2,), (0, 1, 0, 1, 2, 0), 2, 1, QPoly.zero()),
+    ((2, 2), (1, 1), (0, 1, 1, 0, 2, 2), 2, 2, QPoly.zero()),
+    ((4,), (), (0, 1, 0, 1), 1, 0, QPoly({4: 1})),
+]
+
+
+def test_kostka_level_two_cases():
+    for comp1, comp2, nu, ell, s, want in KOSTKA_CASES:
+        ctx = FockContext(AffineRank(ell), s, level=2)
+        shape = Bipartition(comp1, comp2)
+        assert kostka_q(ctx, shape, nu) == want
+        assert kostka_q(ctx, shape, nu, "pre") == want
+        assert replay_kostka(ctx, shape, nu) == want
+
+
+def test_known_degree_histogram(ctx11):
+    """The two growths of ((2)|(1)) with word (0,1,1) have degrees 0 and 2."""
+    assert kostka_q(ctx11, Bipartition((2,), (1,)), (0, 1, 1)) == QPoly({0: 1, 2: 1})
+
+
+def test_level_one_delta_block():
+    """Level one has no second component, so no phantom corner enters a
+    degree: the delta block has the identity in degree 0."""
+    ctx = FockContext(AffineRank(1), 0, level=1)
+    assert graded_dim(ctx, (0, 1), (0, 1)) == QPoly({0: 1, 2: 1})
+    assert kostka_q(ctx, Bipartition((2,)), (0, 1)) == QPoly({1: 1})
+    assert kostka_q(ctx, Bipartition((1, 1)), (0, 1)) == QPoly.one()
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+def test_level_one_double_delta_words_match_replay(ell):
+    rank = AffineRank(ell)
+    ctx = FockContext(rank, 0, level=1)
+    beta = 2 * null_root(rank)
+    shapes = block_bipartitions(ctx, beta)
+    words = residue_sequences(ctx, beta)
+    assert words
+    for nu in words:
+        column = [kostka_q(ctx, shape, nu) for shape in shapes]
+        assert column == [replay_kostka(ctx, shape, nu) for shape in shapes]
+        diag = graded_dim(ctx, nu, nu)
+        assert diag == sum((k * k for k in column), QPoly.zero())
+        assert diag.coeff(0) >= 1 and diag.is_palindromic()
+    idems = nonzero_idempotents(ctx, beta)
+    total = sum(graded_dim(ctx, a, b).evaluate(1) for a in words for b in words)
+    assert total == ungraded_block_dim(ctx, beta)
+    assert dim_matrix(ctx, beta, idems).entries == tuple(
+        tuple(graded_dim(ctx, a, b) for b in idems) for a in idems
+    )
+
+
+def test_engine_replay_oracle_covers_both_levels():
+    result = oracle_engine_replay()
+    assert result.passed, result.detail
+    assert "match the tableau replay" in result.detail
 
 
 def test_kostka_conventions_agree(ctx11, ctx21):
