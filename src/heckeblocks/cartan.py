@@ -50,11 +50,6 @@ def cartan_entry(rank: AffineRank, i: int, j: int) -> int:
     return a
 
 
-def bilinear(rank: AffineRank, i: int, j: int) -> int:
-    """Symmetric form (alpha_i | alpha_j); type A is simply laced."""
-    return cartan_entry(rank, i, j)
-
-
 @dataclass(frozen=True)
 class RootVec:
     """An element of the root lattice, coefficients over the simple roots."""
@@ -162,11 +157,6 @@ def pair_coroot(i: int, weight: WeightVec, beta: RootVec | None = None) -> int:
             raise ValueError("rank mismatch between weight and root")
         val -= sum(cartan_entry(rank, i, j) * beta.coeffs[j] for j in range(rank.e))
     return val
-
-
-def pair_scaling(weight: WeightVec) -> Fraction:
-    """<d, weight>: the delta-coefficient, exposed for debugging."""
-    return weight.delta
 
 
 def null_root(rank: AffineRank) -> RootVec:

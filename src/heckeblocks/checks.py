@@ -12,7 +12,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cartan import AffineRank, RootVec, lambda_rep, mu_rep, null_root, pair_coroot
+from .cartan import (
+    AffineRank,
+    RootVec,
+    lambda_rep,
+    mu_rep,
+    null_root,
+    pair_coroot,
+    simple_reflection,
+)
 from .classify import FINITE, SIMPLE, TAME, WILD, ClassifierConfig, classify_canonical
 from .fock import (
     Bipartition,
@@ -24,6 +32,7 @@ from .fock import (
     d_above,
     d_below,
     enumerate_standard,
+    partitions,
     remove_node,
     removable_nodes,
     tableau_stats,
@@ -43,6 +52,7 @@ from .orbits import (
     LAMBDA,
     MU,
     CanonicalRep,
+    ReductionCapError,
     canonical_rep,
     dominant_reduce,
     is_weight,
@@ -285,27 +295,11 @@ def check_a6() -> CheckResult:
     return _ok(name, f"{count} classification table entries match")
 
 
-def _all_partitions(total: int) -> list[tuple[int, ...]]:
-    result: list[tuple[int, ...]] = []
-
-    def rec(remaining: int, cap: int, acc: list[int]) -> None:
-        if remaining == 0:
-            result.append(tuple(acc))
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            acc.append(part)
-            rec(remaining - part, part, acc)
-            acc.pop()
-
-    rec(total, total, [])
-    return result
-
-
 def _all_bipartitions(total: int) -> list[Bipartition]:
     out = []
     for m in range(total + 1):
-        for first in _all_partitions(m):
-            for second in _all_partitions(total - m):
+        for first in partitions(m):
+            for second in partitions(total - m):
                 out.append(Bipartition(first, second))
     return out
 
@@ -321,7 +315,7 @@ def _contexts(ell: int) -> list[FockContext]:
 def _shapes(ctx: FockContext, total: int) -> list[Bipartition]:
     """The (bi)partitions of the given size that the context admits."""
     if ctx.level == 1:
-        return [Bipartition(parts) for parts in _all_partitions(total)]
+        return [Bipartition(parts) for parts in partitions(total)]
     return _all_bipartitions(total)
 
 
@@ -703,19 +697,62 @@ def oracle_conventions() -> CheckResult:
     return _ok(name, f"{count} tableau degrees agree under both conventions")
 
 
+def textbook_reduce(ctx: FockContext, beta: RootVec) -> RootVec:
+    """Dominant reduction read off the Cartan matrix: pair every vertex with
+    ``pair_coroot`` after each step and reflect with ``simple_reflection``
+    at the smallest one with negative pairing, under the same iteration cap
+    as ``orbits.dominant_reduce``.  An independent oracle for it."""
+    if beta.rank != ctx.rank:
+        raise ValueError("rank mismatch between context and root vector")
+    weight = ctx.highest_weight()
+    cap = 10 * ctx.rank.e * max(1, abs(beta.height))
+    cur = beta
+    for _ in range(cap):
+        for i in ctx.rank.vertices:
+            if pair_coroot(i, weight, cur) < 0:
+                cur = simple_reflection(i, weight, cur)
+                break
+        else:
+            return cur
+    raise ReductionCapError(
+        f"dominant reduction did not terminate within {cap} reflections for {beta}"
+    )
+
+
+def _reduction_outcome(reduce, ctx: FockContext, beta: RootVec) -> RootVec | str:
+    try:
+        return reduce(ctx, beta)
+    except ReductionCapError as exc:
+        return f"ReductionCapError({exc})"
+
+
 def oracle_reduction() -> CheckResult:
     name = "O6"
-    rank = AffineRank(2)
-    for s in range(3):
-        ctx = FockContext(rank, s, level=2)
-        for beta in _weight_vectors(2, 5):
-            plus = dominant_reduce(ctx, beta)
-            if dominant_reduce(ctx, plus) != plus:
-                return _fail(name, f"reduction of {beta} is not idempotent")
+    count = 0
+    for ell in range(1, 5):
+        for ctx in _contexts(ell):
             weight = ctx.highest_weight()
-            if any(pair_coroot(i, weight, plus) < 0 for i in rank.vertices):
-                return _fail(name, f"reduction of {beta} is not dominant")
-    return _ok(name, "dominant reduction is idempotent and lands in the chamber")
+            where = f"level {ctx.level}, ell={ell}, s={ctx.s}"
+            for beta in _weight_vectors(ell, 5):
+                plus = _reduction_outcome(dominant_reduce, ctx, beta)
+                want = _reduction_outcome(textbook_reduce, ctx, beta)
+                if plus != want:
+                    return _fail(
+                        name,
+                        f"{where}: reduction of {beta} is {plus}, textbook gives {want}",
+                    )
+                if isinstance(plus, str):
+                    return _fail(name, f"{where}: reduction of {beta} failed: {plus}")
+                if dominant_reduce(ctx, plus) != plus:
+                    return _fail(name, f"{where}: reduction of {beta} is not idempotent")
+                if any(pair_coroot(i, weight, plus) < 0 for i in ctx.rank.vertices):
+                    return _fail(name, f"{where}: reduction of {beta} is not dominant")
+                count += 1
+    return _ok(
+        name,
+        f"dominant reduction matches the textbook reduction, is idempotent and "
+        f"lands in the chamber on {count} vectors",
+    )
 
 
 def _replay_blocks(ctx: FockContext, height: int) -> dict[tuple, dict]:

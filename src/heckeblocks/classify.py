@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cartan import AffineRank, RootVec, WeightVec, dynkin_rotate
-from .fock import Bipartition, FockContext, content
+from .fock import FockContext, partitions
 from .gdim import (
     QuiverBound,
     QuiverShapeError,
@@ -25,7 +25,6 @@ from .orbits import (
     CanonicalRep,
     NotAWeightError,
     canonical_rep,
-    is_weight,
 )
 
 SIMPLE = "simple"
@@ -210,13 +209,7 @@ def classify_canonical(
     return RepType(WILD)
 
 
-def classify_typeA_levelone(ctx: FockContext, beta: RootVec) -> RepType:
-    """Representation type of a level-one block, by null-root multiplicity."""
-    if ctx.level != 1:
-        raise ValueError("context must be level one")
-    rep = canonical_rep(ctx, beta)
-    k = rep.k
-    ell = ctx.rank.ell
+def _levelone_type(ell: int, k: int) -> RepType:
     if k == 0:
         return RepType(SIMPLE)
     if k == 1:
@@ -233,6 +226,13 @@ def classify_typeA_levelone(ctx: FockContext, beta: RootVec) -> RepType:
     if k == 2 and ell == 1:
         return RepType(TAME)
     return RepType(WILD)
+
+
+def classify_typeA_levelone(ctx: FockContext, beta: RootVec) -> RepType:
+    """Representation type of a level-one block, by null-root multiplicity."""
+    if ctx.level != 1:
+        raise ValueError("context must be level one")
+    return _levelone_type(ctx.rank.ell, canonical_rep(ctx, beta).k)
 
 
 def classify_tensor(t1: RepType, t2: RepType, ell: int) -> RepType:
@@ -284,14 +284,15 @@ def classify_block(
         raise ValueError("rank mismatch between context and root vector")
     if not beta.in_positive_cone():
         raise NotAWeightError(f"{beta} is outside the positive cone; the block is zero")
-    if not is_weight(ctx, beta):
+    try:
+        rep = canonical_rep(ctx, beta)
+    except NotAWeightError:
         raise NotAWeightError(
             f"{beta} does not correspond to a module weight; the block is zero"
-        )
-    rep = canonical_rep(ctx, beta)
+        ) from None
     notes: list[str] = []
     if ctx.level == 1:
-        rep_type = classify_typeA_levelone(ctx, beta)
+        rep_type = _levelone_type(ctx.rank.ell, rep.k)
     else:
         ctx2, rep2 = normalize(ctx, rep)
         if rep.family == MU:
@@ -355,39 +356,33 @@ def classify_level_two(
     )
 
 
-def _partitions_of(total: int) -> list[tuple[int, ...]]:
-    result: list[tuple[int, ...]] = []
-
-    def rec(remaining: int, cap: int, acc: list[int]) -> None:
-        if remaining == 0:
-            result.append(tuple(acc))
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            acc.append(part)
-            rec(remaining - part, part, acc)
-            acc.pop()
-
-    rec(total, total, [])
-    return result
+def _level_one_counts(e: int, n: int) -> list[tuple[int, ...]]:
+    """Distinct charge-zero residue counts of the partitions of n, sorted."""
+    seen: set[tuple[int, ...]] = set()
+    for parts in partitions(n):
+        cnt = [0] * e
+        for row, length in enumerate(parts):
+            for col in range(length):
+                cnt[(col - row) % e] += 1
+        seen.add(tuple(cnt))
+    return sorted(seen)
 
 
 def _level_one_block_contents(ctx: FockContext, n: int) -> list[RootVec]:
-    seen: dict[tuple[int, ...], RootVec] = {}
-    for parts in _partitions_of(n):
-        bp = Bipartition(parts, ())
-        vec = content(ctx, bp)
-        seen.setdefault(vec.coeffs, vec)
-    return [seen[key] for key in sorted(seen)]
+    return [RootVec(ctx.rank, coeffs) for coeffs in _level_one_counts(ctx.rank.e, n)]
 
 
 def _level_two_block_contents(ctx: FockContext, n: int) -> list[RootVec]:
-    seen: dict[tuple[int, ...], RootVec] = {}
+    """Contents c(l1) + sigma^s c(l2) of the bipartitions of n, where c is
+    the charge-zero level-one content and sigma^s shifts residues by s."""
+    e, s = ctx.rank.e, ctx.s
+    ones = [_level_one_counts(e, m) for m in range(n + 1)]
+    seen: set[tuple[int, ...]] = set()
     for m in range(n + 1):
-        for first in _partitions_of(m):
-            for second in _partitions_of(n - m):
-                vec = content(ctx, Bipartition(first, second))
-                seen.setdefault(vec.coeffs, vec)
-    return [seen[key] for key in sorted(seen)]
+        for first in ones[m]:
+            for second in ones[n - m]:
+                seen.add(tuple(first[j] + second[(j - s) % e] for j in range(e)))
+    return [RootVec(ctx.rank, coeffs) for coeffs in sorted(seen)]
 
 
 def classify_heckeB(
@@ -419,15 +414,13 @@ def classify_heckeB(
     # separated parameters: pairs of level-one blocks
     ctx1 = FockContext(rank, 0, level=1)
     reports = []
-    combos = []
-    for m in range(n + 1):
-        for b1 in _level_one_block_contents(ctx1, m):
-            for b2 in _level_one_block_contents(ctx1, n - m):
-                combos.append((b1, b2))
+    ones = [_level_one_block_contents(ctx1, m) for m in range(n + 1)]
+    types = {b.coeffs: classify_typeA_levelone(ctx1, b) for blocks in ones for b in blocks}
+    combos = [(b1, b2) for m in range(n + 1) for b1 in ones[m] for b2 in ones[n - m]]
     combos.sort(key=lambda pair: (pair[0].coeffs, pair[1].coeffs))
     for b1, b2 in combos:
-        t1 = classify_typeA_levelone(ctx1, b1)
-        t2 = classify_typeA_levelone(ctx1, b2)
+        t1 = types[b1.coeffs]
+        t2 = types[b2.coeffs]
         rep_type = classify_tensor(t1, t2, rank.ell)
         reports.append(
             BlockReport(

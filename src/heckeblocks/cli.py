@@ -22,7 +22,7 @@ from .classify import (
 )
 from .fock import Bipartition, FockContext, content, enumerate_standard, tableau_stats
 from .gdim import dim_matrix, nonzero_idempotents
-from .orbits import NotAWeightError, canonical_rep, dominant_reduce, is_weight
+from .orbits import NotAWeightError, dominant_reduce, label_dominant
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -142,7 +142,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     ctx = _context(args)
     beta = _beta_from_args(args, ctx)
     plus = dominant_reduce(ctx, beta)
-    weight = is_weight(ctx, beta)
+    weight = plus.in_positive_cone()
     payload = {
         "beta": beta.to_json(),
         "dominant_reduction": plus.to_json(),
@@ -151,7 +151,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     }
     lines = [f"dominant reduction: {plus}", f"weight of the module: {weight}"]
     if weight:
-        rep = canonical_rep(ctx, beta)
+        rep = label_dominant(ctx, plus)
         payload["canonical"] = rep.to_json()
         lines.append(f"canonical: {rep}")
     else:

@@ -17,6 +17,18 @@ from .cartan import AffineRank, RootVec, WeightVec
 from .qpoly import QPoly
 
 
+def partitions(total: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
+    """The partitions of total with parts at most cap, in reverse
+    lexicographic order: (total,) first, (1, ..., 1) last."""
+    if total == 0:
+        yield ()
+        return
+    top = total if cap is None else min(cap, total)
+    for first in range(top, 0, -1):
+        for rest in partitions(total - first, first):
+            yield (first,) + rest
+
+
 class Node(NamedTuple):
     """A box position: component 1 or 2, row and column both 1-based."""
 
@@ -368,9 +380,6 @@ class Bitableau:
 
     shape: Bipartition
     growth: tuple[Node, ...]
-
-    def filling(self) -> dict[Node, int]:
-        return {node: k + 1 for k, node in enumerate(self.growth)}
 
     def to_json(self) -> dict:
         return {

@@ -37,6 +37,7 @@ from .fock import (
     Bipartition,
     FockContext,
     enumerate_standard,
+    partitions,
     residue,
     tableau_stats,
 )
@@ -197,16 +198,6 @@ def kostka_q(
     return acc
 
 
-def _partitions(total: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
-    if total == 0:
-        yield ()
-        return
-    top = total if cap is None else min(cap, total)
-    for first in range(top, 0, -1):
-        for rest in _partitions(total - first, first):
-            yield (first,) + rest
-
-
 def block_bipartitions(ctx: FockContext, beta: RootVec) -> list[Bipartition]:
     """All bipartitions whose residue content equals beta, sorted."""
     _check_block(ctx, beta)
@@ -216,8 +207,8 @@ def block_bipartitions(ctx: FockContext, beta: RootVec) -> list[Bipartition]:
     for m in range(n + 1):
         if ctx.level == 1 and m != n:
             continue
-        for p1 in _partitions(m):
-            for p2 in _partitions(n - m):
+        for p1 in partitions(m):
+            for p2 in partitions(n - m):
                 bp = Bipartition(p1, p2)
                 if _residue_multiset(ctx, bp) == target:
                     out.append(bp)

@@ -73,19 +73,34 @@ def _mu_range(ctx: FockContext) -> range:
 
 
 def dominant_reduce(ctx: FockContext, beta: RootVec) -> RootVec:
-    """Reflect at the smallest vertex with negative pairing until dominant."""
+    """Reflect at the smallest vertex with negative pairing until dominant.
+
+    beta = sum c_j alpha_j is held as a list of ints together with the
+    pairings p_j = <h_j, Lambda - beta> = fund_j - 2c_j + c_{j+1} + c_{j-1}
+    (indices mod e).  The reflection r_i adds p_i alpha_i to beta, which
+    changes p_j by -a_ji p_i: p_i becomes -p_i and each neighbour gains
+    p_i, so a reflection costs O(1) and no pairing is recomputed (Kac,
+    Infinite dimensional Lie algebras, 3.12).  At e = 2 both neighbour
+    updates land on the one other vertex, which is the Cartan entry -2.
+    """
     if beta.rank != ctx.rank:
         raise ValueError("rank mismatch between context and root vector")
-    weight = ctx.highest_weight()
-    cap = 10 * ctx.rank.e * max(1, abs(beta.height))
-    cur = beta
+    e = ctx.rank.e
+    fund = ctx.highest_weight().fund
+    c = list(beta.coeffs)
+    p = [fund[j] - 2 * c[j] + c[(j + 1) % e] + c[j - 1] for j in range(e)]
+    cap = 10 * e * max(1, abs(beta.height))
     for _ in range(cap):
-        for i in ctx.rank.vertices:
-            if pair_coroot(i, weight, cur) < 0:
-                cur = simple_reflection(i, weight, cur)
+        for i in range(e):
+            if p[i] < 0:
                 break
         else:
-            return cur
+            return RootVec(ctx.rank, tuple(c))
+        pi = p[i]
+        c[i] += pi
+        p[i] = -pi
+        p[i - 1] += pi
+        p[(i + 1) % e] += pi
     raise ReductionCapError(
         f"dominant reduction did not terminate within {cap} reflections for {beta}"
     )
@@ -106,15 +121,20 @@ def rep_root(ctx: FockContext, rep: CanonicalRep) -> RootVec:
 
 
 def canonical_rep(ctx: FockContext, beta: RootVec) -> CanonicalRep:
-    """Canonical orbit label of the block of beta.
-
-    The dominant reduction of beta is matched against the family tables
-    plus a multiple of the null root; the multiple is the minimal
-    coefficient because every family member has a zero coefficient.
-    """
+    """Canonical orbit label of the block of beta."""
     plus = dominant_reduce(ctx, beta)
     if not plus.in_positive_cone():
         raise NotAWeightError(f"{beta} does not label a nonzero block")
+    return label_dominant(ctx, plus)
+
+
+def label_dominant(ctx: FockContext, plus: RootVec) -> CanonicalRep:
+    """Canonical label of a dominant root vector in the positive cone.
+
+    plus is matched against the family tables plus a multiple of the null
+    root; the multiple is the minimal coefficient because every family
+    member has a zero coefficient.
+    """
     s = ctx.s
     delta = null_root(ctx.rank)
     for k in range(min(plus.coeffs), -1, -1):

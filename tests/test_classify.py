@@ -28,6 +28,8 @@ from heckeblocks import (
     null_root,
     rep_root,
 )
+from heckeblocks.classify import _level_one_block_contents, _level_two_block_contents
+from heckeblocks.fock import Bipartition, content, partitions
 from heckeblocks.orbits import LAMBDA, MU
 
 
@@ -146,8 +148,16 @@ def test_classify_block_end_to_end(ctx11, delta1):
 
 
 def test_classify_block_rejects_non_weights(ctx21):
-    with pytest.raises(NotAWeightError):
+    with pytest.raises(
+        NotAWeightError,
+        match=r"^\(5,0,0\) does not correspond to a module weight; the block is zero$",
+    ):
         classify_block(ctx21, RootVec(ctx21.rank, (5, 0, 0)))
+    with pytest.raises(
+        NotAWeightError,
+        match=r"^\(-1,1,0\) is outside the positive cone; the block is zero$",
+    ):
+        classify_block(ctx21, RootVec(ctx21.rank, (-1, 1, 0)), with_quiver=False)
 
 
 def test_classify_block_skips_quiver_above_cap(ctx11):
@@ -242,3 +252,55 @@ def test_heckeD_delegation_and_refusal():
     )
     odd = classify_heckeD(3, 2, cfg)
     assert all(any("separated" in n for n in r.notes) for r in odd)
+
+
+def test_partition_generator_counts():
+    counts = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
+    for n, want in enumerate(counts):
+        parts = list(partitions(n))
+        assert len(parts) == len(set(parts)) == want
+        assert all(sum(p) == n and list(p) == sorted(p, reverse=True) for p in parts)
+        assert parts == sorted(parts, reverse=True)
+
+
+@pytest.mark.parametrize("e", [2, 3, 4, 5])
+def test_block_contents_match_brute_force(e):
+    rank = AffineRank(e - 1)
+    one = FockContext(rank, 0, level=1)
+    for n in range(9):
+        want = {content(one, Bipartition(p)).coeffs for p in partitions(n)}
+        got = [b.coeffs for b in _level_one_block_contents(one, n)]
+        assert got == sorted(want)
+    for s in range(e):
+        ctx = FockContext(rank, s, level=2)
+        for n in range(9):
+            want = {
+                content(ctx, Bipartition(p1, p2)).coeffs
+                for m in range(n + 1)
+                for p1 in partitions(m)
+                for p2 in partitions(n - m)
+            }
+            got = [b.coeffs for b in _level_two_block_contents(ctx, n)]
+            assert got == sorted(want)
+
+
+@pytest.mark.parametrize("e", [2, 3, 4])
+def test_heckeB_separated_matches_per_combo_recompute(e):
+    n = 6
+    rank = AffineRank(e - 1)
+    one = FockContext(rank, 0, level=1)
+    reports = classify_heckeB(e, None, n)
+    pairs = sorted(
+        {
+            (content(one, Bipartition(p1)).coeffs, content(one, Bipartition(p2)).coeffs)
+            for m in range(n + 1)
+            for p1 in partitions(m)
+            for p2 in partitions(n - m)
+        }
+    )
+    assert [(tuple(r.input["beta1"]), tuple(r.input["beta2"])) for r in reports] == pairs
+    for report, (c1, c2) in zip(reports, pairs):
+        t1 = classify_typeA_levelone(one, RootVec(rank, c1))
+        t2 = classify_typeA_levelone(one, RootVec(rank, c2))
+        assert report.rep_type == classify_tensor(t1, t2, rank.ell)
+        assert report.notes[0].endswith(f"({t1.tag} x {t2.tag})")

@@ -1,6 +1,8 @@
 """Orbit reduction, canonical representatives, and the two ladder walks."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckeblocks import (
     AffineRank,
@@ -13,11 +15,13 @@ from heckeblocks import (
     lambda_rep,
     mu_rep,
     null_root,
+    pair_coroot,
     propagation_check_1,
     propagation_check_2,
     rep_root,
     weyl_orbit_bfs,
 )
+from heckeblocks.checks import _reduction_outcome, textbook_reduce
 from heckeblocks.orbits import LAMBDA, MU
 
 
@@ -45,6 +49,27 @@ def test_dominant_reduce_is_idempotent_on_a_grid(ctx21):
                 beta = RootVec(ctx21.rank, (a, b, c))
                 reduced = dominant_reduce(ctx21, beta)
                 assert dominant_reduce(ctx21, reduced) == reduced
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_dominant_reduce_matches_textbook_reduction(data):
+    ell = data.draw(st.integers(min_value=1, max_value=5), label="ell")
+    level = data.draw(st.sampled_from([1, 2]), label="level")
+    s = data.draw(st.integers(min_value=0, max_value=ell), label="s") if level == 2 else 0
+    coeffs = data.draw(
+        st.lists(st.integers(min_value=-2, max_value=8), min_size=ell + 1, max_size=ell + 1),
+        label="coeffs",
+    )
+    rank = AffineRank(ell)
+    ctx = FockContext(rank, s, level=level)
+    beta = RootVec(rank, tuple(coeffs))
+    got = _reduction_outcome(dominant_reduce, ctx, beta)
+    assert got == _reduction_outcome(textbook_reduce, ctx, beta)
+    if isinstance(got, RootVec):
+        weight = ctx.highest_weight()
+        assert all(pair_coroot(i, weight, got) >= 0 for i in rank.vertices)
+        assert dominant_reduce(ctx, got) == got
 
 
 def test_weight_detection(ctx21):
