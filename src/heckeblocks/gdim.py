@@ -14,12 +14,23 @@ step along a word gives K_q(shape, word) for every shape at once, which is
 the Fock-space form of the graded dimension formula (e_i read along the
 word; Brundan-Kleshchev, with the degrees of Brundan-Kleshchev-Wang):
 
+- ``_folds`` folds a list of words in sorted order from a stack of prefix
+  states, so each word steps only past its common prefix with the previous
+  one; every fold below comes from it;
 - ``kostka_q`` ("post") looks the shape up in the fold of the word;
 - ``graded_dim`` is the dot product of the folds of its two words;
-- ``dim_matrix`` folds each idempotent once and takes pairwise products;
-- ``residue_sequences`` and ``nonzero_idempotents`` walk the prefix trie of
-  the block's words depth first, within the per-residue budget of beta, so
-  words share their prefixes' states; a word's class is its final state.
+- ``dim_matrix`` builds the matrix shape by shape.  Each histogram is packed
+  into one int (q -> 2^w, from the least degree of any fold, with w wide
+  enough that no coefficient carries), each shape lists the classes whose
+  fold it is in, and row i sums the products of packed histograms only over
+  the classes j >= i sharing a shape with i; each entry is decoded once;
+- ``residue_sequences`` walks the prefix trie of the block's words depth
+  first, within the per-residue budget of beta, so words share their
+  prefixes' states;
+- ``nonzero_idempotents`` walks the same trie but expands each distinct
+  state once: a prefix whose state an earlier prefix of the same content
+  reached is skipped, since the two subtrees fold alike and the earlier one
+  has the smaller words.  A word's class is its final state.
 
 The "pre" reading of ``kostka_q`` replays each standard bitableau with
 ``fock.tableau_stats`` instead, so the two conventions stay independent.
@@ -30,7 +41,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .cartan import RootVec
 from .fock import (
@@ -125,37 +136,77 @@ def _start(ctx: FockContext) -> State:
     return {((),) * ctx.level: {0: 1}}
 
 
-def _fold(ctx: FockContext, word: ResidueSeq) -> State:
-    """K_q(shape, word) as a degree histogram, for every shape it is nonzero on."""
-    state = _start(ctx)
-    for i in word:
-        state = _step(ctx, state, i)
-    return state
+def _folds(ctx: FockContext, words: Sequence[ResidueSeq]) -> list[State]:
+    """The fold of each word, in input order.  The words are folded in
+    sorted order from a stack of prefix states, so each word steps only
+    past its common prefix with the previous one; equal words share a fold."""
+    out: list[State] = [{}] * len(words)
+    stack = [_start(ctx)]  # stack[k]: the fold of prev[:k]
+    prev: ResidueSeq = ()
+    for idx in sorted(range(len(words)), key=words.__getitem__):
+        word = words[idx]
+        k = 0
+        for x, y in zip(prev, word):
+            if x != y:
+                break
+            k += 1
+        state = stack[k]
+        del stack[k + 1 :]
+        for i in word[k:]:
+            state = _step(ctx, state, i)
+            stack.append(state)
+        out[idx] = state
+        prev = word
+    return out
 
 
-def _walk(ctx: FockContext, beta: RootVec) -> Iterator[tuple[ResidueSeq, State]]:
+def _walk(ctx: FockContext, beta: RootVec, merge: bool) -> list[ResidueSeq]:
     """Every residue word realised in the block of beta, in lexicographic
-    order, with its fold."""
-    _check_block(ctx, beta)
-    budget = list(beta.coeffs)
-    height = beta.height
-    word: list[int] = []
+    order: the prefix trie of the words, walked depth first within the
+    residue budget of beta, each word folded as it is extended.
 
-    def visit(state: State) -> Iterator[tuple[ResidueSeq, State]]:
-        if len(word) == height:
-            yield tuple(word), state
-            return
+    With ``merge``, a prefix whose state an earlier prefix already reached is
+    not expanded, and a word is kept only if its final state is new.  A
+    nonempty state fixes its content, hence the remaining budget, so the two
+    subtrees fold alike and the earlier one holds the smaller words: what is
+    kept is exactly the smallest word of each class.  A new state is compared
+    only with the earlier states of its budget."""
+    _check_block(ctx, beta)
+    height = beta.height
+    if height == 0:
+        return [()]
+    budget = list(beta.coeffs)
+    word: list[int] = []
+    words: list[ResidueSeq] = []
+    seen: dict[tuple[int, ...], list[State]] = {}
+
+    def visit(state: State) -> None:
+        last = len(word) + 1 == height
         for i, left in enumerate(budget):
             if left:
                 grown = _step(ctx, state, i)
-                if grown:
-                    budget[i] -= 1
-                    word.append(i)
-                    yield from visit(grown)
-                    word.pop()
-                    budget[i] += 1
+                if not grown:
+                    continue
+                budget[i] -= 1
+                if merge:
+                    earlier = seen.setdefault(tuple(budget), [])
+                    if grown in earlier:
+                        budget[i] += 1
+                        continue
+                    earlier.append(grown)
+                word.append(i)
+                if last:
+                    words.append(tuple(word))
+                else:
+                    visit(grown)
+                word.pop()
+                budget[i] += 1
 
-    return visit(_start(ctx))
+    visit(_start(ctx))
+    # visit holds itself in its closure; dropping it frees the states now,
+    # not at the next garbage collection
+    del visit
+    return words
 
 
 def _dot(one: State, other: State) -> QPoly:
@@ -169,7 +220,15 @@ def _dot(one: State, other: State) -> QPoly:
             for da, ca in ha.items():
                 for db, cb in hb.items():
                     acc[da + db] = acc.get(da + db, 0) + ca * cb
-    return QPoly(acc)
+    return _qpoly(acc)
+
+
+def _qpoly(coeffs: dict[int, int]) -> QPoly:
+    """A QPoly over a dict of nonzero coefficients, taken as it is: sums of
+    products of tableau counts need none of the constructor's normalising."""
+    poly = QPoly.__new__(QPoly)
+    poly._coeffs = coeffs
+    return poly
 
 
 def kostka_q(
@@ -189,7 +248,7 @@ def kostka_q(
         return QPoly.zero()
     if convention == "post":
         key = (shape.comp1, shape.comp2)[: ctx.level]
-        return QPoly(_fold(ctx, seq).get(key, {}))
+        return QPoly(_folds(ctx, (seq,))[0].get(key, {}))
     acc = QPoly.zero()
     for tab in enumerate_standard(ctx, shape):
         deg, res = tableau_stats(ctx, tab, convention="pre")
@@ -218,7 +277,7 @@ def block_bipartitions(ctx: FockContext, beta: RootVec) -> list[Bipartition]:
 def residue_sequences(ctx: FockContext, beta: RootVec) -> list[ResidueSeq]:
     """Every distinct residue word realised by a standard bitableau in the
     block of beta, sorted lexicographically."""
-    return [word for word, _ in _walk(ctx, beta)]
+    return _walk(ctx, beta, merge=False)
 
 
 def nonzero_idempotents(ctx: FockContext, beta: RootVec) -> list[ResidueSeq]:
@@ -229,11 +288,7 @@ def nonzero_idempotents(ctx: FockContext, beta: RootVec) -> list[ResidueSeq]:
     columns.  The returned list holds the lexicographically smallest word of
     each class, sorted; every listed word has nonzero diagonal dimension.
     """
-    classes: dict[frozenset, ResidueSeq] = {}
-    for word, state in _walk(ctx, beta):
-        key = frozenset((shape, frozenset(hist.items())) for shape, hist in state.items())
-        classes.setdefault(key, word)
-    return sorted(classes.values())
+    return _walk(ctx, beta, merge=True)
 
 
 def graded_dim(ctx: FockContext, nu_prime: Sequence[int], nu: Sequence[int]) -> QPoly:
@@ -245,8 +300,7 @@ def graded_dim(ctx: FockContext, nu_prime: Sequence[int], nu: Sequence[int]) -> 
         raise ValueError(f"residue words differ in length: {len(a)} vs {len(b)}")
     if _seq_content(ctx, a) != _seq_content(ctx, b):
         return QPoly.zero()
-    fa = _fold(ctx, a)
-    return _dot(fa, fa if b == a else _fold(ctx, b))
+    return _dot(*_folds(ctx, (a, b)))
 
 
 @dataclass(frozen=True)
@@ -261,7 +315,7 @@ class DimMatrix:
         if len(self.entries) != m or any(len(row) != m for row in self.entries):
             raise ValueError("entry matrix shape does not match idempotent count")
         for i in range(m):
-            for j in range(m):
+            for j in range(i, m):
                 if self.entries[i][j] != self.entries[j][i]:
                     raise ValueError("dimension matrix must be symmetric")
                 if not self.entries[i][j].is_nonnegative():
@@ -321,12 +375,53 @@ def dim_matrix(
     for nu in seqs:
         if _seq_content(ctx, nu) != target:
             raise ValueError(f"residue word {nu} does not have content {beta}")
-    folds = [_fold(ctx, nu) for nu in seqs]
+    folds = _folds(ctx, seqs)
     m = len(seqs)
-    entries = [[QPoly.zero()] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            entries[i][j] = entries[j][i] = _dot(folds[i], folds[j])
+    # Pack each histogram into one int, q -> 2^width, from the least degree
+    # lo of any fold.  A coefficient of entry (i, j) is at most T_i * T_j,
+    # T_i the total tableau count of fold i, so with width one bit wider
+    # than the largest T^2 no chunk carries into the next.
+    lo = None
+    most = 0
+    for fold in folds:
+        total = 0
+        for hist in fold.values():
+            total += sum(hist.values())
+            least = min(hist)
+            if lo is None or least < lo:
+                lo = least
+        most = max(most, total)
+    if lo is None:
+        lo = 0
+    width = (most * most).bit_length() + 1
+    mask = (1 << width) - 1
+    zero = _qpoly({})
+    entries = [[zero] * m for _ in range(m)]
+    by_shape: dict[Shape, list[tuple[int, int]]] = {}
+    for i in reversed(range(m)):
+        # by_shape holds the classes j >= i, so row i is summed over j >= i
+        # sharing a shape with i only.
+        acc: dict[int, int] = {}
+        for shape, hist in folds[i].items():
+            packed = 0
+            for d, c in hist.items():
+                packed += c << (width * (d - lo))
+            bucket = by_shape.setdefault(shape, [])
+            bucket.append((i, packed))
+            for j, other in bucket:
+                acc[j] = acc.get(j, 0) + packed * other
+        folds[i] = {}  # packed now; free it while the rows fill
+        row = entries[i]
+        for j, x in acc.items():
+            coeffs = {}
+            d = 2 * lo
+            while x:
+                c = x & mask
+                if c:
+                    coeffs[d] = c
+                x >>= width
+                d += 1
+            row[j] = entries[j][i] = _qpoly(coeffs)
     result = DimMatrix(tuple(seqs), tuple(tuple(row) for row in entries))
     for i in range(m):
         diag = result.entries[i][i]

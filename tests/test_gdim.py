@@ -1,6 +1,8 @@
 """Graded dimension tables, tableau generating functions, block enumeration."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckeblocks import (
     AffineRank,
@@ -25,6 +27,8 @@ from heckeblocks import (
     ungraded_block_dim,
 )
 from heckeblocks.checks import oracle_engine_replay
+from heckeblocks.fock import partitions
+from heckeblocks.gdim import _folds
 
 
 def replay_kostka(ctx, shape, nu):
@@ -140,6 +144,96 @@ def test_finite_block_has_two_idempotent_classes(ell):
     assert len(nonzero_idempotents(ctx, beta)) == 2
 
 
+def classes_by_definition(ctx, beta):
+    """The smallest word of each group of realised words whose folds are
+    equal, each word folded on its own."""
+    classes = {}
+    for word in residue_sequences(ctx, beta):
+        fold = _folds(ctx, (word,))[0]
+        key = frozenset((shape, frozenset(hist.items())) for shape, hist in fold.items())
+        classes.setdefault(key, word)
+    return sorted(classes.values())
+
+
+# (ell, s, level, multiple of delta): blocks where many prefixes share a state
+MERGED_WALK_BLOCKS = [(3, 2, 2, 2), (3, 0, 2, 2), (1, 1, 2, 3), (2, 0, 1, 2)]
+
+
+@pytest.mark.parametrize("ell,s,level,k", MERGED_WALK_BLOCKS)
+def test_nonzero_idempotents_match_the_definition(ell, s, level, k):
+    ctx = FockContext(AffineRank(ell), s, level=level)
+    beta = k * null_root(ctx.rank)
+    assert nonzero_idempotents(ctx, beta) == classes_by_definition(ctx, beta)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_nonzero_idempotents_match_the_definition_on_random_blocks(data):
+    ell = data.draw(st.integers(min_value=1, max_value=3), label="ell")
+    level = data.draw(st.sampled_from([1, 2]), label="level")
+    s = data.draw(st.integers(min_value=0, max_value=ell), label="s") if level == 2 else 0
+    ctx = FockContext(AffineRank(ell), s, level=level)
+    height = data.draw(st.integers(min_value=0, max_value=6), label="height")
+    m = height if level == 1 else data.draw(st.integers(min_value=0, max_value=height))
+    comp1 = data.draw(st.sampled_from(list(partitions(m))), label="component 1")
+    comp2 = data.draw(st.sampled_from(list(partitions(height - m))), label="component 2")
+    beta = content(ctx, Bipartition(comp1, comp2))
+    idems = nonzero_idempotents(ctx, beta)
+    assert idems and idems == classes_by_definition(ctx, beta)
+
+
+def pairwise_dims(ctx, words):
+    return tuple(tuple(graded_dim(ctx, a, b) for b in words) for a in words)
+
+
+def test_dim_matrix_keeps_the_input_order(ctx11, delta1):
+    idems = nonzero_idempotents(ctx11, 2 * delta1)
+    for words in (idems[::-1], [idems[2], idems[0], idems[3], idems[1]]):
+        m = dim_matrix(ctx11, 2 * delta1, words)
+        assert m.idempotents == tuple(words)
+        assert m.entries == pairwise_dims(ctx11, words)
+
+
+def test_dim_matrix_repeats_a_duplicated_word(ctx11, delta1):
+    one, other = nonzero_idempotents(ctx11, 2 * delta1)[:2]
+    words = [other, one, other]
+    m = dim_matrix(ctx11, 2 * delta1, words)
+    assert m.entries == pairwise_dims(ctx11, words)
+    assert m.entries[0] == m.entries[2]
+
+
+def test_dim_matrix_unrealised_word_gives_a_zero_row(ctx11, delta1):
+    words = [(0, 0, 1, 1), (0, 1, 0, 1)]
+    assert words[0] not in residue_sequences(ctx11, 2 * delta1)
+    m = dim_matrix(ctx11, 2 * delta1, words)
+    assert m.entries == pairwise_dims(ctx11, words)
+    assert m.entry(0, 0) == m.entry(0, 1) == m.entry(1, 0) == QPoly.zero()
+    assert m.entry(1, 1) == QPoly({0: 1, 2: 3, 4: 4, 6: 3, 8: 1})
+
+
+def test_dim_matrix_negative_degree_diagonal():
+    ctx = FockContext(AffineRank(1), 0, level=2)
+    beta = 2 * null_root(ctx.rank)
+    idems = nonzero_idempotents(ctx, beta)
+    m = dim_matrix(ctx, beta, idems)
+    assert idems[0] == (0, 0, 1, 1)
+    assert m.entry(0, 0) == QPoly(
+        {-4: 1, -2: 5, 0: 12, 2: 19, 4: 22, 6: 19, 8: 12, 10: 5, 12: 1}
+    )
+    assert m.entries == pairwise_dims(ctx, idems)
+
+
+def test_dim_matrix_full_block_matches_pairwise_dims():
+    ctx = FockContext(AffineRank(3), 0, level=2)
+    beta = 2 * null_root(ctx.rank)
+    idems = nonzero_idempotents(ctx, beta)
+    m = dim_matrix(ctx, beta, idems)
+    assert len(idems) == 57
+    for a, one in enumerate(idems):
+        for b in range(a, len(idems)):
+            assert m.entry(a, b) == m.entry(b, a) == graded_dim(ctx, one, idems[b])
+
+
 def test_graded_dim_smallest_cyclic_block(ctx11, delta1):
     one = (0, 1)
     other = (1, 0)
@@ -192,6 +286,26 @@ def test_dim_matrix_structure(ctx11, delta1):
     assert "1+q^2+q^4" in text and "q^2" in text
     with pytest.raises(ValueError):
         dim_matrix(ctx11, delta1, [(0, 0)])
+
+
+def test_dim_matrix_rejects_asymmetric_or_negative_entries(ctx11, delta1):
+    idems = tuple(nonzero_idempotents(ctx11, delta1))
+    one, off = QPoly({0: 1, 2: 1}), QPoly({2: 1})
+    assert DimMatrix(idems, ((one, off), (off, one))).entry(1, 0) == off
+    bad = QPoly({0: 1, 2: -1})
+    for entries, message in [
+        (((one, off), (QPoly({4: 1}), one)), "symmetric"),
+        (((one, bad), (bad, one)), "nonnegative"),
+        (((one, off), (off, bad)), "nonnegative"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            DimMatrix(idems, entries)
+        data = {
+            "idempotents": [list(nu) for nu in idems],
+            "entries": [[p.to_json() for p in row] for row in entries],
+        }
+        with pytest.raises(ValueError, match=message):
+            DimMatrix.from_json(data)
 
 
 def test_quiver_bounds_flags_the_doubled_loop():
