@@ -2,14 +2,14 @@
 
 Vertices of the cycle quiver are labelled 0..ell and all index arithmetic
 wraps modulo e = ell + 1.  Roots are integer vectors in the basis of simple
-roots; weights are integer combinations of fundamental weights plus a
-rational multiple of the null root delta.
+roots; weights are integer combinations of fundamental weights.  A
+weight's multiple of the null root delta pairs to zero with every coroot,
+so it is not stored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -65,10 +65,6 @@ class RootVec:
         object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
 
     @classmethod
-    def zero(cls, rank: AffineRank) -> "RootVec":
-        return cls(rank, (0,) * rank.e)
-
-    @classmethod
     def simple(cls, rank: AffineRank, i: int) -> "RootVec":
         i = rank.reduce(i)
         return cls(rank, tuple(1 if j == i else 0 for j in range(rank.e)))
@@ -111,11 +107,10 @@ class RootVec:
 
 @dataclass(frozen=True)
 class WeightVec:
-    """An integral weight: sum of fundamental weights plus (delta)*delta."""
+    """An integral weight, as a sum of fundamental weights."""
 
     rank: AffineRank
     fund: tuple[int, ...]
-    delta: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
         if len(self.fund) != self.rank.e:
@@ -123,7 +118,6 @@ class WeightVec:
                 f"expected {self.rank.e} fundamental coefficients, got {len(self.fund)}"
             )
         object.__setattr__(self, "fund", tuple(int(c) for c in self.fund))
-        object.__setattr__(self, "delta", Fraction(self.delta))
 
     @classmethod
     def fundamental(cls, rank: AffineRank, j: int) -> "WeightVec":
@@ -134,20 +128,11 @@ class WeightVec:
     def level(self) -> int:
         return sum(self.fund)
 
-    def to_json(self) -> dict:
-        d = self.delta
-        return {"fund": list(self.fund), "delta": f"{d.numerator}/{d.denominator}"}
-
-    @classmethod
-    def from_json(cls, rank: AffineRank, data: dict) -> "WeightVec":
-        return cls(rank, tuple(data["fund"]), Fraction(data["delta"]))
-
 
 def pair_coroot(i: int, weight: WeightVec, beta: RootVec | None = None) -> int:
     """<h_i, weight> or, with beta given, <h_i, weight - beta>.
 
-    <h_i, Lambda_j> = delta_ij and <h_i, delta> = 0, so the delta part of
-    the weight never contributes.
+    <h_i, Lambda_j> is the Kronecker delta_ij.
     """
     rank = weight.rank
     i = rank.reduce(i)
@@ -192,7 +177,7 @@ def dynkin_rotate(t: int, weight: WeightVec, beta: RootVec) -> tuple[WeightVec, 
     for j in range(e):
         fund[(j + t) % e] = weight.fund[j]
         coeffs[(j + t) % e] = beta.coeffs[j]
-    return WeightVec(rank, tuple(fund), weight.delta), RootVec(rank, tuple(coeffs))
+    return WeightVec(rank, tuple(fund)), RootVec(rank, tuple(coeffs))
 
 
 def lambda_rep(s: int, i: int, rank: AffineRank) -> RootVec:

@@ -5,6 +5,12 @@ graded-dimension table, classification statement, and identity the package
 is built around; the oracle suite cross-checks the optimized code paths
 against independent brute-force reimplementations.  Both return plain
 result records so the CLI and the test suite can share them.
+
+Every alternate path to a graded dimension lives here, as a labelled oracle
+for the engine: the tableau replay ``_replay`` under either node-placement
+convention, the brute-force K_q of O2 and the textbook reduction of O6.
+``import heckeblocks`` does not load this module; import the suites from
+``heckeblocks.checks``.
 """
 
 from __future__ import annotations
@@ -84,22 +90,29 @@ def _ok(name: str, detail: str = "") -> CheckResult:
     return CheckResult(name, True, detail)
 
 
-def _pair_entry(
-    ctx: FockContext,
-    beta: RootVec,
-    nu1: tuple[int, ...],
-    nu2: tuple[int, ...],
-    convention: str = "post",
-) -> QPoly:
-    """Graded dimension between two explicit residue words, computed from
-    scratch under the requested degree convention."""
+ReplayTable = dict[Bipartition, dict[tuple[int, ...], QPoly]]
+
+
+def _replay(ctx: FockContext, shapes: list[Bipartition], convention: str) -> ReplayTable:
+    """K_q of every realised word on each shape, read only from
+    ``enumerate_standard`` and ``tableau_stats`` under the given convention,
+    independently of the engine's fold: {shape: {word: K_q}}."""
+    table: ReplayTable = {}
+    for shape in shapes:
+        row = table.setdefault(shape, {})
+        for tab in enumerate_standard(ctx, shape):
+            deg, word = tableau_stats(ctx, tab, convention)
+            row[word] = row.get(word, QPoly.zero()) + QPoly.monomial(deg)
+    return table
+
+
+def _replay_dim(table: ReplayTable, one: tuple[int, ...], other: tuple[int, ...]) -> QPoly:
+    """Graded dimension between two words: the sum over the table's shapes
+    of the product of their K_q."""
     total = QPoly.zero()
-    for shape in block_bipartitions(ctx, beta):
-        a = kostka_q(ctx, shape, nu1, convention)
-        if not a.items():
-            continue
-        b = a if nu2 == nu1 else kostka_q(ctx, shape, nu2, convention)
-        total = total + a * b
+    for row in table.values():
+        if one in row and other in row:
+            total = total + row[one] * row[other]
     return total
 
 
@@ -438,9 +451,10 @@ def check_a10() -> CheckResult:
         (FockContext(rank3, 1, level=2), lambda_rep(1, 1, rank3), (0, 1), (1, 0))
     )
     for ctx, beta, nu1, nu2 in fixtures:
+        table = _replay(ctx, block_bipartitions(ctx, beta), "pre")
         for pair in ((nu1, nu1), (nu1, nu2), (nu2, nu2)):
-            post = _pair_entry(ctx, beta, pair[0], pair[1], "post")
-            pre = _pair_entry(ctx, beta, pair[0], pair[1], "pre")
+            post = graded_dim(ctx, *pair)
+            pre = _replay_dim(table, *pair)
             if post != pre:
                 return _fail(
                     name,
@@ -755,26 +769,17 @@ def oracle_reduction() -> CheckResult:
     )
 
 
-def _replay_blocks(ctx: FockContext, height: int) -> dict[tuple, dict]:
-    """K_q of every realised word on every shape of size `height`, read only
-    from ``enumerate_standard`` and ``tableau_stats`` and grouped by block:
-    {content: {shape: {word: K_q}}}."""
-    blocks: dict[tuple, dict] = {}
-    for shape in _shapes(ctx, height):
-        row = blocks.setdefault(content(ctx, shape).coeffs, {}).setdefault(shape, {})
-        for tab in enumerate_standard(ctx, shape):
-            deg, word = tableau_stats(ctx, tab)
-            row[word] = row.get(word, QPoly.zero()) + QPoly.monomial(deg)
-    return blocks
-
-
 def oracle_engine_replay() -> CheckResult:
     name = "O7"
     count = 0
     for ell in (1, 2):
         for ctx in _contexts(ell):
             for height in range(7):
-                for coeffs, table in _replay_blocks(ctx, height).items():
+                blocks: dict[tuple[int, ...], list[Bipartition]] = {}
+                for shape in _shapes(ctx, height):
+                    blocks.setdefault(content(ctx, shape).coeffs, []).append(shape)
+                for coeffs, shapes in blocks.items():
+                    table = _replay(ctx, shapes, "post")
                     beta = RootVec(ctx.rank, coeffs)
                     where = f"level {ctx.level}, ell={ell}, s={ctx.s}, block {beta}"
                     words = sorted({word for row in table.values() for word in row})
@@ -802,10 +807,7 @@ def oracle_engine_replay() -> CheckResult:
                     matrix = dim_matrix(ctx, beta, idems)
                     for a, one in enumerate(idems):
                         for b, other in enumerate(idems[: a + 1]):
-                            want = QPoly.zero()
-                            for row in table.values():
-                                if one in row and other in row:
-                                    want = want + row[one] * row[other]
+                            want = _replay_dim(table, one, other)
                             if matrix.entry(a, b) != want:
                                 return _fail(
                                     name,

@@ -7,7 +7,7 @@ the separated-parameter case) and dispatches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .cartan import AffineRank, RootVec, WeightVec, dynkin_rotate
@@ -209,21 +209,12 @@ def classify_canonical(
     return RepType(WILD)
 
 
-def _levelone_type(ell: int, k: int) -> RepType:
-    if k == 0:
+def _levelone_type(ctx: FockContext, rep: CanonicalRep) -> RepType:
+    if rep.k == 0:
         return RepType(SIMPLE)
-    if k == 1:
-        return RepType(
-            FINITE,
-            BrauerData(
-                kind="line",
-                edges=ell,
-                description=(
-                    f"straight line with {ell} edges and no exceptional vertex"
-                ),
-            ),
-        )
-    if k == 2 and ell == 1:
+    if rep.k == 1:
+        return RepType(FINITE, brauer_of_finite(ctx, rep))
+    if rep.k == 2 and ctx.rank.ell == 1:
         return RepType(TAME)
     return RepType(WILD)
 
@@ -232,7 +223,7 @@ def classify_typeA_levelone(ctx: FockContext, beta: RootVec) -> RepType:
     """Representation type of a level-one block, by null-root multiplicity."""
     if ctx.level != 1:
         raise ValueError("context must be level one")
-    return _levelone_type(ctx.rank.ell, canonical_rep(ctx, beta).k)
+    return _levelone_type(ctx, canonical_rep(ctx, beta))
 
 
 def classify_tensor(t1: RepType, t2: RepType, ell: int) -> RepType:
@@ -292,7 +283,7 @@ def classify_block(
         ) from None
     notes: list[str] = []
     if ctx.level == 1:
-        rep_type = _levelone_type(ctx.rank.ell, rep.k)
+        rep_type = _levelone_type(ctx, rep)
     else:
         ctx2, rep2 = normalize(ctx, rep)
         if rep.family == MU:
@@ -342,16 +333,14 @@ def classify_level_two(
     notes = report.notes
     if t != 0:
         notes = notes + (f"quiver rotated by {t} to move a charge to vertex 0",)
-    return BlockReport(
+    return replace(
+        report,
         input={
             "ell": rank.ell,
             "charges": [a % e, b % e],
             "level": 2,
             "beta": beta.to_json(),
         },
-        canonical=report.canonical,
-        rep_type=report.rep_type,
-        quiver=report.quiver,
         notes=notes,
     )
 
@@ -390,7 +379,6 @@ def classify_heckeB(
     s: Optional[int],
     n: int,
     cfg: Optional[ClassifierConfig] = None,
-    with_quiver: bool = False,
 ) -> list[BlockReport]:
     """Blocks of the rank-n type-B algebra at quantum characteristic e.
 
@@ -409,7 +397,7 @@ def classify_heckeB(
         ctx = FockContext(rank, s % e, level=2)
         reports = []
         for beta in _level_two_block_contents(ctx, n):
-            reports.append(classify_block(ctx, beta, cfg, with_quiver=with_quiver))
+            reports.append(classify_block(ctx, beta, cfg, with_quiver=False))
         return reports
     # separated parameters: pairs of level-one blocks
     ctx1 = FockContext(rank, 0, level=1)
@@ -446,7 +434,6 @@ def classify_heckeD(
     e: int,
     n: int,
     cfg: Optional[ClassifierConfig] = None,
-    with_quiver: bool = False,
 ) -> list[BlockReport]:
     """Blocks of the rank-n type-D algebra at quantum characteristic e.
 
@@ -462,24 +449,15 @@ def classify_heckeD(
             "type-D classification requires odd ground-field characteristic"
         )
     if e % 2 == 0:
-        reports = classify_heckeB(e, e // 2, n, cfg, with_quiver=with_quiver)
+        reports = classify_heckeB(e, e // 2, n, cfg)
         note = (
             "type-D block shares the representation type of its type-B "
             f"covering block with charge {e // 2}"
         )
     else:
-        reports = classify_heckeB(e, None, n, cfg, with_quiver=with_quiver)
+        reports = classify_heckeB(e, None, n, cfg)
         note = (
             "type-D block shares the representation type of its type-B "
             "covering block with separated parameters"
         )
-    return [
-        BlockReport(
-            input=r.input,
-            canonical=r.canonical,
-            rep_type=r.rep_type,
-            quiver=r.quiver,
-            notes=r.notes + (note,),
-        )
-        for r in reports
-    ]
+    return [replace(r, notes=r.notes + (note,)) for r in reports]

@@ -12,7 +12,6 @@ import sys
 from typing import Optional, Sequence
 
 from .cartan import AffineRank, RootVec
-from .checks import run_suite
 from .classify import (
     ClassifierConfig,
     UnsupportedConfigError,
@@ -212,6 +211,8 @@ def cmd_tableaux(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .checks import run_suite  # the package itself does not load the suites
+
     results, ok = run_suite(args.suite)
     for result in results:
         print(result.line())

@@ -442,7 +442,9 @@ def tableau_stats(
     ``convention`` picks the shape in which that statistic is read: "post"
     includes the node just placed, "pre" does not.  The two readings agree
     (placing a node only toggles corners of the neighbouring residues); both
-    are kept so the agreement stays checkable.
+    are kept so the agreement stays checkable: the oracle O5 compares them
+    tableau by tableau, and the benchmark's output checker replays K_q under
+    "pre".
     """
     if convention not in ("post", "pre"):
         raise ValueError(f"convention must be 'post' or 'pre', got {convention}")

@@ -17,7 +17,7 @@ word; Brundan-Kleshchev, with the degrees of Brundan-Kleshchev-Wang):
 - ``_folds`` folds a list of words in sorted order from a stack of prefix
   states, so each word steps only past its common prefix with the previous
   one; every fold below comes from it;
-- ``kostka_q`` ("post") looks the shape up in the fold of the word;
+- ``kostka_q`` looks the shape up in the fold of the word;
 - ``graded_dim`` is the dot product of the folds of its two words;
 - ``dim_matrix`` builds the matrix shape by shape.  Each histogram is packed
   into one int (q -> 2^w, from the least degree of any fold, with w wide
@@ -31,9 +31,6 @@ word; Brundan-Kleshchev, with the degrees of Brundan-Kleshchev-Wang):
   state once: a prefix whose state an earlier prefix of the same content
   reached is skipped, since the two subtrees fold alike and the earlier one
   has the smaller words.  A word's class is its final state.
-
-The "pre" reading of ``kostka_q`` replays each standard bitableau with
-``fock.tableau_stats`` instead, so the two conventions stay independent.
 """
 
 from __future__ import annotations
@@ -44,14 +41,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cartan import RootVec
-from .fock import (
-    Bipartition,
-    FockContext,
-    enumerate_standard,
-    partitions,
-    residue,
-    tableau_stats,
-)
+from .fock import Bipartition, FockContext, content, partitions
 from .qpoly import QPoly
 
 ResidueSeq = tuple[int, ...]
@@ -66,13 +56,6 @@ class QuiverShapeError(ValueError):
 def _as_residue_seq(ctx: FockContext, nu: Sequence[int]) -> ResidueSeq:
     e = ctx.rank.e
     return tuple(int(v) % e for v in nu)
-
-
-def _residue_multiset(ctx: FockContext, shape: Bipartition) -> tuple[int, ...]:
-    cnt = [0] * ctx.rank.e
-    for node in shape.cells():
-        cnt[residue(ctx, node)] += 1
-    return tuple(cnt)
 
 
 def _seq_content(ctx: FockContext, nu: ResidueSeq) -> tuple[int, ...]:
@@ -231,37 +214,24 @@ def _qpoly(coeffs: dict[int, int]) -> QPoly:
     return poly
 
 
-def kostka_q(
-    ctx: FockContext, shape: Bipartition, nu: Sequence[int], convention: str = "post"
-) -> QPoly:
+def kostka_q(ctx: FockContext, shape: Bipartition, nu: Sequence[int]) -> QPoly:
     """Sum of q^degree over standard bitableaux of the shape with residue
-    word nu; the zero polynomial when no tableau matches."""
+    word nu; the zero polynomial when no tableau matches, as when the word's
+    content is not the shape's (its fold then holds no entry for the shape)."""
     ctx.check_shape(shape)
     seq = _as_residue_seq(ctx, nu)
     if len(seq) != shape.size:
         raise ValueError(
             f"residue word has length {len(seq)}, shape has {shape.size} nodes"
         )
-    if convention not in ("post", "pre"):
-        raise ValueError(f"convention must be 'post' or 'pre', got {convention}")
-    if _residue_multiset(ctx, shape) != _seq_content(ctx, seq):
-        return QPoly.zero()
-    if convention == "post":
-        key = (shape.comp1, shape.comp2)[: ctx.level]
-        return QPoly(_folds(ctx, (seq,))[0].get(key, {}))
-    acc = QPoly.zero()
-    for tab in enumerate_standard(ctx, shape):
-        deg, res = tableau_stats(ctx, tab, convention="pre")
-        if res == seq:
-            acc = acc + QPoly.monomial(deg)
-    return acc
+    key = (shape.comp1, shape.comp2)[: ctx.level]
+    return QPoly(_folds(ctx, (seq,))[0].get(key, {}))
 
 
 def block_bipartitions(ctx: FockContext, beta: RootVec) -> list[Bipartition]:
     """All bipartitions whose residue content equals beta, sorted."""
     _check_block(ctx, beta)
     n = beta.height
-    target = tuple(beta.coeffs)
     out = []
     for m in range(n + 1):
         if ctx.level == 1 and m != n:
@@ -269,7 +239,7 @@ def block_bipartitions(ctx: FockContext, beta: RootVec) -> list[Bipartition]:
         for p1 in partitions(m):
             for p2 in partitions(n - m):
                 bp = Bipartition(p1, p2)
-                if _residue_multiset(ctx, bp) == target:
+                if content(ctx, bp) == beta:
                     out.append(bp)
     return sorted(out, key=lambda b: (b.comp1, b.comp2))
 

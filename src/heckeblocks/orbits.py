@@ -131,20 +131,20 @@ def canonical_rep(ctx: FockContext, beta: RootVec) -> CanonicalRep:
 def label_dominant(ctx: FockContext, plus: RootVec) -> CanonicalRep:
     """Canonical label of a dominant root vector in the positive cone.
 
-    plus is matched against the family tables plus a multiple of the null
-    root; the multiple is the minimal coefficient because every family
-    member has a zero coefficient.
+    The label is read off plus directly.  Every family member has a zero
+    coefficient, so plus - k*delta can be a member only for k = min(plus).
+    Every member lambda_rep(s, i) and mu_rep(s, i) has coefficient i at
+    vertex 0, so i is the vertex-0 coefficient of plus - k*delta, and only
+    the lambda member and the mu member of that index are compared.
     """
     s = ctx.s
-    delta = null_root(ctx.rank)
-    for k in range(min(plus.coeffs), -1, -1):
-        rem = plus - delta * k
-        for i in _lambda_range(ctx):
-            if lambda_rep(s, i, ctx.rank) == rem:
-                return CanonicalRep(LAMBDA, s, i, k)
-        for i in _mu_range(ctx):
-            if mu_rep(s, i, ctx.rank) == rem:
-                return CanonicalRep(MU, s, i, k)
+    k = min(plus.coeffs)
+    rem = plus - null_root(ctx.rank) * k
+    i = rem.coeffs[0]
+    if i in _lambda_range(ctx) and lambda_rep(s, i, ctx.rank) == rem:
+        return CanonicalRep(LAMBDA, s, i, k)
+    if i in _mu_range(ctx) and mu_rep(s, i, ctx.rank) == rem:
+        return CanonicalRep(MU, s, i, k)
     raise RuntimeError(
         f"dominant reduction {plus} matches no family member; "
         "this contradicts the orbit classification and indicates a bug"

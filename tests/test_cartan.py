@@ -22,7 +22,7 @@ def level_two(rank, s):
     fund = [0] * rank.e
     fund[0] += 1
     fund[s] += 1
-    return WeightVec(rank, tuple(fund), 0)
+    return WeightVec(rank, tuple(fund))
 
 
 def test_rank_validation():

@@ -1,9 +1,13 @@
 """Command-line surface: flags, exit codes, text and JSON output."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import heckeblocks
 from heckeblocks.cli import (
     EXIT_EMPTY,
     EXIT_INTERNAL,
@@ -152,6 +156,18 @@ def test_check_oracle_suite(capsys):
     code, out = run(capsys, "check", "--suite", "oracle")
     assert code == EXIT_OK
     assert out.count("PASS") == 7
+    assert "[O7] PASS" in out
+    assert "match the tableau replay on 123 blocks" in out
+
+
+def test_package_import_leaves_the_suites_unloaded():
+    code = "import sys, heckeblocks; print('heckeblocks.checks' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(heckeblocks.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -96,6 +96,23 @@ def test_rep_root_and_canonical_round_trip():
             assert canonical_rep(ctx, rep_root(ctx, rep)) == rep
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_canonical_rep_inverts_rep_root(data):
+    ell = data.draw(st.integers(min_value=1, max_value=6), label="ell")
+    s = data.draw(st.integers(min_value=0, max_value=ell), label="s")
+    families = [LAMBDA] + ([MU] if s >= 2 else [])
+    family = data.draw(st.sampled_from(families), label="family")
+    if family == LAMBDA:
+        i = data.draw(st.integers(min_value=0, max_value=(ell - s + 1) // 2), label="i")
+    else:
+        i = data.draw(st.integers(min_value=1, max_value=s // 2), label="i")
+    k = data.draw(st.integers(min_value=0, max_value=4), label="k")
+    ctx = FockContext(AffineRank(ell), s, level=2)
+    rep = CanonicalRep(family, s, i, k)
+    assert canonical_rep(ctx, rep_root(ctx, rep)) == rep
+
+
 def test_canonical_rep_of_rotund_vector(ctx21):
     beta = RootVec(ctx21.rank, (3, 1, 1))
     assert canonical_rep(ctx21, beta) == CanonicalRep(LAMBDA, 1, 0, 0)
