@@ -26,6 +26,7 @@ from heckeblocks import (
     tableau_stats,
     ungraded_block_dim,
 )
+from heckeblocks.checks import oracle_engine_replay
 from heckeblocks.fock import partitions
 from heckeblocks.gdim import _folds
 
@@ -103,6 +104,12 @@ def test_level_one_double_delta_words_match_replay(ell):
     assert dim_matrix(ctx, beta, idems).entries == tuple(
         tuple(graded_dim(ctx, a, b) for b in idems) for a in idems
     )
+
+
+def test_engine_replay_oracle_covers_both_levels():
+    result = oracle_engine_replay()
+    assert result.passed, result.detail
+    assert "match the tableau replay" in result.detail
 
 
 def test_kostka_conventions_agree(ctx11, ctx21):
