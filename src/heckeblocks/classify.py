@@ -315,7 +315,6 @@ def classify_level_two(
     charges: tuple[int, int],
     beta: RootVec,
     cfg: Optional[ClassifierConfig] = None,
-    with_quiver: bool = True,
 ) -> BlockReport:
     """Classify for an arbitrary pair of charges by rotating the quiver so
     the smaller charge moves to vertex zero."""
@@ -329,7 +328,7 @@ def classify_level_two(
     _, beta2 = dynkin_rotate(t, weight, beta)
     s = (b - a) % e
     ctx = FockContext(rank, s, level=2)
-    report = classify_block(ctx, beta2, cfg, with_quiver=with_quiver)
+    report = classify_block(ctx, beta2, cfg)
     notes = report.notes
     if t != 0:
         notes = notes + (f"quiver rotated by {t} to move a charge to vertex 0",)

@@ -162,6 +162,8 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 def cmd_blocks(args: argparse.Namespace) -> int:
     cfg = _config(args)
     if args.typeD:
+        if args.s is not None or args.separated:
+            raise _UsageError("--typeD takes neither --s nor --separated")
         reports = classify_heckeD(args.e, args.n, cfg)
     else:
         if args.separated and args.s is not None:
@@ -183,6 +185,8 @@ def cmd_blocks(args: argparse.Namespace) -> int:
 
 
 def cmd_tableaux(args: argparse.Namespace) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise _UsageError(f"--limit must be nonnegative, got {args.limit}")
     ctx = _context(args)
     shape = _parse_shape(args.shape)
     rows = []

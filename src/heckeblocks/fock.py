@@ -39,6 +39,8 @@ class Node(NamedTuple):
 
 def _check_parts(parts: tuple[int, ...], label: str) -> None:
     for k, p in enumerate(parts):
+        if type(p) is not int:
+            raise ValueError(f"{label} must consist of integers, got {parts}")
         if p <= 0:
             raise ValueError(f"{label} must consist of positive parts, got {parts}")
         if k and parts[k - 1] < p:
@@ -53,8 +55,8 @@ class Bipartition:
     comp2: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "comp1", tuple(int(p) for p in self.comp1))
-        object.__setattr__(self, "comp2", tuple(int(p) for p in self.comp2))
+        object.__setattr__(self, "comp1", tuple(self.comp1))
+        object.__setattr__(self, "comp2", tuple(self.comp2))
         _check_parts(self.comp1, "component 1")
         _check_parts(self.comp2, "component 2")
 
@@ -131,49 +133,37 @@ def residue(ctx: FockContext, node: Node) -> int:
     return (node.col - node.row + ctx.charge(node.component)) % ctx.rank.e
 
 
-def _component_addable(parts: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Addable cells of one partition as 1-based (row, col) pairs."""
+def _corners(ctx: FockContext, bp: Bipartition, i: int | None) -> list[tuple[int, Node]]:
+    """The addable (+1) and removable (-1) nodes of residue i, or of every
+    residue when i is None, as (sign, node) pairs from top to bottom."""
+    ctx.check_shape(bp)
+    e = ctx.rank.e
+    if i is not None:
+        i %= e
     out = []
-    for r in range(len(parts) + 1):
-        cur = parts[r] if r < len(parts) else 0
-        if r == 0 or cur < parts[r - 1]:
-            out.append((r + 1, cur + 1))
-    return out
-
-
-def _component_removable(parts: tuple[int, ...]) -> list[tuple[int, int]]:
-    out = []
-    for r, p in enumerate(parts):
-        nxt = parts[r + 1] if r + 1 < len(parts) else 0
-        if p > nxt:
-            out.append((r + 1, p))
+    for c in (1,) if ctx.level == 1 else (1, 2):
+        parts = bp.component(c)
+        charge = ctx.charge(c)
+        last = len(parts)
+        for r in range(last + 1):
+            p = parts[r] if r < last else 0
+            if (r == 0 or parts[r - 1] > p) and (i is None or (p - r + charge) % e == i):
+                out.append((1, Node(c, r + 1, p + 1)))
+            if r < last and (r + 1 == last or parts[r + 1] < p) and (
+                i is None or (p - 1 - r + charge) % e == i
+            ):
+                out.append((-1, Node(c, r + 1, p)))
     return out
 
 
 def addable_nodes(ctx: FockContext, bp: Bipartition, i: int | None = None) -> list[Node]:
     """Addable nodes, top to bottom; restrict to residue i when given."""
-    ctx.check_shape(bp)
-    comps = (1,) if ctx.level == 1 else (1, 2)
-    out = []
-    for c in comps:
-        for r, col in _component_addable(bp.component(c)):
-            nd = Node(c, r, col)
-            if i is None or residue(ctx, nd) == i % ctx.rank.e:
-                out.append(nd)
-    return out
+    return [nd for sign, nd in _corners(ctx, bp, i) if sign > 0]
 
 
 def removable_nodes(ctx: FockContext, bp: Bipartition, i: int | None = None) -> list[Node]:
     """Removable nodes, top to bottom; restrict to residue i when given."""
-    ctx.check_shape(bp)
-    comps = (1,) if ctx.level == 1 else (1, 2)
-    out = []
-    for c in comps:
-        for r, col in _component_removable(bp.component(c)):
-            nd = Node(c, r, col)
-            if i is None or residue(ctx, nd) == i % ctx.rank.e:
-                out.append(nd)
-    return out
+    return [nd for sign, nd in _corners(ctx, bp, i) if sign < 0]
 
 
 def add_node(bp: Bipartition, node: Node) -> Bipartition:
@@ -202,47 +192,40 @@ def remove_node(bp: Bipartition, node: Node) -> Bipartition:
     return Bipartition(bp.comp1, new)
 
 
-def _is_below(a: Node, b: Node) -> bool:
-    """Node order: component 1 sits above component 2, small rows above."""
-    return (a.component, a.row) > (b.component, b.row)
-
-
 def _stat_below(ctx: FockContext, bp: Bipartition, node: Node, i: int) -> int:
-    add = sum(1 for nd in addable_nodes(ctx, bp, i) if _is_below(nd, node))
-    rem = sum(1 for nd in removable_nodes(ctx, bp, i) if _is_below(nd, node))
-    return add - rem
+    """Addable minus removable i-nodes of bp in later components or rows."""
+    return sum(sign for sign, nd in _corners(ctx, bp, i) if nd[:2] > node[:2])
 
 
 def _stat_above(ctx: FockContext, bp: Bipartition, node: Node, i: int) -> int:
-    add = sum(1 for nd in addable_nodes(ctx, bp, i) if _is_below(node, nd))
-    rem = sum(1 for nd in removable_nodes(ctx, bp, i) if _is_below(node, nd))
-    return add - rem
+    """Addable minus removable i-nodes of bp in earlier components or rows."""
+    return sum(sign for sign, nd in _corners(ctx, bp, i) if nd[:2] < node[:2])
 
 
-def _single_node_diff(lam: Bipartition, mu: Bipartition) -> tuple[Bipartition, Node]:
-    """Return (larger shape, the one node by which the two shapes differ)."""
-    if lam.size == mu.size + 1:
-        big, small = lam, mu
-    elif mu.size == lam.size + 1:
-        big, small = mu, lam
-    else:
-        raise ValueError("shapes must differ by exactly one node")
-    diff: Node | None = None
-    for c in (1, 2):
-        pb, ps = big.component(c), small.component(c)
-        if len(pb) < len(ps):
-            raise ValueError("shapes must differ by exactly one node")
-        for r in range(len(pb)):
-            vb = pb[r]
-            vs = ps[r] if r < len(ps) else 0
-            if vb == vs:
-                continue
-            if vb != vs + 1 or diff is not None:
-                raise ValueError("shapes must differ by exactly one node")
-            diff = Node(c, r + 1, vb)
-    if diff is None:
-        raise ValueError("shapes must differ by exactly one node")
-    return big, diff
+def _single_node_diff(
+    ctx: FockContext, lam: Bipartition, mu: Bipartition
+) -> tuple[Bipartition, Node]:
+    """Return (larger shape, its removable node whose removal gives the
+    smaller one)."""
+    big, small = (lam, mu) if lam.size > mu.size else (mu, lam)
+    for sign, node in _corners(ctx, big, None):
+        if sign < 0 and remove_node(big, node) == small:
+            return big, node
+    raise ValueError("shapes must differ by exactly one node")
+
+
+def _separating_node(
+    ctx: FockContext, lam: Bipartition, mu: Bipartition, i: int
+) -> tuple[Bipartition, Node, int]:
+    """(larger shape, separating node, i mod e) after checking both shapes
+    and that the node has residue i."""
+    ctx.check_shape(lam)
+    ctx.check_shape(mu)
+    big, node = _single_node_diff(ctx, lam, mu)
+    i = i % ctx.rank.e
+    if residue(ctx, node) != i:
+        raise ValueError(f"shapes differ by a node of residue {residue(ctx, node)}, not {i}")
+    return big, node, i
 
 
 def d_below(ctx: FockContext, lam: Bipartition, mu: Bipartition, i: int) -> int:
@@ -253,23 +236,13 @@ def d_below(ctx: FockContext, lam: Bipartition, mu: Bipartition, i: int) -> int:
     node itself is present: placing a node only toggles corners of the
     neighbouring residues.
     """
-    ctx.check_shape(lam)
-    ctx.check_shape(mu)
-    big, node = _single_node_diff(lam, mu)
-    i = i % ctx.rank.e
-    if residue(ctx, node) != i:
-        raise ValueError(f"shapes differ by a node of residue {residue(ctx, node)}, not {i}")
+    big, node, i = _separating_node(ctx, lam, mu, i)
     return _stat_below(ctx, big, node, i)
 
 
 def d_above(ctx: FockContext, lam: Bipartition, mu: Bipartition, i: int) -> int:
     """Mirror of d_below, counting strictly above the separating node."""
-    ctx.check_shape(lam)
-    ctx.check_shape(mu)
-    big, node = _single_node_diff(lam, mu)
-    i = i % ctx.rank.e
-    if residue(ctx, node) != i:
-        raise ValueError(f"shapes differ by a node of residue {residue(ctx, node)}, not {i}")
+    big, node, i = _separating_node(ctx, lam, mu, i)
     return _stat_above(ctx, big, node, i)
 
 
@@ -315,16 +288,7 @@ class FockVector:
         return self._terms.get(bp, QPoly.zero())
 
     def __add__(self, other: "FockVector") -> "FockVector":
-        out = dict(self._terms)
-        for bp, c in other._terms.items():
-            cur = out.get(bp, QPoly.zero()) + c
-            if cur:
-                out[bp] = cur
-            else:
-                out.pop(bp, None)
-        res = FockVector.__new__(FockVector)
-        res._terms = out
-        return res
+        return FockVector([*self._terms.items(), *other._terms.items()])
 
     def __sub__(self, other: "FockVector") -> "FockVector":
         return self + other.scale(-1)
@@ -354,24 +318,24 @@ class FockVector:
 def apply_e(ctx: FockContext, vec: FockVector, i: int) -> FockVector:
     """Lower by an i-node: e_i |lam> = sum q^{d_below} |lam minus node>."""
     i = i % ctx.rank.e
-    out = FockVector.zero()
-    for bp, coeff in vec.terms():
-        for node in removable_nodes(ctx, bp, i):
-            d = _stat_below(ctx, bp, node, i)
-            out = out + FockVector({remove_node(bp, node): coeff * QPoly.monomial(d)})
-    return out
+    return FockVector(
+        [
+            (remove_node(bp, node), coeff.shift(_stat_below(ctx, bp, node, i)))
+            for bp, coeff in vec.terms()
+            for node in removable_nodes(ctx, bp, i)
+        ]
+    )
 
 
 def apply_f(ctx: FockContext, vec: FockVector, i: int) -> FockVector:
     """Raise by an i-node: f_i |lam> = sum q^{-d_above} |lam plus node>."""
     i = i % ctx.rank.e
-    out = FockVector.zero()
+    terms = []
     for bp, coeff in vec.terms():
         for node in addable_nodes(ctx, bp, i):
             bigger = add_node(bp, node)
-            d = _stat_above(ctx, bigger, node, i)
-            out = out + FockVector({bigger: coeff * QPoly.monomial(-d)})
-    return out
+            terms.append((bigger, coeff.shift(-_stat_above(ctx, bigger, node, i))))
+    return FockVector(terms)
 
 
 @dataclass(frozen=True)

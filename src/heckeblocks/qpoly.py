@@ -68,6 +68,8 @@ class QPoly:
         return self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
+        if self._coeffs.keys() <= {0}:  # a constant equals its int, so hashes like it
+            return hash(self._coeffs.get(0, 0))
         return hash(frozenset(self._coeffs.items()))
 
     def __add__(self, other: "QPoly | int") -> "QPoly":

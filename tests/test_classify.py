@@ -189,7 +189,7 @@ def test_rotation_invariance_of_charged_classification():
         for t in range(rank.e):
             w_rot, b_rot = dynkin_rotate(t, weight, beta)
             charges = [j for j in rank.vertices for _ in range(w_rot.fund[j])]
-            got = classify_level_two(rank, tuple(charges), b_rot, with_quiver=False)
+            got = classify_level_two(rank, tuple(charges), b_rot)
             assert got.rep_type.tag == want
 
 

@@ -135,6 +135,13 @@ def test_blocks_flag_conflicts(capsys):
     assert run(capsys, "blocks", "--e", "4", "--n", "2", "--typeD")[0] == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flags", [["--s", "1"], ["--separated"]])
+def test_blocks_typeD_rejects_charge_flags(capsys, flags):
+    code = main(["blocks", "--e", "4", "--n", "3", "--typeD", *flags])
+    assert code == EXIT_USAGE
+    assert flags[0] in capsys.readouterr().err
+
+
 def test_blocks_typeD(capsys):
     code, out = run(
         capsys, "blocks", "--e", "4", "--n", "3", "--typeD", "--char-odd"
@@ -150,6 +157,21 @@ def test_tableaux_listing(capsys):
     assert code == EXIT_OK
     assert "total: 3" in out
     assert "degree=" in out and "residues=" in out
+
+
+def test_tableaux_rejects_a_negative_limit(capsys):
+    code = main(
+        ["tableaux", "--ell", "1", "--s", "1", "--shape", "[[2],[1]]", "--limit", "-1"]
+    )
+    assert code == EXIT_USAGE
+    assert "--limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shape", ["[[2.7],[1]]", '[["2"],[1]]', "[[true],[1]]"])
+def test_classify_rejects_parts_that_are_not_ints(capsys, shape):
+    code = main(["classify", "--ell", "1", "--s", "1", "--from-bipartition", shape])
+    assert code == EXIT_USAGE
+    assert "must consist of integers" in capsys.readouterr().err
 
 
 def test_check_oracle_suite(capsys):

@@ -18,12 +18,14 @@ from heckeblocks import (
     d_above,
     d_below,
     enumerate_standard,
+    pair_coroot,
     quantum_int,
     removable_nodes,
     remove_node,
     residue,
     tableau_stats,
 )
+from heckeblocks.fock import partitions
 
 
 def test_bipartition_validation_and_size():
@@ -35,6 +37,12 @@ def test_bipartition_validation_and_size():
         Bipartition((1, 2))
     with pytest.raises(ValueError):
         Bipartition((2, 0))
+
+
+@pytest.mark.parametrize("data", [[[2.7], [1]], [["2"], [1]], [[True], [1]]])
+def test_bipartition_rejects_parts_that_are_not_ints(data):
+    with pytest.raises(ValueError, match="must consist of integers"):
+        Bipartition.from_json(data)
 
 
 def test_bipartition_json_and_str():
@@ -125,6 +133,40 @@ def test_corner_statistics_explicit(ctx11):
         d_below(ctx11, lam, mu, 0)
     with pytest.raises(ValueError):
         d_below(ctx11, lam, lam, 1)
+
+
+def test_corner_counts_pair_the_highest_weight_with_the_content():
+    """Addable minus removable i-nodes of a shape is <h_i, Lambda - content>,
+    and for a removable i-node it is also d_below + d_above - 1."""
+    shapes = [
+        Bipartition(a, b)
+        for n in range(7)
+        for m in range(n + 1)
+        for a in partitions(m)
+        for b in partitions(n - m)
+    ]
+    cases = 0
+    for ell in (1, 2, 3):
+        rank = AffineRank(ell)
+        ctxs = [FockContext(rank, s, level=2) for s in range(ell + 1)]
+        for ctx in ctxs + [FockContext(rank, 0, level=1)]:
+            weight = ctx.highest_weight()
+            for bp in shapes:
+                if ctx.level == 1 and bp.comp2:
+                    continue
+                beta = content(ctx, bp)
+                for i in rank.vertices:
+                    want = pair_coroot(i, weight, beta)
+                    add = addable_nodes(ctx, bp, i)
+                    rem = removable_nodes(ctx, bp, i)
+                    assert len(add) - len(rem) == want, (ctx, bp, i)
+                    for node in rem:
+                        small = remove_node(bp, node)
+                        below = d_below(ctx, bp, small, i)
+                        above = d_above(ctx, small, bp, i)
+                        assert below + above - 1 == want, (ctx, bp, node)
+                    cases += 1
+    assert cases == 4301
 
 
 def test_enumerate_standard_matches_hook_counts(ctx21):

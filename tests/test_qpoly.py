@@ -114,6 +114,14 @@ def test_string_formatting():
     assert str(QPoly({0: 1, 1: -1})) == "1-q"
 
 
+def test_constants_hash_like_the_ints_they_equal():
+    assert QPoly.one() == 1
+    assert len({QPoly.one(), 1}) == 1
+    assert hash(QPoly.zero()) == hash(0)
+    assert hash(QPoly({0: -3})) == hash(-3)
+    assert {7: "seven"}[QPoly({0: 7})] == "seven"
+
+
 def test_json_round_trip():
     p = QPoly({-3: 2, 0: 1, 5: -4})
     assert QPoly.from_json(p.to_json()) == p
