@@ -10,6 +10,16 @@ so it is not stored.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
+
+
+def _int_tuple(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """The values as a tuple; a bool, float or other non-int is rejected, not truncated."""
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"{what} must be integers, got {values!r}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -19,8 +29,8 @@ class AffineRank:
     ell: int
 
     def __post_init__(self) -> None:
-        if self.ell < 1:
-            raise ValueError(f"ell must be at least 1, got {self.ell}")
+        if type(self.ell) is not int or self.ell < 1:
+            raise ValueError(f"ell must be an integer at least 1, got {self.ell!r}")
 
     @property
     def e(self) -> int:
@@ -62,7 +72,7 @@ class RootVec:
             raise ValueError(
                 f"expected {self.rank.e} coefficients, got {len(self.coeffs)}"
             )
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", _int_tuple(self.coeffs, "root coefficients"))
 
     @classmethod
     def simple(cls, rank: AffineRank, i: int) -> "RootVec":
@@ -117,7 +127,7 @@ class WeightVec:
             raise ValueError(
                 f"expected {self.rank.e} fundamental coefficients, got {len(self.fund)}"
             )
-        object.__setattr__(self, "fund", tuple(int(c) for c in self.fund))
+        object.__setattr__(self, "fund", _int_tuple(self.fund, "weight coefficients"))
 
     @classmethod
     def fundamental(cls, rank: AffineRank, j: int) -> "WeightVec":

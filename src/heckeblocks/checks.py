@@ -45,6 +45,7 @@ from .fock import (
 )
 from .gdim import (
     block_bipartitions,
+    class_matrix,
     count_standard,
     dim_matrix,
     graded_dim,
@@ -804,7 +805,9 @@ def oracle_engine_replay() -> CheckResult:
                                     f"{where}: K_q at {shape}, {word} is {got}, "
                                     f"replay gives {want}",
                                 )
-                    matrix = dim_matrix(ctx, beta, idems)
+                    matrix = class_matrix(ctx, beta)
+                    if matrix != dim_matrix(ctx, beta, idems):
+                        return _fail(name, f"{where}: class_matrix differs from dim_matrix")
                     for a, one in enumerate(idems):
                         for b, other in enumerate(idems[: a + 1]):
                             want = _replay_dim(table, one, other)

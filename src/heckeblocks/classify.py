@@ -15,8 +15,7 @@ from .fock import FockContext, partitions
 from .gdim import (
     QuiverBound,
     QuiverShapeError,
-    dim_matrix,
-    nonzero_idempotents,
+    class_matrix,
     quiver_bounds,
 )
 from .orbits import (
@@ -250,11 +249,7 @@ def _attach_quiver(
             f"cap {QUIVER_HEIGHT_CAP}"
         )
         return None, notes
-    idems = nonzero_idempotents(ctx, beta)
-    if not idems:
-        notes.append("no nonzero idempotent classes; quiver bounds not applicable")
-        return None, notes
-    matrix = dim_matrix(ctx, beta, idems)
+    matrix = class_matrix(ctx, beta)
     try:
         return quiver_bounds(matrix), notes
     except QuiverShapeError as exc:

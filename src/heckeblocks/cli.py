@@ -20,7 +20,7 @@ from .classify import (
     classify_heckeD,
 )
 from .fock import Bipartition, FockContext, content, enumerate_standard, tableau_stats
-from .gdim import dim_matrix, nonzero_idempotents
+from .gdim import class_matrix, dim_matrix
 from .orbits import NotAWeightError, dominant_reduce, label_dominant
 
 EXIT_OK = 0
@@ -64,10 +64,8 @@ def _parse_shape(text: str) -> Bipartition:
 
 
 def _beta_from_args(args: argparse.Namespace, ctx: FockContext) -> RootVec:
-    if getattr(args, "from_bipartition", None):
+    if args.from_bipartition is not None:
         return content(ctx, _parse_shape(args.from_bipartition))
-    if args.beta is None:
-        raise _UsageError("either --beta or --from-bipartition is required")
     return _parse_beta(args.beta, ctx.rank)
 
 
@@ -119,20 +117,18 @@ def cmd_dims(args: argparse.Namespace) -> int:
     ctx = _context(args)
     beta = _beta_from_args(args, ctx)
     if args.all:
-        idems = nonzero_idempotents(ctx, beta)
-        if not idems:
+        matrix = class_matrix(ctx, beta)
+        if not matrix.size:
             print(f"no nonzero idempotents: {beta} labels an empty block")
             return EXIT_EMPTY
-    elif args.idems:
+    else:
         idems = []
         for chunk in args.idems.split(";"):
             try:
                 idems.append(tuple(int(x) for x in chunk.split(",")))
             except ValueError as exc:
                 raise _UsageError(f"malformed --idems entry {chunk!r}") from exc
-    else:
-        raise _UsageError("either --idems or --all is required")
-    matrix = dim_matrix(ctx, beta, idems)
+        matrix = dim_matrix(ctx, beta, idems)
     _emit(args, matrix.to_json(), str(matrix))
     return EXIT_OK
 
@@ -227,14 +223,20 @@ def _add_context_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--ell", type=int, required=True, help="number of vertices minus one")
     sub.add_argument("--s", type=int, default=0, help="second charge (default 0)")
     sub.add_argument("--level", type=int, default=2, choices=(1, 2))
-    sub.add_argument("--beta", type=str, default=None, help="comma-separated coefficients")
-    sub.add_argument(
+    sub.add_argument("--json", action="store_true", help="machine-readable output")
+
+
+def _add_block_flags(sub: argparse.ArgumentParser) -> None:
+    """The context flags and one way to name the block."""
+    _add_context_flags(sub)
+    block = sub.add_mutually_exclusive_group(required=True)
+    block.add_argument("--beta", type=str, default=None, help="comma-separated coefficients")
+    block.add_argument(
         "--from-bipartition",
         type=str,
         default=None,
         help='compute the content of a bipartition, e.g. "[[2,1],[1]]"',
     )
-    sub.add_argument("--json", action="store_true", help="machine-readable output")
 
 
 def _add_field_flags(sub: argparse.ArgumentParser) -> None:
@@ -254,18 +256,19 @@ def _build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_classify = subs.add_parser("classify", help="classify one block")
-    _add_context_flags(p_classify)
+    _add_block_flags(p_classify)
     _add_field_flags(p_classify)
     p_classify.set_defaults(handler=cmd_classify)
 
     p_dims = subs.add_parser("dims", help="graded dimension matrix")
-    _add_context_flags(p_dims)
-    p_dims.add_argument("--idems", type=str, default=None, help='words "0,1;1,0"')
-    p_dims.add_argument("--all", action="store_true", help="use all idempotent classes")
+    _add_block_flags(p_dims)
+    words = p_dims.add_mutually_exclusive_group(required=True)
+    words.add_argument("--idems", type=str, default=None, help='words "0,1;1,0"')
+    words.add_argument("--all", action="store_true", help="use all idempotent classes")
     p_dims.set_defaults(handler=cmd_dims)
 
     p_orbit = subs.add_parser("orbit", help="canonical orbit data of a block")
-    _add_context_flags(p_orbit)
+    _add_block_flags(p_orbit)
     p_orbit.set_defaults(handler=cmd_orbit)
 
     p_blocks = subs.add_parser("blocks", help="classify all blocks of a Hecke algebra")

@@ -14,9 +14,7 @@ step along a word gives K_q(shape, word) for every shape at once, which is
 the Fock-space form of the graded dimension formula (e_i read along the
 word; Brundan-Kleshchev, with the degrees of Brundan-Kleshchev-Wang):
 
-- ``_folds`` folds a list of words in sorted order from a stack of prefix
-  states, so each word steps only past its common prefix with the previous
-  one; every fold below comes from it;
+- ``_fold`` reads the step along one word;
 - ``kostka_q`` looks the shape up in the fold of the word;
 - ``graded_dim`` is the dot product of the folds of its two words;
 - ``dim_matrix`` builds the matrix shape by shape.  Each histogram is packed
@@ -30,7 +28,9 @@ word; Brundan-Kleshchev, with the degrees of Brundan-Kleshchev-Wang):
 - ``nonzero_idempotents`` walks the same trie but expands each distinct
   state once: a prefix whose state an earlier prefix of the same content
   reached is skipped, since the two subtrees fold alike and the earlier one
-  has the smaller words.  A word's class is its final state.
+  has the smaller words.  A word's class is its final state;
+- ``class_matrix`` hands those final states straight to the matrix
+  assembly, so each class is folded once, by the walk that finds it.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cartan import RootVec
+from .cartan import RootVec, _int_tuple
 from .fock import Bipartition, FockContext, content, partitions
 from .qpoly import QPoly
 
@@ -55,7 +55,7 @@ class QuiverShapeError(ValueError):
 
 def _as_residue_seq(ctx: FockContext, nu: Sequence[int]) -> ResidueSeq:
     e = ctx.rank.e
-    return tuple(int(v) % e for v in nu)
+    return tuple(v % e for v in _int_tuple(nu, "residue words"))
 
 
 def _seq_content(ctx: FockContext, nu: ResidueSeq) -> tuple[int, ...]:
@@ -119,31 +119,15 @@ def _start(ctx: FockContext) -> State:
     return {((),) * ctx.level: {0: 1}}
 
 
-def _folds(ctx: FockContext, words: Sequence[ResidueSeq]) -> list[State]:
-    """The fold of each word, in input order.  The words are folded in
-    sorted order from a stack of prefix states, so each word steps only
-    past its common prefix with the previous one; equal words share a fold."""
-    out: list[State] = [{}] * len(words)
-    stack = [_start(ctx)]  # stack[k]: the fold of prev[:k]
-    prev: ResidueSeq = ()
-    for idx in sorted(range(len(words)), key=words.__getitem__):
-        word = words[idx]
-        k = 0
-        for x, y in zip(prev, word):
-            if x != y:
-                break
-            k += 1
-        state = stack[k]
-        del stack[k + 1 :]
-        for i in word[k:]:
-            state = _step(ctx, state, i)
-            stack.append(state)
-        out[idx] = state
-        prev = word
-    return out
+def _fold(ctx: FockContext, word: ResidueSeq) -> State:
+    """The state of one word: the step read along it from the empty shape."""
+    state = _start(ctx)
+    for i in word:
+        state = _step(ctx, state, i)
+    return state
 
 
-def _walk(ctx: FockContext, beta: RootVec, merge: bool) -> list[ResidueSeq]:
+def _walk(ctx: FockContext, beta: RootVec, merge: bool) -> tuple[list[ResidueSeq], list[State]]:
     """Every residue word realised in the block of beta, in lexicographic
     order: the prefix trie of the words, walked depth first within the
     residue budget of beta, each word folded as it is extended.
@@ -153,11 +137,15 @@ def _walk(ctx: FockContext, beta: RootVec, merge: bool) -> list[ResidueSeq]:
     nonempty state fixes its content, hence the remaining budget, so the two
     subtrees fold alike and the earlier one holds the smaller words: what is
     kept is exactly the smallest word of each class.  A new state is compared
-    only with the earlier states of its budget."""
+    only with the earlier states of its budget.
+
+    With ``merge`` the words come with their folds, in the same order: the
+    states kept at the empty budget.  Without it no state is kept, and above
+    height 0 the list of folds is empty."""
     _check_block(ctx, beta)
     height = beta.height
     if height == 0:
-        return [()]
+        return [()], [_start(ctx)]
     budget = list(beta.coeffs)
     word: list[int] = []
     words: list[ResidueSeq] = []
@@ -189,7 +177,7 @@ def _walk(ctx: FockContext, beta: RootVec, merge: bool) -> list[ResidueSeq]:
     # visit holds itself in its closure; dropping it frees the states now,
     # not at the next garbage collection
     del visit
-    return words
+    return words, seen.get((0,) * len(budget), [])
 
 
 def _dot(one: State, other: State) -> QPoly:
@@ -225,7 +213,7 @@ def kostka_q(ctx: FockContext, shape: Bipartition, nu: Sequence[int]) -> QPoly:
             f"residue word has length {len(seq)}, shape has {shape.size} nodes"
         )
     key = (shape.comp1, shape.comp2)[: ctx.level]
-    return QPoly(_folds(ctx, (seq,))[0].get(key, {}))
+    return QPoly(_fold(ctx, seq).get(key, {}))
 
 
 def block_bipartitions(ctx: FockContext, beta: RootVec) -> list[Bipartition]:
@@ -247,7 +235,7 @@ def block_bipartitions(ctx: FockContext, beta: RootVec) -> list[Bipartition]:
 def residue_sequences(ctx: FockContext, beta: RootVec) -> list[ResidueSeq]:
     """Every distinct residue word realised by a standard bitableau in the
     block of beta, sorted lexicographically."""
-    return _walk(ctx, beta, merge=False)
+    return _walk(ctx, beta, merge=False)[0]
 
 
 def nonzero_idempotents(ctx: FockContext, beta: RootVec) -> list[ResidueSeq]:
@@ -258,7 +246,7 @@ def nonzero_idempotents(ctx: FockContext, beta: RootVec) -> list[ResidueSeq]:
     columns.  The returned list holds the lexicographically smallest word of
     each class, sorted; every listed word has nonzero diagonal dimension.
     """
-    return _walk(ctx, beta, merge=True)
+    return _walk(ctx, beta, merge=True)[0]
 
 
 def graded_dim(ctx: FockContext, nu_prime: Sequence[int], nu: Sequence[int]) -> QPoly:
@@ -270,7 +258,8 @@ def graded_dim(ctx: FockContext, nu_prime: Sequence[int], nu: Sequence[int]) -> 
         raise ValueError(f"residue words differ in length: {len(a)} vs {len(b)}")
     if _seq_content(ctx, a) != _seq_content(ctx, b):
         return QPoly.zero()
-    return _dot(*_folds(ctx, (a, b)))
+    fold = _fold(ctx, a)
+    return _dot(fold, fold if b == a else _fold(ctx, b))
 
 
 @dataclass(frozen=True)
@@ -307,7 +296,7 @@ class DimMatrix:
     @classmethod
     def from_json(cls, data: dict) -> "DimMatrix":
         return cls(
-            tuple(tuple(int(v) for v in nu) for nu in data["idempotents"]),
+            tuple(_int_tuple(nu, "idempotents") for nu in data["idempotents"]),
             tuple(
                 tuple(QPoly.from_json(p) for p in row) for row in data["entries"]
             ),
@@ -345,7 +334,19 @@ def dim_matrix(
     for nu in seqs:
         if _seq_content(ctx, nu) != target:
             raise ValueError(f"residue word {nu} does not have content {beta}")
-    folds = _folds(ctx, seqs)
+    return _matrix(seqs, [_fold(ctx, nu) for nu in seqs])
+
+
+def class_matrix(ctx: FockContext, beta: RootVec) -> DimMatrix:
+    """The dimension matrix over the block's idempotent classes: the
+    ``dim_matrix`` of ``nonzero_idempotents``, built from the folds the class
+    walk already holds, so no class is folded twice."""
+    return _matrix(*_walk(ctx, beta, merge=True))
+
+
+def _matrix(seqs: list[ResidueSeq], folds: list[State]) -> DimMatrix:
+    """The matrix of the words with the given folds, shape by shape.  The
+    list of folds is cleared entry by entry as each fold is packed."""
     m = len(seqs)
     # Pack each histogram into one int, q -> 2^width, from the least degree
     # lo of any fold.  A coefficient of entry (i, j) is at most T_i * T_j,
@@ -398,7 +399,7 @@ def dim_matrix(
         if diag and not diag.is_palindromic():
             warnings.warn(
                 f"diagonal graded dimension at e{seqs[i]} is not palindromic: {diag}",
-                stacklevel=2,
+                stacklevel=3,
             )
     return result
 

@@ -20,8 +20,8 @@ class QPoly:
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         acc: dict[int, int] = {}
         for exp, val in items:
-            exp = int(exp)
-            val = int(val)
+            if type(exp) is not int or type(val) is not int:
+                raise ValueError(f"terms must be integers, got {exp!r}: {val!r}")
             if val:
                 new = acc.get(exp, 0) + val
                 if new:
@@ -61,8 +61,8 @@ class QPoly:
         return bool(self._coeffs)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = QPoly({0: other})
+        if isinstance(other, int):  # bools too, as 1 == True
+            return self._coeffs == ({0: other} if other else {})
         if not isinstance(other, QPoly):
             return NotImplemented
         return self._coeffs == other._coeffs
@@ -175,7 +175,9 @@ class QPoly:
 
     @classmethod
     def from_json(cls, data: dict) -> "QPoly":
-        lo = int(data["min_deg"])
+        lo = data["min_deg"]
+        if type(lo) is not int:
+            raise ValueError(f"min_deg must be an integer, got {lo!r}")
         return cls({lo + k: c for k, c in enumerate(data["coeffs"])})
 
     def __str__(self) -> str:

@@ -33,6 +33,21 @@ def test_rank_validation():
     assert AffineRank(2).reduce(-1) == 2
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: AffineRank(1.5),
+        lambda: AffineRank(True),
+        lambda: RootVec(AffineRank(1), (1.7, True)),
+        lambda: RootVec.from_json(AffineRank(1), ["2", 1]),
+        lambda: WeightVec(AffineRank(1), (0.5, 1)),
+    ],
+)
+def test_values_that_are_not_ints_are_rejected_not_truncated(build):
+    with pytest.raises(ValueError, match="integer"):
+        build()
+
+
 def test_cartan_matrix_smallest_rank_doubles_the_off_diagonal():
     rank = AffineRank(1)
     assert [[cartan_entry(rank, i, j) for j in range(2)] for i in range(2)] == [

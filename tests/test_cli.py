@@ -1,5 +1,6 @@
 """Command-line surface: flags, exit codes, text and JSON output."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -174,6 +175,24 @@ def test_classify_rejects_parts_that_are_not_ints(capsys, shape):
     assert "must consist of integers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tableaux", "--ell", "1", "--shape", "[[2],[1]]", "--beta", "1,1"],
+        ["tableaux", "--ell", "1", "--shape", "[[2],[1]]", "--from-bipartition", "[[1]]"],
+        ["classify", "--ell", "1", "--beta", "1,1", "--from-bipartition", "[[1],[1]]"],
+        ["dims", "--ell", "1", "--beta", "1,1", "--from-bipartition", "[[1],[1]]", "--all"],
+        ["orbit", "--ell", "1", "--beta", "1,1", "--from-bipartition", "[[1],[1]]"],
+        ["dims", "--ell", "1", "--s", "1", "--beta", "1,1", "--all", "--idems", "0,1;1,0"],
+        ["dims", "--ell", "1", "--s", "1", "--beta", "1,1"],
+        ["classify", "--ell", "1", "--from-bipartition", ""],
+    ],
+)
+def test_flags_that_would_be_ignored_are_usage_errors(capsys, argv):
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
 def test_check_oracle_suite(capsys):
     code, out = run(capsys, "check", "--suite", "oracle")
     assert code == EXIT_OK
@@ -190,6 +209,16 @@ def test_package_import_leaves_the_suites_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert done.stdout.strip() == "False"
+
+
+def test_all_lists_the_public_names():
+    public = {
+        name
+        for name, value in vars(heckeblocks).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert len(heckeblocks.__all__) == len(set(heckeblocks.__all__))
+    assert set(heckeblocks.__all__) == public | {"__version__"}
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -1,5 +1,7 @@
 """Graded dimension tables, tableau generating functions, block enumeration."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,12 +13,16 @@ from heckeblocks import (
     FockContext,
     QPoly,
     QuiverShapeError,
+    RootVec,
     block_bipartitions,
+    class_matrix,
+    classify_block,
     content,
     count_standard,
     dim_matrix,
     enumerate_standard,
     graded_dim,
+    is_weight,
     kostka_q,
     lambda_rep,
     nonzero_idempotents,
@@ -26,9 +32,10 @@ from heckeblocks import (
     tableau_stats,
     ungraded_block_dim,
 )
+from heckeblocks import gdim
 from heckeblocks.checks import oracle_engine_replay
 from heckeblocks.fock import partitions
-from heckeblocks.gdim import _folds
+from heckeblocks.gdim import _fold
 
 
 def replay_kostka(ctx, shape, nu, convention="post"):
@@ -149,7 +156,7 @@ def classes_by_definition(ctx, beta):
     equal, each word folded on its own."""
     classes = {}
     for word in residue_sequences(ctx, beta):
-        fold = _folds(ctx, (word,))[0]
+        fold = _fold(ctx, word)
         key = frozenset((shape, frozenset(hist.items())) for shape, hist in fold.items())
         classes.setdefault(key, word)
     return sorted(classes.values())
@@ -164,6 +171,7 @@ def test_nonzero_idempotents_match_the_definition(ell, s, level, k):
     ctx = FockContext(AffineRank(ell), s, level=level)
     beta = k * null_root(ctx.rank)
     assert nonzero_idempotents(ctx, beta) == classes_by_definition(ctx, beta)
+    assert_class_matrix_is_the_dim_matrix(ctx, beta)
 
 
 @settings(max_examples=80, deadline=None)
@@ -180,6 +188,59 @@ def test_nonzero_idempotents_match_the_definition_on_random_blocks(data):
     beta = content(ctx, Bipartition(comp1, comp2))
     idems = nonzero_idempotents(ctx, beta)
     assert idems and idems == classes_by_definition(ctx, beta)
+    assert_class_matrix_is_the_dim_matrix(ctx, beta)
+
+
+def assert_class_matrix_is_the_dim_matrix(ctx, beta):
+    want = dim_matrix(ctx, beta, nonzero_idempotents(ctx, beta))
+    got = class_matrix(ctx, beta)
+    assert got.idempotents == want.idempotents
+    assert got.entries == want.entries
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_class_matrix_of_the_height_zero_block(level):
+    ctx = FockContext(AffineRank(2), 1 if level == 2 else 0, level=level)
+    m = class_matrix(ctx, 0 * null_root(ctx.rank))
+    assert m.idempotents == ((),)
+    assert m.entries == ((QPoly.one(),),)
+
+
+def test_classify_block_folds_each_class_once(monkeypatch):
+    """The quiver path steps exactly as often as the class walk alone: the
+    matrix reuses the walk's folds instead of folding the classes again."""
+    ctx = FockContext(AffineRank(3), 2, level=2)
+    beta = 2 * null_root(ctx.rank)
+    calls = [0]
+    step = gdim._step
+
+    def counted(*args):
+        calls[0] += 1
+        return step(*args)
+
+    monkeypatch.setattr(gdim, "_step", counted)
+    nonzero_idempotents(ctx, beta)
+    walk = calls[0]
+    calls[0] = 0
+    report = classify_block(ctx, beta)
+    assert report.notes[0].startswith("quiver bounds not applicable")
+    assert walk > 0 and calls[0] == walk
+
+
+def test_every_weight_block_has_a_class():
+    """A block that is_weight accepts has at least one idempotent class, so
+    classify_block always has a matrix to read quiver bounds from."""
+    count = 0
+    for ell in (1, 2, 3):
+        rank = AffineRank(ell)
+        contexts = [FockContext(rank, s, level=2) for s in range(ell + 1)]
+        for ctx in contexts + [FockContext(rank, 0, level=1)]:
+            for coeffs in itertools.product(range(7), repeat=rank.e):
+                beta = RootVec(rank, coeffs)
+                if beta.height <= 6 and is_weight(ctx, beta):
+                    assert nonzero_idempotents(ctx, beta), (ctx, beta)
+                    count += 1
+    assert count == 292
 
 
 def pairwise_dims(ctx, words):
@@ -306,6 +367,23 @@ def test_dim_matrix_rejects_asymmetric_or_negative_entries(ctx11, delta1):
         }
         with pytest.raises(ValueError, match=message):
             DimMatrix.from_json(data)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda ctx: graded_dim(ctx, (0.9, 1.2), (0, 1)),
+        lambda ctx: graded_dim(ctx, (0, 1), (True, 0)),
+        lambda ctx: kostka_q(ctx, Bipartition((2,), (1,)), (0.2, 1.9, 1)),
+        lambda ctx: dim_matrix(ctx, null_root(ctx.rank), [(0, 1.0)]),
+        lambda ctx: DimMatrix.from_json(
+            {"idempotents": [["0", 1.5]], "entries": [[{"min_deg": 0, "coeffs": [1]}]]}
+        ),
+    ],
+)
+def test_words_that_are_not_ints_are_rejected_not_truncated(ctx11, build):
+    with pytest.raises(ValueError, match="integers"):
+        build(ctx11)
 
 
 def test_quiver_bounds_flags_the_doubled_loop():

@@ -116,6 +116,7 @@ def test_string_formatting():
 
 def test_constants_hash_like_the_ints_they_equal():
     assert QPoly.one() == 1
+    assert QPoly.one() == True and QPoly.zero() == False  # noqa: E712
     assert len({QPoly.one(), 1}) == 1
     assert hash(QPoly.zero()) == hash(0)
     assert hash(QPoly({0: -3})) == hash(-3)
@@ -125,6 +126,21 @@ def test_constants_hash_like_the_ints_they_equal():
 def test_json_round_trip():
     p = QPoly({-3: 2, 0: 1, 5: -4})
     assert QPoly.from_json(p.to_json()) == p
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: QPoly({0.5: 1.7}),
+        lambda: QPoly({0: True}),
+        lambda: QPoly([(1, 2.0)]),
+        lambda: QPoly.from_json({"min_deg": "0", "coeffs": [1]}),
+        lambda: QPoly.from_json({"min_deg": 0, "coeffs": [1.5]}),
+    ],
+)
+def test_terms_that_are_not_ints_are_rejected_not_truncated(build):
+    with pytest.raises(ValueError, match="integer"):
+        build()
 
 
 @settings(max_examples=40, deadline=None)
