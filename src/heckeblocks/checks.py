@@ -44,6 +44,10 @@ from .fock import (
     tableau_stats,
 )
 from .gdim import (
+    QuiverBound,
+    QuiverShapeError,
+    _quiver_verdict,
+    _walk,
     block_bipartitions,
     class_matrix,
     count_standard,
@@ -770,9 +774,9 @@ def oracle_reduction() -> CheckResult:
     )
 
 
-def oracle_engine_replay() -> CheckResult:
-    name = "O7"
-    count = 0
+def _small_blocks():
+    """Every block of (bi)partitions of size at most 6, ell <= 2, at both
+    levels and every charge: (context, beta, its shapes, where)."""
     for ell in (1, 2):
         for ctx in _contexts(ell):
             for height in range(7):
@@ -780,48 +784,93 @@ def oracle_engine_replay() -> CheckResult:
                 for shape in _shapes(ctx, height):
                     blocks.setdefault(content(ctx, shape).coeffs, []).append(shape)
                 for coeffs, shapes in blocks.items():
-                    table = _replay(ctx, shapes, "post")
                     beta = RootVec(ctx.rank, coeffs)
                     where = f"level {ctx.level}, ell={ell}, s={ctx.s}, block {beta}"
-                    words = sorted({word for row in table.values() for word in row})
-                    classes: dict[tuple, tuple[int, ...]] = {}
-                    for word in words:
-                        key = tuple(
-                            tuple(row.get(word, QPoly.zero()).items()) for row in table.values()
-                        )
-                        classes.setdefault(key, word)
-                    idems = sorted(classes.values())
-                    if residue_sequences(ctx, beta) != words:
-                        return _fail(name, f"{where}: residue words differ from the replay")
-                    if nonzero_idempotents(ctx, beta) != idems:
-                        return _fail(name, f"{where}: idempotent classes differ from the replay")
-                    for shape, row in table.items():
-                        for word in words:
-                            got = kostka_q(ctx, shape, word)
-                            want = row.get(word, QPoly.zero())
-                            if got != want:
-                                return _fail(
-                                    name,
-                                    f"{where}: K_q at {shape}, {word} is {got}, "
-                                    f"replay gives {want}",
-                                )
-                    matrix = class_matrix(ctx, beta)
-                    if matrix != dim_matrix(ctx, beta, idems):
-                        return _fail(name, f"{where}: class_matrix differs from dim_matrix")
-                    for a, one in enumerate(idems):
-                        for b, other in enumerate(idems[: a + 1]):
-                            want = _replay_dim(table, one, other)
-                            if matrix.entry(a, b) != want:
-                                return _fail(
-                                    name,
-                                    f"{where}: dimension at {one}, {other} is "
-                                    f"{matrix.entry(a, b)}, replay gives {want}",
-                                )
-                    count += 1
+                    yield ctx, beta, shapes, where
+
+
+def oracle_engine_replay() -> CheckResult:
+    name = "O7"
+    count = 0
+    for ctx, beta, shapes, where in _small_blocks():
+        table = _replay(ctx, shapes, "post")
+        words = sorted({word for row in table.values() for word in row})
+        classes: dict[tuple, tuple[int, ...]] = {}
+        for word in words:
+            key = tuple(
+                tuple(row.get(word, QPoly.zero()).items()) for row in table.values()
+            )
+            classes.setdefault(key, word)
+        idems = sorted(classes.values())
+        if residue_sequences(ctx, beta) != words:
+            return _fail(name, f"{where}: residue words differ from the replay")
+        if nonzero_idempotents(ctx, beta) != idems:
+            return _fail(name, f"{where}: idempotent classes differ from the replay")
+        for shape, row in table.items():
+            for word in words:
+                got = kostka_q(ctx, shape, word)
+                want = row.get(word, QPoly.zero())
+                if got != want:
+                    return _fail(
+                        name,
+                        f"{where}: K_q at {shape}, {word} is {got}, "
+                        f"replay gives {want}",
+                    )
+        matrix = class_matrix(ctx, beta)
+        if matrix != dim_matrix(ctx, beta, idems):
+            return _fail(name, f"{where}: class_matrix differs from dim_matrix")
+        for a, one in enumerate(idems):
+            for b, other in enumerate(idems[: a + 1]):
+                want = _replay_dim(table, one, other)
+                if matrix.entry(a, b) != want:
+                    return _fail(
+                        name,
+                        f"{where}: dimension at {one}, {other} is "
+                        f"{matrix.entry(a, b)}, replay gives {want}",
+                    )
+        count += 1
     return _ok(
         name,
         f"engine words, classes, K_q and dimension matrices match the tableau "
         f"replay on {count} blocks",
+    )
+
+
+def _quiver_outcome(bound) -> QuiverBound | str:
+    """The quiver bound a call returns, or the text of its QuiverShapeError."""
+    try:
+        return bound()
+    except QuiverShapeError as exc:
+        return str(exc)
+
+
+def oracle_quiver_verdict() -> CheckResult:
+    """The classify path decides the quiver bound without the class matrix,
+    so the matrix's invariants on the diagonals it skips are checked here."""
+    name = "O8"
+    count = 0
+    for ctx, beta, _, where in _small_blocks():
+        matrix = class_matrix(ctx, beta)
+        for i, nu in enumerate(matrix.idempotents):
+            diag = matrix.entry(i, i)
+            if diag.coeff(0) < 1 or not diag.is_palindromic():
+                return _fail(
+                    name,
+                    f"{where}: diagonal at e{nu} is {diag}, not palindromic with q^0 >= 1",
+                )
+        want = _quiver_outcome(lambda: quiver_bounds(matrix))
+        got = _quiver_outcome(
+            lambda: _quiver_verdict(fold for _, fold in _walk(ctx, beta, merge=True))
+        )
+        if got != want:
+            return _fail(
+                name, f"{where}: early-exit quiver verdict {got}, class matrix gives {want}"
+            )
+        count += 1
+    return _ok(
+        name,
+        f"the early-exit quiver verdict matches quiver_bounds of the class matrix, "
+        f"and every class diagonal is palindromic with q^0 >= 1, on {count} blocks",
     )
 
 
@@ -834,6 +883,7 @@ def oracle_suite() -> list[CheckResult]:
         oracle_conventions(),
         oracle_reduction(),
         oracle_engine_replay(),
+        oracle_quiver_verdict(),
     ]
 
 

@@ -12,12 +12,7 @@ from typing import Optional
 
 from .cartan import AffineRank, RootVec, WeightVec, dynkin_rotate
 from .fock import FockContext, partitions
-from .gdim import (
-    QuiverBound,
-    QuiverShapeError,
-    class_matrix,
-    quiver_bounds,
-)
+from .gdim import QuiverBound, QuiverShapeError, _quiver_verdict, _walk
 from .orbits import (
     LAMBDA,
     MU,
@@ -249,9 +244,8 @@ def _attach_quiver(
             f"cap {QUIVER_HEIGHT_CAP}"
         )
         return None, notes
-    matrix = class_matrix(ctx, beta)
     try:
-        return quiver_bounds(matrix), notes
+        return _quiver_verdict(fold for _, fold in _walk(ctx, beta, merge=True)), notes
     except QuiverShapeError as exc:
         notes.append(f"quiver bounds not applicable: {exc}")
         return None, notes

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -43,9 +44,20 @@ def _context(args: argparse.Namespace) -> FockContext:
     return FockContext(rank, args.s, level=getattr(args, "level", 2))
 
 
+def _parse_ints(text: str) -> tuple[int, ...]:
+    """Comma-separated integers, each an optional '-' and ASCII digits with
+    spaces around it; ValueError naming the first other part.  (int() alone
+    would also take '1_0' and non-ASCII digits.)"""
+    parts = [part.strip() for part in text.split(",")]
+    for part in parts:
+        if not re.fullmatch(r"-?[0-9]+", part):
+            raise ValueError(f"{part!r} is not an integer")
+    return tuple(int(part) for part in parts)
+
+
 def _parse_beta(text: str, rank: AffineRank) -> RootVec:
     try:
-        coeffs = tuple(int(part) for part in text.split(","))
+        coeffs = _parse_ints(text)
     except ValueError as exc:
         raise _UsageError(f"--beta must be comma-separated integers: {exc}") from exc
     if len(coeffs) != rank.e:
@@ -125,7 +137,7 @@ def cmd_dims(args: argparse.Namespace) -> int:
         idems = []
         for chunk in args.idems.split(";"):
             try:
-                idems.append(tuple(int(x) for x in chunk.split(",")))
+                idems.append(_parse_ints(chunk))
             except ValueError as exc:
                 raise _UsageError(f"malformed --idems entry {chunk!r}") from exc
         matrix = dim_matrix(ctx, beta, idems)

@@ -22,15 +22,23 @@ word; Brundan-Kleshchev, with the degrees of Brundan-Kleshchev-Wang):
   enough that no coefficient carries), each shape lists the classes whose
   fold it is in, and row i sums the products of packed histograms only over
   the classes j >= i sharing a shape with i; each entry is decoded once;
-- ``residue_sequences`` walks the prefix trie of the block's words depth
-  first, within the per-residue budget of beta, so words share their
-  prefixes' states;
+- ``_walk`` walks the prefix trie of the block's words depth first, within
+  the per-residue budget of beta, so words share their prefixes' states.  It
+  is a generator: each word comes out with its fold, in lexicographic order,
+  as soon as it is reached, so a caller can stop the walk early;
+- ``residue_sequences`` takes every word of that walk;
 - ``nonzero_idempotents`` walks the same trie but expands each distinct
   state once: a prefix whose state an earlier prefix of the same content
   reached is skipped, since the two subtrees fold alike and the earlier one
   has the smaller words.  A word's class is its final state;
 - ``class_matrix`` hands those final states straight to the matrix
-  assembly, so each class is folded once, by the walk that finds it.
+  assembly, so each class is folded once, by the walk that finds it;
+- ``quiver_bounds`` reads loops and arrows off a matrix.  The classify path
+  does not build the matrix: ``_quiver_verdict`` pulls the classes one at a
+  time, checks entry (0, j) as class j arrives and the later rows once the
+  walk is done, and stops at the first entry that rules the bound out.  On
+  most large blocks that is entry (0, 0) or (0, 1), a few classes into the
+  walk.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .cartan import RootVec, _int_tuple
 from .fock import Bipartition, FockContext, content, partitions
@@ -127,10 +135,10 @@ def _fold(ctx: FockContext, word: ResidueSeq) -> State:
     return state
 
 
-def _walk(ctx: FockContext, beta: RootVec, merge: bool) -> tuple[list[ResidueSeq], list[State]]:
-    """Every residue word realised in the block of beta, in lexicographic
-    order: the prefix trie of the words, walked depth first within the
-    residue budget of beta, each word folded as it is extended.
+def _walk(ctx: FockContext, beta: RootVec, merge: bool) -> Iterator[tuple[ResidueSeq, State]]:
+    """Every residue word realised in the block of beta with its fold, in
+    lexicographic order: the prefix trie of the words, walked depth first
+    within the residue budget of beta, each word folded as it is extended.
 
     With ``merge``, a prefix whose state an earlier prefix already reached is
     not expanded, and a word is kept only if its final state is new.  A
@@ -139,45 +147,48 @@ def _walk(ctx: FockContext, beta: RootVec, merge: bool) -> tuple[list[ResidueSeq
     kept is exactly the smallest word of each class.  A new state is compared
     only with the earlier states of its budget.
 
-    With ``merge`` the words come with their folds, in the same order: the
-    states kept at the empty budget.  Without it no state is kept, and above
-    height 0 the list of folds is empty."""
+    Words come out as they are reached, so a caller that stops early steps
+    only as far as the last word it took."""
     _check_block(ctx, beta)
-    height = beta.height
-    if height == 0:
-        return [()], [_start(ctx)]
-    budget = list(beta.coeffs)
-    word: list[int] = []
-    words: list[ResidueSeq] = []
-    seen: dict[tuple[int, ...], list[State]] = {}
+    if beta.height == 0:
+        yield (), _start(ctx)
+        return
+    yield from _extend(
+        ctx, _start(ctx), list(beta.coeffs), [], beta.height, {} if merge else None
+    )
 
-    def visit(state: State) -> None:
-        last = len(word) + 1 == height
-        for i, left in enumerate(budget):
-            if left:
-                grown = _step(ctx, state, i)
-                if not grown:
+
+def _extend(
+    ctx: FockContext,
+    state: State,
+    budget: list[int],
+    word: list[int],
+    height: int,
+    seen: dict[tuple[int, ...], list[State]] | None,
+) -> Iterator[tuple[ResidueSeq, State]]:
+    """The walk below one prefix: ``word`` folds to ``state`` and leaves
+    ``budget``; ``seen`` holds the states reached so far by budget, or is
+    None when nothing is merged."""
+    last = len(word) + 1 == height
+    for i, left in enumerate(budget):
+        if left:
+            grown = _step(ctx, state, i)
+            if not grown:
+                continue
+            budget[i] -= 1
+            if seen is not None:
+                earlier = seen.setdefault(tuple(budget), [])
+                if grown in earlier:
+                    budget[i] += 1
                     continue
-                budget[i] -= 1
-                if merge:
-                    earlier = seen.setdefault(tuple(budget), [])
-                    if grown in earlier:
-                        budget[i] += 1
-                        continue
-                    earlier.append(grown)
-                word.append(i)
-                if last:
-                    words.append(tuple(word))
-                else:
-                    visit(grown)
-                word.pop()
-                budget[i] += 1
-
-    visit(_start(ctx))
-    # visit holds itself in its closure; dropping it frees the states now,
-    # not at the next garbage collection
-    del visit
-    return words, seen.get((0,) * len(budget), [])
+                earlier.append(grown)
+            word.append(i)
+            if last:
+                yield tuple(word), grown
+            else:
+                yield from _extend(ctx, grown, budget, word, height, seen)
+            word.pop()
+            budget[i] += 1
 
 
 def _dot(one: State, other: State) -> QPoly:
@@ -235,7 +246,7 @@ def block_bipartitions(ctx: FockContext, beta: RootVec) -> list[Bipartition]:
 def residue_sequences(ctx: FockContext, beta: RootVec) -> list[ResidueSeq]:
     """Every distinct residue word realised by a standard bitableau in the
     block of beta, sorted lexicographically."""
-    return _walk(ctx, beta, merge=False)[0]
+    return [word for word, _ in _walk(ctx, beta, merge=False)]
 
 
 def nonzero_idempotents(ctx: FockContext, beta: RootVec) -> list[ResidueSeq]:
@@ -246,7 +257,7 @@ def nonzero_idempotents(ctx: FockContext, beta: RootVec) -> list[ResidueSeq]:
     columns.  The returned list holds the lexicographically smallest word of
     each class, sorted; every listed word has nonzero diagonal dimension.
     """
-    return _walk(ctx, beta, merge=True)[0]
+    return [word for word, _ in _walk(ctx, beta, merge=True)]
 
 
 def graded_dim(ctx: FockContext, nu_prime: Sequence[int], nu: Sequence[int]) -> QPoly:
@@ -341,7 +352,12 @@ def class_matrix(ctx: FockContext, beta: RootVec) -> DimMatrix:
     """The dimension matrix over the block's idempotent classes: the
     ``dim_matrix`` of ``nonzero_idempotents``, built from the folds the class
     walk already holds, so no class is folded twice."""
-    return _matrix(*_walk(ctx, beta, merge=True))
+    words: list[ResidueSeq] = []
+    folds: list[State] = []
+    for word, fold in _walk(ctx, beta, merge=True):
+        words.append(word)
+        folds.append(fold)
+    return _matrix(words, folds)
 
 
 def _matrix(seqs: list[ResidueSeq], folds: list[State]) -> DimMatrix:
@@ -460,23 +476,32 @@ def quiver_bounds(matrix: DimMatrix) -> QuiverBound:
     at least two loops with arrows both ways between it and another vertex.
     """
     m = matrix.size
-    c = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            poly = matrix.entries[i][j]
-            delta = 1 if i == j else 0
-            rest = poly - QPoly({0: delta, 2: poly.coeff(2)})
-            md = rest.min_deg
-            if (
-                poly.coeff(0) != delta
-                or poly.coeff(1) != 0
-                or not poly.is_nonnegative()
-                or (md is not None and md < 3)
-            ):
-                raise QuiverShapeError(
-                    f"entry ({i},{j}) = {poly} is not delta + c*q^2 + O(q^3)"
-                )
-            c[i][j] = poly.coeff(2)
+    return _bound(
+        [[_quiver_coeff(i, j, matrix.entries[i][j]) for j in range(m)] for i in range(m)]
+    )
+
+
+def _quiver_coeff(i: int, j: int, poly: QPoly) -> int:
+    """c_ij of an entry delta_ij + c_ij q^2 + O(q^3) with nonnegative
+    coefficients; QuiverShapeError naming the entry when it is not one."""
+    delta = 1 if i == j else 0
+    rest = poly - QPoly({0: delta, 2: poly.coeff(2)})
+    md = rest.min_deg
+    if (
+        poly.coeff(0) != delta
+        or poly.coeff(1) != 0
+        or not poly.is_nonnegative()
+        or (md is not None and md < 3)
+    ):
+        raise QuiverShapeError(
+            f"entry ({i},{j}) = {poly} is not delta + c*q^2 + O(q^3)"
+        )
+    return poly.coeff(2)
+
+
+def _bound(c: list[list[int]]) -> QuiverBound:
+    """The quiver bound of a symmetric matrix of q^2 coefficients."""
+    m = len(c)
     wild = any(
         c[i][i] >= 2 and c[i][j] >= 1 and c[j][i] >= 1
         for i in range(m)
@@ -488,3 +513,28 @@ def quiver_bounds(matrix: DimMatrix) -> QuiverBound:
         tuple(tuple(row) for row in c),
         wild,
     )
+
+
+def _quiver_verdict(folds: Iterable[State]) -> QuiverBound:
+    """``quiver_bounds`` of the matrix of the folds, decided from the first
+    entry that rules it out.
+
+    Entry (0, j) is checked as fold j arrives, so a failure in row 0 stops
+    the folds being pulled; once they are all in, rows 1, 2, ... are checked
+    over j >= i, which is the order in which ``quiver_bounds`` meets the
+    entries of a symmetric matrix.  Each checked entry is the full ``_dot``
+    of two folds, the polynomial the matrix would hold, so the error names
+    the same entry with the same text."""
+    pulled: list[State] = []
+    first: list[int] = []
+    for j, fold in enumerate(folds):
+        pulled.append(fold)
+        first.append(_quiver_coeff(0, j, _dot(pulled[0], fold)))
+    m = len(pulled)
+    c = [first] if m else []
+    for i in range(1, m):
+        row = [c[j][i] for j in range(i)]
+        for j in range(i, m):
+            row.append(_quiver_coeff(i, j, _dot(pulled[i], pulled[j])))
+        c.append(row)
+    return _bound(c)

@@ -106,6 +106,31 @@ def test_dims_json_matrix(capsys):
     assert len(data["entries"]) == 2
 
 
+@pytest.mark.parametrize("beta", ["1_0,1", "\u0661,1", "1.0,1", "+1,1", "1 0,1", "1,", ""])
+def test_beta_takes_only_ascii_integers(capsys, beta):
+    code = main(["orbit", "--ell", "1", "--s", "1", "--beta", beta])
+    assert code == EXIT_USAGE
+    assert "--beta must be comma-separated integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("idems", ["0 ,1_0", "0,\u0661", "0,1;", "0;;1", "0.0,1"])
+def test_idems_take_only_ascii_integers(capsys, idems):
+    code = main(["dims", "--ell", "1", "--s", "1", "--beta", "1,1", "--idems", idems])
+    assert code == EXIT_USAGE
+    assert "malformed --idems entry" in capsys.readouterr().err
+
+
+def test_integer_lists_allow_spaces_and_signs(capsys):
+    code, out = run(capsys, "orbit", "--ell", "1", "--s", "1", "--beta", " 1 , 1 ", "--json")
+    assert code == EXIT_OK
+    assert json.loads(out)["beta"] == [1, 1]
+    code, out = run(
+        capsys, "dims", "--ell", "1", "--s", "1", "--beta", "1,1", "--idems", " 0 ,1; -1,0"
+    )
+    assert code == EXIT_OK
+    assert "e(0,1)" in out and "e(1,0)" in out
+
+
 def test_orbit_report(capsys):
     code, out = run(capsys, "orbit", "--ell", "2", "--s", "1", "--beta", "3,1,1")
     assert code == EXIT_OK
@@ -196,9 +221,11 @@ def test_flags_that_would_be_ignored_are_usage_errors(capsys, argv):
 def test_check_oracle_suite(capsys):
     code, out = run(capsys, "check", "--suite", "oracle")
     assert code == EXIT_OK
-    assert out.count("PASS") == 7
+    assert out.count("PASS") == 8
     assert "[O7] PASS" in out
     assert "match the tableau replay on 123 blocks" in out
+    assert "[O8] PASS" in out
+    assert "quiver_bounds of the class matrix" in out
 
 
 def test_package_import_leaves_the_suites_unloaded():

@@ -1,6 +1,7 @@
 """Graded dimension tables, tableau generating functions, block enumeration."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -206,11 +207,8 @@ def test_class_matrix_of_the_height_zero_block(level):
     assert m.entries == ((QPoly.one(),),)
 
 
-def test_classify_block_folds_each_class_once(monkeypatch):
-    """The quiver path steps exactly as often as the class walk alone: the
-    matrix reuses the walk's folds instead of folding the classes again."""
-    ctx = FockContext(AffineRank(3), 2, level=2)
-    beta = 2 * null_root(ctx.rank)
+def _counted_steps(monkeypatch, run):
+    """How many times ``run()`` calls the engine's step."""
     calls = [0]
     step = gdim._step
 
@@ -219,27 +217,133 @@ def test_classify_block_folds_each_class_once(monkeypatch):
         return step(*args)
 
     monkeypatch.setattr(gdim, "_step", counted)
-    nonzero_idempotents(ctx, beta)
-    walk = calls[0]
-    calls[0] = 0
-    report = classify_block(ctx, beta)
-    assert report.notes[0].startswith("quiver bounds not applicable")
-    assert walk > 0 and calls[0] == walk
+    run()
+    monkeypatch.setattr(gdim, "_step", step)
+    return calls[0]
+
+
+def test_classify_block_folds_each_class_once(monkeypatch):
+    """The quiver path stops at the entry that rules the bound out: on this
+    block it steps fewer times than the class walk, and no further than the
+    walk's second class."""
+    ctx = FockContext(AffineRank(3), 2, level=2)
+    beta = 2 * null_root(ctx.rank)
+    walk = _counted_steps(monkeypatch, lambda: nonzero_idempotents(ctx, beta))
+    two = _counted_steps(
+        monkeypatch, lambda: list(itertools.islice(gdim._walk(ctx, beta, merge=True), 2))
+    )
+    notes = []
+    quiver = _counted_steps(monkeypatch, lambda: notes.extend(classify_block(ctx, beta).notes))
+    assert notes[0].startswith("quiver bounds not applicable")
+    assert 0 < quiver <= two < walk
+
+
+@pytest.mark.parametrize(
+    "ell, s, k", [(1, 1, 2), (1, 0, 2), (2, 1, 2), (2, 0, 2), (1, 1, 3), (3, 2, 2), (3, 0, 2)]
+)
+def test_classify_block_steps_less_than_the_class_walk(monkeypatch, ell, s, k):
+    """On the benchmark's k*delta blocks the quiver verdict comes before the
+    class walk ends."""
+    ctx = FockContext(AffineRank(ell), s, level=2)
+    beta = k * null_root(ctx.rank)
+    walk = _counted_steps(monkeypatch, lambda: nonzero_idempotents(ctx, beta))
+    quiver = _counted_steps(monkeypatch, lambda: classify_block(ctx, beta))
+    assert 0 < quiver < walk
+
+
+def _weight_blocks(max_height):
+    """Every weight block of height at most max_height, ell <= 3, at both
+    levels and every charge."""
+    for ell in (1, 2, 3):
+        rank = AffineRank(ell)
+        contexts = [FockContext(rank, s, level=2) for s in range(ell + 1)]
+        for ctx in contexts + [FockContext(rank, 0, level=1)]:
+            for coeffs in itertools.product(range(max_height + 1), repeat=rank.e):
+                beta = RootVec(rank, coeffs)
+                if beta.height <= max_height and is_weight(ctx, beta):
+                    yield ctx, beta
+
+
+def test_classify_block_matches_the_bounds_of_the_class_matrix():
+    """The early exit gives the report that reading quiver_bounds off the
+    whole class matrix gives, error text included."""
+    count = 0
+    for ctx, beta in _weight_blocks(8):
+        plain = classify_block(ctx, beta, with_quiver=False)
+        try:
+            want = replace(plain, quiver=quiver_bounds(class_matrix(ctx, beta)))
+        except QuiverShapeError as exc:
+            want = replace(plain, notes=plain.notes + (f"quiver bounds not applicable: {exc}",))
+        assert classify_block(ctx, beta).to_json() == want.to_json(), (ctx, beta)
+        count += 1
+    assert count == 481
+
+
+def _verdict(folds):
+    """The early-exit verdict, or the error text of its QuiverShapeError."""
+    try:
+        return gdim._quiver_verdict(folds)
+    except QuiverShapeError as exc:
+        return str(exc)
+
+
+def _matrix_verdict(folds):
+    """The verdict read off the whole matrix of the folds."""
+    matrix = gdim._matrix([(j,) for j in range(len(folds))], list(folds))
+    try:
+        return quiver_bounds(matrix)
+    except QuiverShapeError as exc:
+        return str(exc)
+
+
+def test_quiver_verdict_checks_the_later_rows_after_the_walk():
+    """Row 0 passes and entry (1,2) = q fails: the rows after the first are
+    read once every fold is in, and the error matches the matrix's."""
+    folds = [
+        {("z",): {0: 1}},
+        {("a",): {0: 1}, ("s",): {1: 1}},
+        {("b",): {0: 1}, ("s",): {0: 1}},
+    ]
+    got = _verdict(iter(folds))
+    assert got == "entry (1,2) = q is not delta + c*q^2 + O(q^3)"
+    assert got == _matrix_verdict(folds)
+
+
+def test_quiver_verdict_stops_pulling_at_a_failure_in_row_zero():
+    """Entry (0,3) = q fails: exactly four folds are pulled."""
+    folds = [{("s",): {0: 1}}, {("a",): {0: 1}}, {("b",): {0: 1}}, {("s",): {1: 1}}]
+    pulled = []
+
+    def source():
+        for fold in folds:
+            pulled.append(fold)
+            yield fold
+        raise AssertionError("pulled past the failing entry")
+
+    got = _verdict(source())
+    assert len(pulled) == 4
+    assert got == "entry (0,3) = q is not delta + c*q^2 + O(q^3)"
+    assert got == _matrix_verdict(folds)
+
+
+def test_quiver_verdict_of_folds_that_pass():
+    folds = [
+        {("a",): {0: 1}, ("s",): {1: 1}, ("u",): {1: 1}, ("v",): {2: 1}},
+        {("b",): {0: 1}, ("s",): {1: 1}},
+    ]
+    got = _verdict(iter(folds))
+    assert got == _matrix_verdict(folds)
+    assert got.arrows == ((2, 1), (1, 1)) and got.wild
+    assert _verdict(iter([])) == _matrix_verdict([])
 
 
 def test_every_weight_block_has_a_class():
     """A block that is_weight accepts has at least one idempotent class, so
     classify_block always has a matrix to read quiver bounds from."""
     count = 0
-    for ell in (1, 2, 3):
-        rank = AffineRank(ell)
-        contexts = [FockContext(rank, s, level=2) for s in range(ell + 1)]
-        for ctx in contexts + [FockContext(rank, 0, level=1)]:
-            for coeffs in itertools.product(range(7), repeat=rank.e):
-                beta = RootVec(rank, coeffs)
-                if beta.height <= 6 and is_weight(ctx, beta):
-                    assert nonzero_idempotents(ctx, beta), (ctx, beta)
-                    count += 1
+    for ctx, beta in _weight_blocks(6):
+        assert nonzero_idempotents(ctx, beta), (ctx, beta)
+        count += 1
     assert count == 292
 
 
