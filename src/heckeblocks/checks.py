@@ -46,8 +46,7 @@ from .fock import (
 from .gdim import (
     QuiverBound,
     QuiverShapeError,
-    _quiver_verdict,
-    _walk,
+    _class_verdict,
     block_bipartitions,
     class_matrix,
     count_standard,
@@ -859,9 +858,7 @@ def oracle_quiver_verdict() -> CheckResult:
                     f"{where}: diagonal at e{nu} is {diag}, not palindromic with q^0 >= 1",
                 )
         want = _quiver_outcome(lambda: quiver_bounds(matrix))
-        got = _quiver_outcome(
-            lambda: _quiver_verdict(fold for _, fold in _walk(ctx, beta, merge=True))
-        )
+        got = _quiver_outcome(lambda: _class_verdict(ctx, beta))
         if got != want:
             return _fail(
                 name, f"{where}: early-exit quiver verdict {got}, class matrix gives {want}"

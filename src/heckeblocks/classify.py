@@ -12,7 +12,7 @@ from typing import Optional
 
 from .cartan import AffineRank, RootVec, WeightVec, dynkin_rotate
 from .fock import FockContext, partitions
-from .gdim import QuiverBound, QuiverShapeError, _quiver_verdict, _walk
+from .gdim import QuiverBound, QuiverShapeError, _class_verdict
 from .orbits import (
     LAMBDA,
     MU,
@@ -245,7 +245,7 @@ def _attach_quiver(
         )
         return None, notes
     try:
-        return _quiver_verdict(fold for _, fold in _walk(ctx, beta, merge=True)), notes
+        return _class_verdict(ctx, beta), notes
     except QuiverShapeError as exc:
         notes.append(f"quiver bounds not applicable: {exc}")
         return None, notes

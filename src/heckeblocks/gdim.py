@@ -7,21 +7,35 @@ bipartitions sharing the idempotents' content.
 
 Everything is computed by one step, read along residue words.  A state maps
 each (bi)partition -- a plain tuple of parts tuples, one component at level
-one and two at level two -- to its degree histogram {degree: count}.
-``_step(ctx, state, i)`` adds one i-node to every shape in every addable
-way, shifting the histogram by the node's below-statistic.  Folding the
-step along a word gives K_q(shape, word) for every shape at once, which is
-the Fock-space form of the graded dimension formula (e_i read along the
-word; Brundan-Kleshchev, with the degrees of Brundan-Kleshchev-Wang):
+one and two at level two -- to its degree histogram, packed: a pair
+(lo, packed) with lo the least degree present and packed the sum of
+count * 2^(w * (degree - lo)).  The width w = ``_width(level, n)`` depends
+only on the level and the word length n: the squared tableau counts of the
+shapes of size n sum to level^n * n!, which bounds every coefficient of a
+histogram and of a sum over shapes of products of two histograms, so no
+chunk carries.  lo is the true least degree and every count is positive, so
+the packed form is canonical and equal histograms compare equal.
+``_step(ctx, state, i, w)`` adds one i-node to every shape in every addable
+way, shifting the histogram by the node's below-statistic, which only moves
+lo.  Folding the step along a word gives K_q(shape, word) for every shape at
+once, which is the Fock-space form of the graded dimension formula (e_i read
+along the word; Brundan-Kleshchev, with the degrees of
+Brundan-Kleshchev-Wang):
 
-- ``_fold`` reads the step along one word;
-- ``kostka_q`` looks the shape up in the fold of the word;
-- ``graded_dim`` is the dot product of the folds of its two words;
-- ``dim_matrix`` builds the matrix shape by shape.  Each histogram is packed
-  into one int (q -> 2^w, from the least degree of any fold, with w wide
-  enough that no coefficient carries), each shape lists the classes whose
-  fold it is in, and row i sums the products of packed histograms only over
-  the classes j >= i sharing a shape with i; each entry is decoded once;
+- ``_fold`` reads the step along one word.  It keeps a bounded memo of
+  prefix states, keyed by the context, the word length and the prefix: a
+  fold resumes from its longest memoised prefix and remembers the prefixes
+  it steps through, so repeated point lookups step only the new suffix.  The
+  memo holds at most ``_MEMO_SHAPES`` shapes in total and drops its oldest
+  states first; memoised states are shared and never mutated;
+- ``kostka_q`` looks the shape up in the fold of the word and decodes it;
+- ``graded_dim`` is the dot product of the folds of its two words: one
+  product of packed ints per shared shape, decoded once;
+- ``dim_matrix`` builds the matrix shape by shape.  Each histogram is
+  repacked (from the least degree of any fold, at the tightest width at
+  which no coefficient of the matrix carries), each shape lists the classes
+  whose fold it is in, and row i sums the products of packed histograms only
+  over the classes j >= i sharing a shape with i; each entry is decoded once;
 - ``_walk`` walks the prefix trie of the block's words depth first, within
   the per-residue budget of beta, so words share their prefixes' states.  It
   is a generator: each word comes out with its fold, in lexicographic order,
@@ -44,6 +58,7 @@ word; Brundan-Kleshchev, with the degrees of Brundan-Kleshchev-Wang):
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -54,7 +69,7 @@ from .qpoly import QPoly
 
 ResidueSeq = tuple[int, ...]
 Shape = tuple[tuple[int, ...], ...]
-State = dict[Shape, dict[int, int]]
+State = dict[Shape, tuple[int, int]]  # shape -> (least degree, packed histogram)
 
 
 class QuiverShapeError(ValueError):
@@ -80,7 +95,31 @@ def _check_block(ctx: FockContext, beta: RootVec) -> None:
         raise ValueError(f"{beta} is not in the positive cone")
 
 
-def _step(ctx: FockContext, state: State, i: int) -> State:
+def _width(level: int, n: int) -> int:
+    """Bits per degree in the packed states of words of length n.
+
+    Summed over the shapes of a level-``level`` Fock space, the squared
+    standard tableau counts give level**n * n!, which bounds every
+    coefficient of a fold's histogram and of a sum over shapes of products of
+    two folds' histograms; one more bit keeps that sum from carrying."""
+    return (level**n * math.factorial(n)).bit_length() + 1
+
+
+def _unpack(lo: int, packed: int, width: int) -> dict[int, int]:
+    """The {degree: count} histogram of a packed one, least degree lo."""
+    mask = (1 << width) - 1
+    hist = {}
+    d = lo
+    while packed:
+        c = packed & mask
+        if c:
+            hist[d] = c
+        packed >>= width
+        d += 1
+    return hist
+
+
+def _step(ctx: FockContext, state: State, i: int, width: int) -> State:
     """Add one i-node to every shape of the state in every addable way.
 
     The node's degree is the number of addable minus removable i-nodes
@@ -88,10 +127,12 @@ def _step(ctx: FockContext, state: State, i: int) -> State:
     larger shape.  Apart from the new node itself, which is not below
     itself, adding an i-node toggles only corners of the neighbouring
     residues, so the i-corners of the smaller shape are the ones scanned.
+    Shifting a histogram is moving its least degree; two histograms landing
+    on one shape are aligned by one shift and added.
     """
     e = ctx.rank.e
     out: State = {}
-    for shape, hist in state.items():
+    for shape, (lo, packed) in state.items():
         corners = []  # (+1 addable / -1 removable, component, row), top to bottom
         for k, parts in enumerate(shape):
             charge = ctx.s if k else 0
@@ -113,26 +154,72 @@ def _step(ctx: FockContext, state: State, i: int) -> State:
                 else:
                     grown = parts + (1,)
                 new = shape[:k] + (grown,) + shape[k + 1 :]
+                least = lo + below
                 acc = out.get(new)
                 if acc is None:
-                    out[new] = {d + below: c for d, c in hist.items()}
+                    out[new] = (least, packed)
+                elif acc[0] <= least:
+                    out[new] = (acc[0], acc[1] + (packed << width * (least - acc[0])))
                 else:
-                    for d, c in hist.items():
-                        acc[d + below] = acc.get(d + below, 0) + c
+                    out[new] = (least, packed + (acc[1] << width * (acc[0] - least)))
             below += sign
     return out
 
 
 def _start(ctx: FockContext) -> State:
-    return {((),) * ctx.level: {0: 1}}
+    return {((),) * ctx.level: (0, 1)}
+
+
+#: Most shapes the prefix memo of ``_fold`` holds, summed over its states.
+_MEMO_SHAPES = 4096
+_memo: dict[tuple, State] = {}
+_memo_shapes = 0
+_memo_lock = threading.Lock()
 
 
 def _fold(ctx: FockContext, word: ResidueSeq) -> State:
-    """The state of one word: the step read along it from the empty shape."""
-    state = _start(ctx)
-    for i in word:
-        state = _step(ctx, state, i)
+    """The state of one word: the step read along it from the empty shape.
+
+    The fold resumes from the state of the longest prefix of the word held
+    in the memo and remembers the states of the prefixes it steps through.
+    Memoised states are shared, never mutated."""
+    n = len(word)
+    head = (ctx.rank.e, ctx.s, ctx.level, n)
+    k = n
+    while k:
+        state = _memo.get(head + (word[:k],))
+        if state is not None:
+            break
+        k -= 1
+    else:
+        state = _start(ctx)
+    if k == n:
+        return state
+    width = _width(ctx.level, n)
+    new = []
+    for j in range(k, n):
+        state = _step(ctx, state, word[j], width)
+        if not state:
+            break
+        new.append((head + (word[: j + 1],), state))
+    _remember(new)
     return state
+
+
+def _remember(new: list[tuple[tuple, State]]) -> None:
+    """Put the prefix states into the memo, dropping the oldest entries
+    while it would hold more than ``_MEMO_SHAPES`` shapes.  Only holders of
+    the lock change the memo, so eviction never races another thread's."""
+    global _memo_shapes
+    with _memo_lock:
+        for key, state in new:
+            size = len(state)
+            if size > _MEMO_SHAPES or key in _memo:
+                continue
+            while _memo_shapes + size > _MEMO_SHAPES:
+                _memo_shapes -= len(_memo.pop(next(iter(_memo))))
+            _memo[key] = state
+            _memo_shapes += size
 
 
 def _walk(ctx: FockContext, beta: RootVec, merge: bool) -> Iterator[tuple[ResidueSeq, State]]:
@@ -154,7 +241,13 @@ def _walk(ctx: FockContext, beta: RootVec, merge: bool) -> Iterator[tuple[Residu
         yield (), _start(ctx)
         return
     yield from _extend(
-        ctx, _start(ctx), list(beta.coeffs), [], beta.height, {} if merge else None
+        ctx,
+        _start(ctx),
+        list(beta.coeffs),
+        [],
+        beta.height,
+        _width(ctx.level, beta.height),
+        {} if merge else None,
     )
 
 
@@ -164,15 +257,17 @@ def _extend(
     budget: list[int],
     word: list[int],
     height: int,
+    width: int,
     seen: dict[tuple[int, ...], list[State]] | None,
 ) -> Iterator[tuple[ResidueSeq, State]]:
     """The walk below one prefix: ``word`` folds to ``state`` and leaves
     ``budget``; ``seen`` holds the states reached so far by budget, or is
-    None when nothing is merged."""
+    None when nothing is merged.  States are packed ``width`` bits a degree;
+    the packed form is canonical, so equal states compare equal."""
     last = len(word) + 1 == height
     for i, left in enumerate(budget):
         if left:
-            grown = _step(ctx, state, i)
+            grown = _step(ctx, state, i, width)
             if not grown:
                 continue
             budget[i] -= 1
@@ -186,23 +281,28 @@ def _extend(
             if last:
                 yield tuple(word), grown
             else:
-                yield from _extend(ctx, grown, budget, word, height, seen)
+                yield from _extend(ctx, grown, budget, word, height, width, seen)
             word.pop()
             budget[i] += 1
 
 
-def _dot(one: State, other: State) -> QPoly:
-    """Sum over shared shapes of the product of the two histograms."""
+def _dot(one: State, other: State, width: int) -> QPoly:
+    """Sum over shared shapes of the product of the two histograms: one
+    product of packed ints per shape, aligned and decoded once."""
     if len(other) < len(one):
         one, other = other, one
-    acc: dict[int, int] = {}
-    for shape, ha in one.items():
-        hb = other.get(shape)
-        if hb:
-            for da, ca in ha.items():
-                for db, cb in hb.items():
-                    acc[da + db] = acc.get(da + db, 0) + ca * cb
-    return _qpoly(acc)
+    terms = []
+    for shape, (lo, packed) in one.items():
+        hit = other.get(shape)
+        if hit:
+            terms.append((lo + hit[0], packed * hit[1]))
+    if not terms:
+        return _qpoly({})
+    least = min(lo for lo, _ in terms)
+    total = 0
+    for lo, x in terms:
+        total += x << width * (lo - least)
+    return _qpoly(_unpack(least, total, width))
 
 
 def _qpoly(coeffs: dict[int, int]) -> QPoly:
@@ -224,7 +324,8 @@ def kostka_q(ctx: FockContext, shape: Bipartition, nu: Sequence[int]) -> QPoly:
             f"residue word has length {len(seq)}, shape has {shape.size} nodes"
         )
     key = (shape.comp1, shape.comp2)[: ctx.level]
-    return QPoly(_fold(ctx, seq).get(key, {}))
+    hit = _fold(ctx, seq).get(key)
+    return QPoly(_unpack(*hit, _width(ctx.level, len(seq))) if hit else {})
 
 
 def block_bipartitions(ctx: FockContext, beta: RootVec) -> list[Bipartition]:
@@ -270,7 +371,7 @@ def graded_dim(ctx: FockContext, nu_prime: Sequence[int], nu: Sequence[int]) -> 
     if _seq_content(ctx, a) != _seq_content(ctx, b):
         return QPoly.zero()
     fold = _fold(ctx, a)
-    return _dot(fold, fold if b == a else _fold(ctx, b))
+    return _dot(fold, fold if b == a else _fold(ctx, b), _width(ctx.level, len(a)))
 
 
 @dataclass(frozen=True)
@@ -345,7 +446,7 @@ def dim_matrix(
     for nu in seqs:
         if _seq_content(ctx, nu) != target:
             raise ValueError(f"residue word {nu} does not have content {beta}")
-    return _matrix(seqs, [_fold(ctx, nu) for nu in seqs])
+    return _matrix(seqs, [_fold(ctx, nu) for nu in seqs], _width(ctx.level, beta.height))
 
 
 def class_matrix(ctx: FockContext, beta: RootVec) -> DimMatrix:
@@ -357,58 +458,57 @@ def class_matrix(ctx: FockContext, beta: RootVec) -> DimMatrix:
     for word, fold in _walk(ctx, beta, merge=True):
         words.append(word)
         folds.append(fold)
-    return _matrix(words, folds)
+    return _matrix(words, folds, _width(ctx.level, beta.height))
 
 
-def _matrix(seqs: list[ResidueSeq], folds: list[State]) -> DimMatrix:
-    """The matrix of the words with the given folds, shape by shape.  The
-    list of folds is cleared entry by entry as each fold is packed."""
+def _matrix(seqs: list[ResidueSeq], folds: list[State], width: int) -> DimMatrix:
+    """The matrix of the words with the given folds, packed ``width`` bits a
+    degree, shape by shape.  The list of folds is cleared entry by entry as
+    each fold is repacked."""
     m = len(seqs)
-    # Pack each histogram into one int, q -> 2^width, from the least degree
-    # lo of any fold.  A coefficient of entry (i, j) is at most T_i * T_j,
-    # T_i the total tableau count of fold i, so with width one bit wider
-    # than the largest T^2 no chunk carries into the next.
+    # Repack each histogram from the least degree lo of any fold, as tightly
+    # as no chunk of a sum of products carries.  A coefficient of entry
+    # (i, j) is at most T_i * T_j, T_i the total tableau count of fold i, so
+    # one bit more than the largest T^2 is enough, as is the fold width.
+    # A histogram's total is its packed int mod 2^width - 1, since the
+    # total is smaller than that.  Folds share most histograms, so each
+    # distinct one is repacked once.
     lo = None
     most = 0
+    ones = (1 << width) - 1
     for fold in folds:
         total = 0
-        for hist in fold.values():
-            total += sum(hist.values())
-            least = min(hist)
+        for least, packed in fold.values():
+            total += packed % ones
             if lo is None or least < lo:
                 lo = least
         most = max(most, total)
     if lo is None:
         lo = 0
-    width = (most * most).bit_length() + 1
-    mask = (1 << width) - 1
+    tight = min((most * most).bit_length() + 1, width)
     zero = _qpoly({})
     entries = [[zero] * m for _ in range(m)]
     by_shape: dict[Shape, list[tuple[int, int]]] = {}
+    repacked: dict[int, int] = {}
     for i in reversed(range(m)):
         # by_shape holds the classes j >= i, so row i is summed over j >= i
         # sharing a shape with i only.
         acc: dict[int, int] = {}
-        for shape, hist in folds[i].items():
-            packed = 0
-            for d, c in hist.items():
-                packed += c << (width * (d - lo))
+        for shape, (least, packed) in folds[i].items():
+            if tight < width:
+                wide = packed
+                packed = repacked.get(wide)
+                if packed is None:
+                    packed = repacked[wide] = _repack(wide, width, tight)
+            packed <<= tight * (least - lo)
             bucket = by_shape.setdefault(shape, [])
             bucket.append((i, packed))
             for j, other in bucket:
                 acc[j] = acc.get(j, 0) + packed * other
-        folds[i] = {}  # packed now; free it while the rows fill
+        folds[i] = {}  # repacked now; free it while the rows fill
         row = entries[i]
         for j, x in acc.items():
-            coeffs = {}
-            d = 2 * lo
-            while x:
-                c = x & mask
-                if c:
-                    coeffs[d] = c
-                x >>= width
-                d += 1
-            row[j] = entries[j][i] = _qpoly(coeffs)
+            row[j] = entries[j][i] = _qpoly(_unpack(2 * lo, x, tight))
     result = DimMatrix(tuple(seqs), tuple(tuple(row) for row in entries))
     for i in range(m):
         diag = result.entries[i][i]
@@ -418,6 +518,17 @@ def _matrix(seqs: list[ResidueSeq], folds: list[State]) -> DimMatrix:
                 stacklevel=3,
             )
     return result
+
+
+def _repack(packed: int, width: int, tight: int) -> int:
+    """A packed histogram moved from ``width`` to ``tight`` bits a degree."""
+    mask = (1 << width) - 1
+    out = shift = 0
+    while packed:
+        out |= (packed & mask) << shift
+        packed >>= width
+        shift += tight
+    return out
 
 
 def _hook_product_count(parts: tuple[int, ...]) -> int:
@@ -515,9 +626,9 @@ def _bound(c: list[list[int]]) -> QuiverBound:
     )
 
 
-def _quiver_verdict(folds: Iterable[State]) -> QuiverBound:
-    """``quiver_bounds`` of the matrix of the folds, decided from the first
-    entry that rules it out.
+def _quiver_verdict(folds: Iterable[State], width: int) -> QuiverBound:
+    """``quiver_bounds`` of the matrix of the folds, packed ``width`` bits a
+    degree, decided from the first entry that rules it out.
 
     Entry (0, j) is checked as fold j arrives, so a failure in row 0 stops
     the folds being pulled; once they are all in, rows 1, 2, ... are checked
@@ -529,12 +640,19 @@ def _quiver_verdict(folds: Iterable[State]) -> QuiverBound:
     first: list[int] = []
     for j, fold in enumerate(folds):
         pulled.append(fold)
-        first.append(_quiver_coeff(0, j, _dot(pulled[0], fold)))
+        first.append(_quiver_coeff(0, j, _dot(pulled[0], fold, width)))
     m = len(pulled)
     c = [first] if m else []
     for i in range(1, m):
         row = [c[j][i] for j in range(i)]
         for j in range(i, m):
-            row.append(_quiver_coeff(i, j, _dot(pulled[i], pulled[j])))
+            row.append(_quiver_coeff(i, j, _dot(pulled[i], pulled[j], width)))
         c.append(row)
     return _bound(c)
+
+
+def _class_verdict(ctx: FockContext, beta: RootVec) -> QuiverBound:
+    """``_quiver_verdict`` of the block's class folds, pulled from the class
+    walk as they are needed."""
+    folds = (fold for _, fold in _walk(ctx, beta, merge=True))
+    return _quiver_verdict(folds, _width(ctx.level, beta.height))

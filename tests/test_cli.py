@@ -238,6 +238,23 @@ def test_package_import_leaves_the_suites_unloaded():
     assert done.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize(
+    "argv, code, text",
+    [
+        (["classify", "--ell", "1", "--s", "1", "--beta", "1,1"], EXIT_OK, "type: tame"),
+        (["classify", "--ell", "1", "--s", "1", "--beta", "1_0,1"], EXIT_USAGE, "usage error"),
+    ],
+)
+def test_python_dash_m_runs_the_command_line(argv, code, text):
+    src = os.path.dirname(os.path.dirname(heckeblocks.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "heckeblocks", *argv], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == code, done.stderr
+    assert text in done.stdout + done.stderr
+
+
 def test_all_lists_the_public_names():
     public = {
         name

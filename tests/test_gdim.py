@@ -1,6 +1,10 @@
 """Graded dimension tables, tableau generating functions, block enumeration."""
 
+import functools
 import itertools
+import random
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -34,9 +38,9 @@ from heckeblocks import (
     ungraded_block_dim,
 )
 from heckeblocks import gdim
-from heckeblocks.checks import oracle_engine_replay
+from heckeblocks.checks import _replay, _replay_dim, oracle_engine_replay
 from heckeblocks.fock import partitions
-from heckeblocks.gdim import _fold
+from heckeblocks.gdim import _fold, _seq_content, _unpack, _width
 
 
 def replay_kostka(ctx, shape, nu, convention="post"):
@@ -156,9 +160,12 @@ def classes_by_definition(ctx, beta):
     """The smallest word of each group of realised words whose folds are
     equal, each word folded on its own."""
     classes = {}
+    width = _width(ctx.level, beta.height)
     for word in residue_sequences(ctx, beta):
         fold = _fold(ctx, word)
-        key = frozenset((shape, frozenset(hist.items())) for shape, hist in fold.items())
+        key = frozenset(
+            (shape, frozenset(_unpack(*entry, width).items())) for shape, entry in fold.items()
+        )
         classes.setdefault(key, word)
     return sorted(classes.values())
 
@@ -279,17 +286,32 @@ def test_classify_block_matches_the_bounds_of_the_class_matrix():
     assert count == 481
 
 
+#: bits per degree of the hand-built folds below
+WIDTH = 8
+
+
+def _packed(fold):
+    """A hand-built fold {shape: {degree: count}} in the engine's packed form
+    {shape: (least degree, packed histogram)}."""
+    return {
+        shape: (min(hist), sum(c << WIDTH * (d - min(hist)) for d, c in hist.items()))
+        for shape, hist in fold.items()
+    }
+
+
 def _verdict(folds):
     """The early-exit verdict, or the error text of its QuiverShapeError."""
     try:
-        return gdim._quiver_verdict(folds)
+        return gdim._quiver_verdict((_packed(fold) for fold in folds), WIDTH)
     except QuiverShapeError as exc:
         return str(exc)
 
 
 def _matrix_verdict(folds):
     """The verdict read off the whole matrix of the folds."""
-    matrix = gdim._matrix([(j,) for j in range(len(folds))], list(folds))
+    matrix = gdim._matrix(
+        [(j,) for j in range(len(folds))], [_packed(fold) for fold in folds], WIDTH
+    )
     try:
         return quiver_bounds(matrix)
     except QuiverShapeError as exc:
@@ -515,3 +537,160 @@ def test_quiver_bounds_rejects_low_degree_off_diagonal():
     m = dim_matrix(ctx, beta, nonzero_idempotents(ctx, beta))
     with pytest.raises(QuiverShapeError):
         quiver_bounds(m)
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """An empty prefix memo for the test, the module's own restored after."""
+    monkeypatch.setattr(gdim, "_memo", {})
+    monkeypatch.setattr(gdim, "_memo_shapes", 0)
+
+
+def _cold(call):
+    """The answer of ``call()`` with nothing memoised before or after it."""
+    gdim._memo.clear()
+    gdim._memo_shapes = 0
+    try:
+        return call()
+    finally:
+        gdim._memo.clear()
+        gdim._memo_shapes = 0
+
+
+def _memo_held():
+    return sum(len(state) for state in gdim._memo.values())
+
+
+def _query_stream(seed, count):
+    """Seeded graded_dim, kostka_q and dim_matrix calls interleaved over the
+    e = 3 contexts: level two at every charge and level one, on words of
+    lengths 4 to 6 that share their prefixes."""
+    rng = random.Random(seed)
+    rank = AffineRank(2)
+    contexts = [FockContext(rank, s, level=2) for s in range(3)] + [FockContext(rank, 0, level=1)]
+    longest = residue_sequences(contexts[1], 2 * null_root(rank))
+    calls = []
+    for _ in range(count):
+        ctx = rng.choice(contexts)
+        word = rng.choice(longest)[: rng.randint(4, 6)]
+        other = tuple(rng.sample(word, len(word)))
+        kind = rng.randrange(3)
+        if kind == 0:
+            calls.append(lambda ctx=ctx, a=word, b=other: graded_dim(ctx, a, b))
+        elif kind == 1:
+            shapes = block_bipartitions(ctx, RootVec(rank, _seq_content(ctx, word)))
+            shape = rng.choice(shapes) if shapes else Bipartition()
+            if shape.size == len(word):
+                calls.append(lambda ctx=ctx, sh=shape, a=word: kostka_q(ctx, sh, a))
+        else:
+            beta = RootVec(rank, _seq_content(ctx, word))
+            words = [word, other, tuple(rng.sample(word, len(word)))]
+            calls.append(lambda ctx=ctx, beta=beta, w=words: dim_matrix(ctx, beta, w).entries)
+    return calls
+
+
+def test_memoised_answers_equal_cold_answers(fresh_memo):
+    """Contexts that share e but not s or the level, and words of different
+    lengths sharing a prefix, never read each other's memoised states."""
+    calls = _query_stream(1, 160)
+    cold = [_cold(call) for call in calls]
+    warm = [call() for call in calls]
+    assert warm == cold
+    assert any(answer for answer in cold)
+    assert len({key[:4] for key in gdim._memo}) > 4
+
+
+def test_memo_never_holds_more_than_its_bound(fresh_memo):
+    ctx = FockContext(AffineRank(3), 2, level=2)
+    words = residue_sequences(ctx, 2 * null_root(ctx.rank))
+    rng = random.Random(2)
+    oldest = set()
+    for _ in range(400):
+        graded_dim(ctx, rng.choice(words), rng.choice(words))
+        oldest.add(next(iter(gdim._memo)))
+        assert _memo_held() == gdim._memo_shapes <= gdim._MEMO_SHAPES
+    assert len(oldest) > 1  # the stream outgrew the memo
+
+
+def test_answers_stay_right_after_eviction(fresh_memo, monkeypatch):
+    monkeypatch.setattr(gdim, "_MEMO_SHAPES", 40)
+    calls = _query_stream(3, 160)
+    cold = [_cold(call) for call in calls]
+    warm = []
+    for call in calls:
+        warm.append(call())
+        assert _memo_held() == gdim._memo_shapes <= 40
+    assert warm == cold
+    assert gdim._memo_shapes > 0
+
+
+def test_memo_is_safe_under_threads(fresh_memo, monkeypatch):
+    """Four threads evicting from a small memo at once raise nothing, lose
+    no update to its shape count and get the single-threaded answers."""
+    monkeypatch.setattr(gdim, "_MEMO_SHAPES", 40)
+    streams = [_query_stream(seed, 200) for seed in (4, 5, 6, 7)]
+    want = [[_cold(call) for call in calls] for calls in streams]
+    got = [[] for _ in streams]
+    errors = []
+
+    def work(k):
+        try:
+            for call in streams[k]:
+                got[k].append(call())
+        except Exception as exc:  # reported below, with the thread's answers
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(len(streams))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert got == want
+    assert _memo_held() == gdim._memo_shapes <= 40
+
+
+@functools.lru_cache(maxsize=None)
+def _blocks_of_height(ell, s, level, height):
+    """The content of every (bi)partition of the given size, once each."""
+    ctx = FockContext(AffineRank(ell), s, level=level)
+    sizes = [height] if level == 1 else range(height + 1)
+    return sorted(
+        {
+            content(ctx, Bipartition(p1, p2)).coeffs
+            for m in sizes
+            for p1 in partitions(m)
+            for p2 in partitions(height - m)
+        }
+    )
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_graded_dims_match_the_tableau_replay_at_heights_seven_and_eight(data):
+    """graded_dim, dim_matrix and kostka_q against the replay of every
+    standard (bi)tableau of the block, above O7's height-6 reach."""
+    ell = data.draw(st.integers(min_value=1, max_value=4), label="ell")
+    level = data.draw(st.sampled_from([1, 2]), label="level")
+    s = data.draw(st.integers(min_value=0, max_value=ell), label="s") if level == 2 else 0
+    height = data.draw(st.sampled_from([7, 8]), label="height")
+    ctx = FockContext(AffineRank(ell), s, level=level)
+    coeffs = data.draw(st.sampled_from(_blocks_of_height(ell, s, level, height)), label="beta")
+    beta = RootVec(ctx.rank, coeffs)
+    table = _replay(ctx, block_bipartitions(ctx, beta), "post")
+    words = sorted({word for row in table.values() for word in row})
+    picked = data.draw(st.lists(st.sampled_from(words), min_size=1, max_size=4), label="words")
+    assert dim_matrix(ctx, beta, picked).entries == tuple(
+        tuple(_replay_dim(table, a, b) for b in picked) for a in picked
+    )
+    a = data.draw(st.sampled_from(words), label="a")
+    b = data.draw(st.sampled_from(words), label="b")
+    assert graded_dim(ctx, a, b) == _replay_dim(table, a, b)
+    shape = data.draw(st.sampled_from(sorted(table, key=lambda bp: (bp.comp1, bp.comp2))))
+    assert kostka_q(ctx, shape, a) == table[shape].get(a, QPoly.zero())
