@@ -170,14 +170,8 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 def cmd_blocks(args: argparse.Namespace) -> int:
     cfg = _config(args)
     if args.typeD:
-        if args.s is not None or args.separated:
-            raise _UsageError("--typeD takes neither --s nor --separated")
         reports = classify_heckeD(args.e, args.n, cfg)
     else:
-        if args.separated and args.s is not None:
-            raise _UsageError("--s and --separated are mutually exclusive")
-        if not args.separated and args.s is None:
-            raise _UsageError("either --s or --separated is required")
         reports = classify_heckeB(args.e, None if args.separated else args.s, args.n, cfg)
     if getattr(args, "json", False):
         print(json.dumps([r.to_json() for r in reports], indent=2, sort_keys=True))
@@ -286,9 +280,10 @@ def _build_parser() -> _Parser:
     p_blocks = subs.add_parser("blocks", help="classify all blocks of a Hecke algebra")
     p_blocks.add_argument("--e", type=int, required=True, help="quantum characteristic")
     p_blocks.add_argument("--n", type=int, required=True, help="rank")
-    p_blocks.add_argument("--s", type=int, default=None)
-    p_blocks.add_argument("--separated", action="store_true")
-    p_blocks.add_argument("--typeD", action="store_true")
+    kind = p_blocks.add_mutually_exclusive_group(required=True)
+    kind.add_argument("--s", type=int, default=None)
+    kind.add_argument("--separated", action="store_true")
+    kind.add_argument("--typeD", action="store_true")
     p_blocks.add_argument("--json", action="store_true")
     _add_field_flags(p_blocks)
     p_blocks.set_defaults(handler=cmd_blocks)

@@ -22,12 +22,14 @@ once, which is the Fock-space form of the graded dimension formula (e_i read
 along the word; Brundan-Kleshchev, with the degrees of
 Brundan-Kleshchev-Wang):
 
-- ``_fold`` reads the step along one word.  It keeps a bounded memo of
-  prefix states, keyed by the context, the word length and the prefix: a
-  fold resumes from its longest memoised prefix and remembers the prefixes
-  it steps through, so repeated point lookups step only the new suffix.  The
-  memo holds at most ``_MEMO_SHAPES`` shapes in total and drops its oldest
-  states first; memoised states are shared and never mutated;
+- ``_fold`` reads the step along one word.  Prefix states come from
+  ``_prefix_state``, one step from the state of the prefix one node
+  shorter, under a ``functools.lru_cache`` keyed by the context, the word
+  length and the prefix, so repeated point lookups step only the new
+  suffix.  The cache holds ``_CACHE_STATES`` = 1024 prefix states, least
+  recently used dropped first.  It bounds states, not shapes: the 1024
+  largest prefix states of the block (1,1,6delta), height 12, hold 251 014
+  shapes, about 49 MB.  Cached states are shared and never mutated;
 - ``kostka_q`` looks the shape up in the fold of the word and decodes it;
 - ``graded_dim`` is the dot product of the folds of its two words: one
   product of packed ints per shared shape, decoded once;
@@ -57,15 +59,15 @@ Brundan-Kleshchev-Wang):
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .cartan import RootVec, _int_tuple
 from .fock import Bipartition, FockContext, content, partitions
-from .qpoly import QPoly
+from .qpoly import QPoly, _from_coeffs
 
 ResidueSeq = tuple[int, ...]
 Shape = tuple[tuple[int, ...], ...]
@@ -170,56 +172,44 @@ def _start(ctx: FockContext) -> State:
     return {((),) * ctx.level: (0, 1)}
 
 
-#: Most shapes the prefix memo of ``_fold`` holds, summed over its states.
-_MEMO_SHAPES = 4096
-_memo: dict[tuple, State] = {}
-_memo_shapes = 0
-_memo_lock = threading.Lock()
+#: Most prefix states the cache of ``_prefix_state`` holds.
+_CACHE_STATES = 1024
+#: Longest stretch of a word ``_fold`` leaves to one recursion of
+#: ``_prefix_state``; longer words are warmed a stretch at a time.
+_RUN = 256
+
+
+@functools.lru_cache(maxsize=_CACHE_STATES)
+def _prefix_state(ctx: FockContext, n: int, prefix: ResidueSeq) -> State:
+    """The state of a prefix of a word of length n: one step from the state
+    of the prefix one node shorter, from ``_start`` at the empty prefix.  An
+    empty state stays empty without stepping.  States are shared, never
+    mutated."""
+    if not prefix:
+        return _start(ctx)
+    state = _prefix_state(ctx, n, prefix[:-1])
+    return _step(ctx, state, prefix[-1], _width(ctx.level, n)) if state else state
 
 
 def _fold(ctx: FockContext, word: ResidueSeq) -> State:
     """The state of one word: the step read along it from the empty shape.
 
-    The fold resumes from the state of the longest prefix of the word held
-    in the memo and remembers the states of the prefixes it steps through.
-    Memoised states are shared, never mutated."""
+    Prefix states come from the cache of ``_prefix_state``, so a fold steps
+    only past the longest prefix cached, which ``graded_dim``, ``kostka_q``
+    and ``dim_matrix`` share across calls.  The recursion is as deep as the
+    part of the word not cached, so a long word is warmed ``_RUN`` nodes at
+    a time, stopping at the first empty state.
+
+    The cache holds ``_CACHE_STATES`` prefix states and drops the least
+    recently used first.  It bounds states, not shapes: the largest state of
+    the block (3,2,2delta), height 8, has 25 shapes, but the 1024 largest
+    prefix states of (1,1,6delta), height 12, hold 251 014 shapes, about
+    49 MB."""
     n = len(word)
-    head = (ctx.rank.e, ctx.s, ctx.level, n)
-    k = n
-    while k:
-        state = _memo.get(head + (word[:k],))
-        if state is not None:
-            break
-        k -= 1
-    else:
-        state = _start(ctx)
-    if k == n:
-        return state
-    width = _width(ctx.level, n)
-    new = []
-    for j in range(k, n):
-        state = _step(ctx, state, word[j], width)
-        if not state:
-            break
-        new.append((head + (word[: j + 1],), state))
-    _remember(new)
-    return state
-
-
-def _remember(new: list[tuple[tuple, State]]) -> None:
-    """Put the prefix states into the memo, dropping the oldest entries
-    while it would hold more than ``_MEMO_SHAPES`` shapes.  Only holders of
-    the lock change the memo, so eviction never races another thread's."""
-    global _memo_shapes
-    with _memo_lock:
-        for key, state in new:
-            size = len(state)
-            if size > _MEMO_SHAPES or key in _memo:
-                continue
-            while _memo_shapes + size > _MEMO_SHAPES:
-                _memo_shapes -= len(_memo.pop(next(iter(_memo))))
-            _memo[key] = state
-            _memo_shapes += size
+    for k in range(_RUN, n, _RUN):
+        if not _prefix_state(ctx, n, word[:k]):
+            return {}
+    return _prefix_state(ctx, n, word)
 
 
 def _walk(ctx: FockContext, beta: RootVec, merge: bool) -> Iterator[tuple[ResidueSeq, State]]:
@@ -297,20 +287,12 @@ def _dot(one: State, other: State, width: int) -> QPoly:
         if hit:
             terms.append((lo + hit[0], packed * hit[1]))
     if not terms:
-        return _qpoly({})
+        return _from_coeffs({})
     least = min(lo for lo, _ in terms)
     total = 0
     for lo, x in terms:
         total += x << width * (lo - least)
-    return _qpoly(_unpack(least, total, width))
-
-
-def _qpoly(coeffs: dict[int, int]) -> QPoly:
-    """A QPoly over a dict of nonzero coefficients, taken as it is: sums of
-    products of tableau counts need none of the constructor's normalising."""
-    poly = QPoly.__new__(QPoly)
-    poly._coeffs = coeffs
-    return poly
+    return _from_coeffs(_unpack(least, total, width))
 
 
 def kostka_q(ctx: FockContext, shape: Bipartition, nu: Sequence[int]) -> QPoly:
@@ -486,7 +468,7 @@ def _matrix(seqs: list[ResidueSeq], folds: list[State], width: int) -> DimMatrix
     if lo is None:
         lo = 0
     tight = min((most * most).bit_length() + 1, width)
-    zero = _qpoly({})
+    zero = _from_coeffs({})
     entries = [[zero] * m for _ in range(m)]
     by_shape: dict[Shape, list[tuple[int, int]]] = {}
     repacked: dict[int, int] = {}
@@ -508,7 +490,7 @@ def _matrix(seqs: list[ResidueSeq], folds: list[State], width: int) -> DimMatrix
         folds[i] = {}  # repacked now; free it while the rows fill
         row = entries[i]
         for j, x in acc.items():
-            row[j] = entries[j][i] = _qpoly(_unpack(2 * lo, x, tight))
+            row[j] = entries[j][i] = _from_coeffs(_unpack(2 * lo, x, tight))
     result = DimMatrix(tuple(seqs), tuple(tuple(row) for row in entries))
     for i in range(m):
         diag = result.entries[i][i]

@@ -83,11 +83,21 @@ def dominant_reduce(ctx: FockContext, beta: RootVec) -> RootVec:
     Infinite dimensional Lie algebras, 3.12).  At e = 2 both neighbour
     updates land on the one other vertex, which is the Cartan entry -2.
     """
+    return _reduce(ctx, beta, cone=False)
+
+
+def _reduce(ctx: FockContext, beta: RootVec, cone: bool) -> RootVec | None:
+    """``dominant_reduce``, or with ``cone`` None at the first negative
+    coefficient.  A reflection is taken only at a negative pairing, so it
+    lowers the one coefficient it touches: once a coefficient is negative the
+    reduction never returns to the positive cone."""
     if beta.rank != ctx.rank:
         raise ValueError("rank mismatch between context and root vector")
     e = ctx.rank.e
     fund = ctx.highest_weight().fund
     c = list(beta.coeffs)
+    if cone and min(c) < 0:
+        return None
     p = [fund[j] - 2 * c[j] + c[(j + 1) % e] + c[j - 1] for j in range(e)]
     cap = 10 * e * max(1, abs(beta.height))
     for _ in range(cap):
@@ -98,6 +108,8 @@ def dominant_reduce(ctx: FockContext, beta: RootVec) -> RootVec:
             return RootVec(ctx.rank, tuple(c))
         pi = p[i]
         c[i] += pi
+        if cone and c[i] < 0:
+            return None
         p[i] = -pi
         p[i - 1] += pi
         p[(i + 1) % e] += pi
@@ -108,7 +120,7 @@ def dominant_reduce(ctx: FockContext, beta: RootVec) -> RootVec:
 
 def is_weight(ctx: FockContext, beta: RootVec) -> bool:
     """Whether the context's highest weight minus beta is a module weight."""
-    return dominant_reduce(ctx, beta).in_positive_cone()
+    return _reduce(ctx, beta, cone=True) is not None
 
 
 def rep_root(ctx: FockContext, rep: CanonicalRep) -> RootVec:
@@ -122,8 +134,8 @@ def rep_root(ctx: FockContext, rep: CanonicalRep) -> RootVec:
 
 def canonical_rep(ctx: FockContext, beta: RootVec) -> CanonicalRep:
     """Canonical orbit label of the block of beta."""
-    plus = dominant_reduce(ctx, beta)
-    if not plus.in_positive_cone():
+    plus = _reduce(ctx, beta, cone=True)
+    if plus is None:
         raise NotAWeightError(f"{beta} does not label a nonzero block")
     return label_dominant(ctx, plus)
 

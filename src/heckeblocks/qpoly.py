@@ -84,16 +84,12 @@ class QPoly:
                 out[exp] = new
             else:
                 out.pop(exp, None)
-        res = QPoly.__new__(QPoly)
-        res._coeffs = out
-        return res
+        return _from_coeffs(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QPoly":
-        res = QPoly.__new__(QPoly)
-        res._coeffs = {e: -v for e, v in self._coeffs.items()}
-        return res
+        return _from_coeffs({e: -v for e, v in self._coeffs.items()})
 
     def __sub__(self, other: "QPoly | int") -> "QPoly":
         if isinstance(other, int):
@@ -107,9 +103,7 @@ class QPoly:
 
     def __mul__(self, other: "QPoly | int") -> "QPoly":
         if isinstance(other, int):
-            res = QPoly.__new__(QPoly)
-            res._coeffs = {e: v * other for e, v in self._coeffs.items()} if other else {}
-            return res
+            return _from_coeffs({e: v * other for e, v in self._coeffs.items()} if other else {})
         if not isinstance(other, QPoly):
             return NotImplemented
         out: dict[int, int] = {}
@@ -121,9 +115,7 @@ class QPoly:
                     out[e] = new
                 else:
                     del out[e]
-        res = QPoly.__new__(QPoly)
-        res._coeffs = out
-        return res
+        return _from_coeffs(out)
 
     __rmul__ = __mul__
 
@@ -156,15 +148,11 @@ class QPoly:
 
     def shift(self, k: int) -> "QPoly":
         """Multiply by q^k."""
-        res = QPoly.__new__(QPoly)
-        res._coeffs = {e + k: v for e, v in self._coeffs.items()}
-        return res
+        return _from_coeffs({e + k: v for e, v in self._coeffs.items()})
 
     def bar(self) -> "QPoly":
         """Substitute q -> q^-1."""
-        res = QPoly.__new__(QPoly)
-        res._coeffs = {-e: v for e, v in self._coeffs.items()}
-        return res
+        return _from_coeffs({-e: v for e, v in self._coeffs.items()})
 
     def to_json(self) -> dict:
         """Dense form {"min_deg": d, "coeffs": [...]} starting at q^d."""
@@ -198,6 +186,14 @@ class QPoly:
 
     def __repr__(self) -> str:
         return f"QPoly({self})"
+
+
+def _from_coeffs(coeffs: dict[int, int]) -> QPoly:
+    """A QPoly over a dict of nonzero integer coefficients, taken as it is,
+    without the public constructor's checks and normalising."""
+    poly = QPoly.__new__(QPoly)
+    poly._coeffs = coeffs
+    return poly
 
 
 def quantum_int(m: int) -> QPoly:

@@ -1,6 +1,8 @@
 """Bipartition combinatorics and the charged two-component node calculus."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckeblocks import (
     AffineRank,
@@ -228,6 +230,25 @@ def test_commutator_on_vacuum_matches_the_pairing(ctx11):
         ef = apply_e(ctx11, apply_f(ctx11, vacuum, i), i)
         fe = apply_f(ctx11, apply_e(ctx11, vacuum, i), i)
         assert ef - fe == vacuum.scale(quantum_int(expected))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_commutator_matches_the_pairing_at_level_one(data):
+    """[e_i, f_i] acts on a partition as the quantum integer of
+    <h_i, Lambda - content>: A9's identity at level one, where A9 checks
+    level two only."""
+    ell = data.draw(st.integers(min_value=1, max_value=4), label="ell")
+    size = data.draw(st.integers(min_value=0, max_value=6), label="size")
+    parts = data.draw(st.sampled_from(list(partitions(size))), label="partition")
+    ctx = FockContext(AffineRank(ell), 0, level=1)
+    i = data.draw(st.integers(min_value=0, max_value=ell), label="i")
+    shape = Bipartition(parts)
+    vec = FockVector.basis(shape)
+    ef = apply_e(ctx, apply_f(ctx, vec, i), i)
+    fe = apply_f(ctx, apply_e(ctx, vec, i), i)
+    pairing = pair_coroot(i, ctx.highest_weight(), content(ctx, shape))
+    assert ef - fe == vec.scale(quantum_int(pairing))
 
 
 def test_bitableau_json_round_trip(ctx11):

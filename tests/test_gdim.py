@@ -539,26 +539,27 @@ def test_quiver_bounds_rejects_low_degree_off_diagonal():
         quiver_bounds(m)
 
 
+def _fresh_cache(monkeypatch, maxsize):
+    """An empty prefix cache of the given size for the test, the module's
+    own restored after.  The recursion of ``_prefix_state`` looks itself up
+    in the module, so it goes through this cache too."""
+    cache = functools.lru_cache(maxsize=maxsize)(gdim._prefix_state.__wrapped__)
+    monkeypatch.setattr(gdim, "_prefix_state", cache)
+    return cache
+
+
 @pytest.fixture
-def fresh_memo(monkeypatch):
-    """An empty prefix memo for the test, the module's own restored after."""
-    monkeypatch.setattr(gdim, "_memo", {})
-    monkeypatch.setattr(gdim, "_memo_shapes", 0)
+def fresh_cache(monkeypatch):
+    return _fresh_cache(monkeypatch, gdim._CACHE_STATES)
 
 
 def _cold(call):
-    """The answer of ``call()`` with nothing memoised before or after it."""
-    gdim._memo.clear()
-    gdim._memo_shapes = 0
+    """The answer of ``call()`` with nothing cached before or after it."""
+    gdim._prefix_state.cache_clear()
     try:
         return call()
     finally:
-        gdim._memo.clear()
-        gdim._memo_shapes = 0
-
-
-def _memo_held():
-    return sum(len(state) for state in gdim._memo.values())
+        gdim._prefix_state.cache_clear()
 
 
 def _query_stream(seed, count):
@@ -589,45 +590,54 @@ def _query_stream(seed, count):
     return calls
 
 
-def test_memoised_answers_equal_cold_answers(fresh_memo):
+def test_memoised_answers_equal_cold_answers(fresh_cache, monkeypatch):
     """Contexts that share e but not s or the level, and words of different
-    lengths sharing a prefix, never read each other's memoised states."""
+    lengths sharing a prefix, never read each other's cached states."""
     calls = _query_stream(1, 160)
     cold = [_cold(call) for call in calls]
+    heads = set()
+    body = gdim._prefix_state.__wrapped__
+
+    def spy(ctx, n, prefix):
+        heads.add((ctx.rank.e, ctx.s, ctx.level, n))
+        return body(ctx, n, prefix)
+
+    cache = functools.lru_cache(maxsize=gdim._CACHE_STATES)(spy)
+    monkeypatch.setattr(gdim, "_prefix_state", cache)
     warm = [call() for call in calls]
     assert warm == cold
     assert any(answer for answer in cold)
-    assert len({key[:4] for key in gdim._memo}) > 4
+    assert len(heads) > 4
+    assert cache.cache_info().hits > 0
 
 
-def test_memo_never_holds_more_than_its_bound(fresh_memo):
+def test_memo_never_holds_more_than_its_bound(fresh_cache):
     ctx = FockContext(AffineRank(3), 2, level=2)
     words = residue_sequences(ctx, 2 * null_root(ctx.rank))
     rng = random.Random(2)
-    oldest = set()
     for _ in range(400):
         graded_dim(ctx, rng.choice(words), rng.choice(words))
-        oldest.add(next(iter(gdim._memo)))
-        assert _memo_held() == gdim._memo_shapes <= gdim._MEMO_SHAPES
-    assert len(oldest) > 1  # the stream outgrew the memo
+        assert fresh_cache.cache_info().currsize <= gdim._CACHE_STATES
+    assert fresh_cache.cache_info().misses > gdim._CACHE_STATES  # the stream outgrew it
 
 
-def test_answers_stay_right_after_eviction(fresh_memo, monkeypatch):
-    monkeypatch.setattr(gdim, "_MEMO_SHAPES", 40)
+def test_answers_stay_right_after_eviction(monkeypatch):
+    cache = _fresh_cache(monkeypatch, 40)
     calls = _query_stream(3, 160)
     cold = [_cold(call) for call in calls]
     warm = []
     for call in calls:
         warm.append(call())
-        assert _memo_held() == gdim._memo_shapes <= 40
+        assert cache.cache_info().currsize <= 40
     assert warm == cold
-    assert gdim._memo_shapes > 0
+    assert cache.cache_info().misses > 40
+    assert cache.cache_info().currsize > 0
 
 
-def test_memo_is_safe_under_threads(fresh_memo, monkeypatch):
-    """Four threads evicting from a small memo at once raise nothing, lose
-    no update to its shape count and get the single-threaded answers."""
-    monkeypatch.setattr(gdim, "_MEMO_SHAPES", 40)
+def test_memo_is_safe_under_threads(monkeypatch):
+    """Four threads evicting from a small cache at once raise nothing and
+    get the single-threaded answers."""
+    cache = _fresh_cache(monkeypatch, 40)
     streams = [_query_stream(seed, 200) for seed in (4, 5, 6, 7)]
     want = [[_cold(call) for call in calls] for calls in streams]
     got = [[] for _ in streams]
@@ -653,7 +663,14 @@ def test_memo_is_safe_under_threads(fresh_memo, monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert got == want
-    assert _memo_held() == gdim._memo_shapes <= 40
+    assert 0 < cache.cache_info().currsize <= 40
+
+
+@pytest.mark.parametrize("word", [(0,) * 2000, (0, 0) + (0, 1) * 600])
+def test_long_words_fold_without_deep_recursion(ctx11, word):
+    """A word far longer than the recursion limit folds a stretch at a time
+    and stops at its first empty state."""
+    assert graded_dim(ctx11, word, word) == 0
 
 
 @functools.lru_cache(maxsize=None)

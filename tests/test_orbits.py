@@ -8,6 +8,7 @@ from heckeblocks import (
     AffineRank,
     CanonicalRep,
     FockContext,
+    NotAWeightError,
     RootVec,
     canonical_rep,
     dominant_reduce,
@@ -77,6 +78,16 @@ def test_weight_detection(ctx21):
     assert is_weight(ctx21, null_root(ctx21.rank))
     assert not is_weight(ctx21, RootVec(ctx21.rank, (5, 0, 0)))
     assert not is_weight(ctx21, RootVec(ctx21.rank, (-1, 0, 0)))
+
+
+def test_a_large_non_weight_is_rejected_at_its_first_negative_coefficient(ctx11):
+    """One reflection takes (10**7, 0) out of the positive cone, which no
+    later reflection returns to; the full reduction's time grows with the
+    label, to seconds for this one."""
+    beta = RootVec(ctx11.rank, (10**7, 0))
+    assert not is_weight(ctx11, beta)
+    with pytest.raises(NotAWeightError):
+        canonical_rep(ctx11, beta)
 
 
 def test_rep_root_and_canonical_round_trip():
