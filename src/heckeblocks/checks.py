@@ -765,11 +765,13 @@ def oracle_reduction() -> CheckResult:
                     return _fail(name, f"{where}: reduction of {beta} is not idempotent")
                 if any(pair_coroot(i, weight, plus) < 0 for i in ctx.rank.vertices):
                     return _fail(name, f"{where}: reduction of {beta} is not dominant")
+                if is_weight(ctx, beta) != plus.in_positive_cone():
+                    return _fail(name, f"{where}: is_weight({beta}) disagrees with {plus}")
                 count += 1
     return _ok(
         name,
-        f"dominant reduction matches the textbook reduction, is idempotent and "
-        f"lands in the chamber on {count} vectors",
+        f"dominant reduction matches the textbook reduction, is idempotent, "
+        f"lands in the chamber and agrees with is_weight on {count} vectors",
     )
 
 

@@ -179,16 +179,24 @@ _CACHE_STATES = 1024
 _RUN = 256
 
 
+class _Unrealised(Exception):
+    """A prefix that no standard (bi)tableau reads: its state is empty."""
+
+
 @functools.lru_cache(maxsize=_CACHE_STATES)
 def _prefix_state(ctx: FockContext, n: int, prefix: ResidueSeq) -> State:
     """The state of a prefix of a word of length n: one step from the state
-    of the prefix one node shorter, from ``_start`` at the empty prefix.  An
-    empty state stays empty without stepping.  States are shared, never
+    of the prefix one node shorter, from ``_start`` at the empty prefix.
+    Past the first empty state it raises ``_Unrealised``, which the cache
+    does not keep, so an unrealised word takes one slot, for its first empty
+    prefix state, and not one per longer prefix.  States are shared, never
     mutated."""
     if not prefix:
         return _start(ctx)
     state = _prefix_state(ctx, n, prefix[:-1])
-    return _step(ctx, state, prefix[-1], _width(ctx.level, n)) if state else state
+    if not state:
+        raise _Unrealised
+    return _step(ctx, state, prefix[-1], _width(ctx.level, n))
 
 
 def _fold(ctx: FockContext, word: ResidueSeq) -> State:
@@ -198,18 +206,20 @@ def _fold(ctx: FockContext, word: ResidueSeq) -> State:
     only past the longest prefix cached, which ``graded_dim``, ``kostka_q``
     and ``dim_matrix`` share across calls.  The recursion is as deep as the
     part of the word not cached, so a long word is warmed ``_RUN`` nodes at
-    a time, stopping at the first empty state.
+    a time.  A word with an empty prefix state folds to ``{}``.
 
     The cache holds ``_CACHE_STATES`` prefix states and drops the least
-    recently used first.  It bounds states, not shapes: the largest state of
-    the block (3,2,2delta), height 8, has 25 shapes, but the 1024 largest
-    prefix states of (1,1,6delta), height 12, hold 251 014 shapes, about
-    49 MB."""
+    recently used first.  It bounds states, not shapes: the largest
+    state of the block (3,2,2delta), height 8, has 25 shapes, but the 1024
+    largest prefix states of (1,1,6delta), height 12, hold 251 014 shapes,
+    about 49 MB."""
     n = len(word)
-    for k in range(_RUN, n, _RUN):
-        if not _prefix_state(ctx, n, word[:k]):
-            return {}
-    return _prefix_state(ctx, n, word)
+    try:
+        for k in range(_RUN, n, _RUN):
+            _prefix_state(ctx, n, word[:k])
+        return _prefix_state(ctx, n, word)
+    except _Unrealised:
+        return {}
 
 
 def _walk(ctx: FockContext, beta: RootVec, merge: bool) -> Iterator[tuple[ResidueSeq, State]]:

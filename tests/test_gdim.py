@@ -549,8 +549,11 @@ def _fresh_cache(monkeypatch, maxsize):
 
 
 @pytest.fixture
-def fresh_cache(monkeypatch):
-    return _fresh_cache(monkeypatch, gdim._CACHE_STATES)
+def fresh_cache():
+    """The module's own prefix cache, emptied before and after the test."""
+    gdim._prefix_state.cache_clear()
+    yield gdim._prefix_state
+    gdim._prefix_state.cache_clear()
 
 
 def _cold(call):
@@ -596,22 +599,22 @@ def test_memoised_answers_equal_cold_answers(fresh_cache, monkeypatch):
     calls = _query_stream(1, 160)
     cold = [_cold(call) for call in calls]
     heads = set()
-    body = gdim._prefix_state.__wrapped__
+    step = gdim._step
 
-    def spy(ctx, n, prefix):
-        heads.add((ctx.rank.e, ctx.s, ctx.level, n))
-        return body(ctx, n, prefix)
+    def spy(ctx, state, i, w):
+        heads.add((ctx.rank.e, ctx.s, ctx.level, w))
+        return step(ctx, state, i, w)
 
-    cache = functools.lru_cache(maxsize=gdim._CACHE_STATES)(spy)
-    monkeypatch.setattr(gdim, "_prefix_state", cache)
+    monkeypatch.setattr(gdim, "_step", spy)
     warm = [call() for call in calls]
     assert warm == cold
     assert any(answer for answer in cold)
     assert len(heads) > 4
-    assert cache.cache_info().hits > 0
+    assert fresh_cache.cache_info().hits > 0
 
 
 def test_memo_never_holds_more_than_its_bound(fresh_cache):
+    assert fresh_cache.cache_info().maxsize == gdim._CACHE_STATES
     ctx = FockContext(AffineRank(3), 2, level=2)
     words = residue_sequences(ctx, 2 * null_root(ctx.rank))
     rng = random.Random(2)
@@ -667,10 +670,11 @@ def test_memo_is_safe_under_threads(monkeypatch):
 
 
 @pytest.mark.parametrize("word", [(0,) * 2000, (0, 0) + (0, 1) * 600])
-def test_long_words_fold_without_deep_recursion(ctx11, word):
+def test_long_words_fold_without_deep_recursion(ctx11, word, fresh_cache):
     """A word far longer than the recursion limit folds a stretch at a time
-    and stops at its first empty state."""
+    and caches no state past its first empty one."""
     assert graded_dim(ctx11, word, word) == 0
+    assert fresh_cache.cache_info().currsize < 5
 
 
 @functools.lru_cache(maxsize=None)
