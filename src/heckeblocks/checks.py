@@ -34,11 +34,11 @@ from .fock import (
     FockVector,
     apply_e,
     apply_f,
+    bipartitions,
     content,
     d_above,
     d_below,
     enumerate_standard,
-    partitions,
     remove_node,
     removable_nodes,
     tableau_stats,
@@ -312,28 +312,12 @@ def check_a6() -> CheckResult:
     return _ok(name, f"{count} classification table entries match")
 
 
-def _all_bipartitions(total: int) -> list[Bipartition]:
-    out = []
-    for m in range(total + 1):
-        for first in partitions(m):
-            for second in partitions(total - m):
-                out.append(Bipartition(first, second))
-    return out
-
-
 def _contexts(ell: int) -> list[FockContext]:
     """Every level-two context of the rank, one per charge, then the
     level-one context."""
     rank = AffineRank(ell)
     level_two = [FockContext(rank, s, level=2) for s in range(ell + 1)]
     return level_two + [FockContext(rank, 0, level=1)]
-
-
-def _shapes(ctx: FockContext, total: int) -> list[Bipartition]:
-    """The (bi)partitions of the given size that the context admits."""
-    if ctx.level == 1:
-        return [Bipartition(parts) for parts in partitions(total)]
-    return _all_bipartitions(total)
 
 
 def _weight_vectors(ell: int, max_height: int) -> list[RootVec]:
@@ -355,7 +339,7 @@ def check_a7() -> CheckResult:
             ctx = FockContext(rank, s, level=2)
             reachable: set[tuple[int, ...]] = set()
             for n in range(7):
-                for bp in _all_bipartitions(n):
+                for bp in bipartitions(ctx, n):
                     reachable.add(content(ctx, bp).coeffs)
             for beta in _weight_vectors(ell, 6):
                 oracle = beta.coeffs in reachable
@@ -416,10 +400,9 @@ def check_a9() -> CheckResult:
     count = 0
     for ell in range(1, 5):
         rank = AffineRank(ell)
-        bps = _all_bipartitions(0) + _all_bipartitions(1) + _all_bipartitions(2)
-        bps += _all_bipartitions(3) + _all_bipartitions(4)
         for s in range(ell + 1):
             ctx = FockContext(rank, s, level=2)
+            bps = [bp for n in range(5) for bp in bipartitions(ctx, n)]
             weight = ctx.highest_weight()
             for bp in bps:
                 vec = FockVector.basis(bp)
@@ -569,7 +552,7 @@ def oracle_corner_stats() -> CheckResult:
     for ell in (1, 2):
         for ctx in _contexts(ell):
             for n in range(1, 5):
-                for bp in _shapes(ctx, n):
+                for bp in bipartitions(ctx, n):
                     for node in removable_nodes(ctx, bp):
                         i = _brute_residue(ctx, (node.component, node.row, node.col))
                         mu = remove_node(bp, node)
@@ -631,7 +614,7 @@ def oracle_kostka() -> CheckResult:
     for ell in (1, 2):
         for ctx in _contexts(ell):
             for n in range(1, 5):
-                for shape in _shapes(ctx, n):
+                for shape in bipartitions(ctx, n):
                     words = {
                         tableau_stats(ctx, tab)[1]
                         for tab in enumerate_standard(ctx, shape)
@@ -654,7 +637,7 @@ def oracle_counts() -> CheckResult:
     rank = AffineRank(2)
     ctx = FockContext(rank, 1, level=2)
     for n in range(6):
-        for shape in _all_bipartitions(n):
+        for shape in bipartitions(ctx, n):
             got = count_standard(shape)
             want = sum(1 for _ in enumerate_standard(ctx, shape))
             if got != want:
@@ -702,7 +685,7 @@ def oracle_conventions() -> CheckResult:
     for ell in (1, 2):
         for ctx in _contexts(ell):
             for n in range(1, 5):
-                for shape in _shapes(ctx, n):
+                for shape in bipartitions(ctx, n):
                     for tab in enumerate_standard(ctx, shape):
                         post = tableau_stats(ctx, tab, "post")
                         pre = tableau_stats(ctx, tab, "pre")
@@ -782,7 +765,7 @@ def _small_blocks():
         for ctx in _contexts(ell):
             for height in range(7):
                 blocks: dict[tuple[int, ...], list[Bipartition]] = {}
-                for shape in _shapes(ctx, height):
+                for shape in bipartitions(ctx, height):
                     blocks.setdefault(content(ctx, shape).coeffs, []).append(shape)
                 for coeffs, shapes in blocks.items():
                     beta = RootVec(ctx.rank, coeffs)

@@ -236,7 +236,12 @@ def _add_block_flags(sub: argparse.ArgumentParser) -> None:
     """The context flags and one way to name the block."""
     _add_context_flags(sub)
     block = sub.add_mutually_exclusive_group(required=True)
-    block.add_argument("--beta", type=str, default=None, help="comma-separated coefficients")
+    block.add_argument(
+        "--beta",
+        type=str,
+        default=None,
+        help="comma-separated coefficients; write --beta=-1,0 when the first is negative",
+    )
     block.add_argument(
         "--from-bipartition",
         type=str,

@@ -29,6 +29,16 @@ def partitions(total: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
+def bipartitions(ctx: FockContext, total: int) -> Iterator[Bipartition]:
+    """The (bi)partitions of size total that the context admits, by the size
+    of the first component, then in the order of ``partitions``; at level
+    one, the partitions of total with an empty second component."""
+    for m in range(total + 1) if ctx.level == 2 else (total,):
+        for first in partitions(m):
+            for second in partitions(total - m):
+                yield Bipartition(first, second)
+
+
 class Node(NamedTuple):
     """A box position: component 1 or 2, row and column both 1-based."""
 
@@ -102,10 +112,10 @@ class FockContext:
     level: int = 2
 
     def __post_init__(self) -> None:
-        if self.level not in (1, 2):
-            raise ValueError(f"level must be 1 or 2, got {self.level}")
-        if not 0 <= self.s <= self.rank.ell:
-            raise ValueError(f"s must lie in 0..{self.rank.ell}, got {self.s}")
+        if type(self.level) is not int or self.level not in (1, 2):
+            raise ValueError(f"level must be the integer 1 or 2, got {self.level!r}")
+        if type(self.s) is not int or not 0 <= self.s <= self.rank.ell:
+            raise ValueError(f"s must be an integer in 0..{self.rank.ell}, got {self.s!r}")
         if self.level == 1 and self.s != 0:
             raise ValueError("a level-one context has charge 0")
 

@@ -39,9 +39,10 @@ Brundan-Kleshchev-Wang):
   whose fold it is in, and row i sums the products of packed histograms only
   over the classes j >= i sharing a shape with i; each entry is decoded once;
 - ``_walk`` walks the prefix trie of the block's words depth first, within
-  the per-residue budget of beta, so words share their prefixes' states.  It
-  is a generator: each word comes out with its fold, in lexicographic order,
-  as soon as it is reached, so a caller can stop the walk early;
+  the per-residue budget of beta, so words share their prefixes' states; a
+  word ends when its budget is spent.  It is a generator: each word comes
+  out with its fold, in lexicographic order, as soon as it is reached, so a
+  caller can stop the walk early;
 - ``residue_sequences`` takes every word of that walk;
 - ``nonzero_idempotents`` walks the same trie but expands each distinct
   state once: a prefix whose state an earlier prefix of the same content
@@ -66,7 +67,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .cartan import RootVec, _int_tuple
-from .fock import Bipartition, FockContext, content, partitions
+from .fock import Bipartition, FockContext, bipartitions, content
 from .qpoly import QPoly, _from_coeffs
 
 ResidueSeq = tuple[int, ...]
@@ -237,15 +238,11 @@ def _walk(ctx: FockContext, beta: RootVec, merge: bool) -> Iterator[tuple[Residu
     Words come out as they are reached, so a caller that stops early steps
     only as far as the last word it took."""
     _check_block(ctx, beta)
-    if beta.height == 0:
-        yield (), _start(ctx)
-        return
     yield from _extend(
         ctx,
         _start(ctx),
         list(beta.coeffs),
         [],
-        beta.height,
         _width(ctx.level, beta.height),
         {} if merge else None,
     )
@@ -256,15 +253,17 @@ def _extend(
     state: State,
     budget: list[int],
     word: list[int],
-    height: int,
     width: int,
     seen: dict[tuple[int, ...], list[State]] | None,
 ) -> Iterator[tuple[ResidueSeq, State]]:
     """The walk below one prefix: ``word`` folds to ``state`` and leaves
-    ``budget``; ``seen`` holds the states reached so far by budget, or is
-    None when nothing is merged.  States are packed ``width`` bits a degree;
-    the packed form is canonical, so equal states compare equal."""
-    last = len(word) + 1 == height
+    ``budget``, and is a word of the block once the budget is spent;
+    ``seen`` holds the states reached so far by budget, or is None when
+    nothing is merged.  States are packed ``width`` bits a degree; the packed
+    form is canonical, so equal states compare equal."""
+    if not any(budget):
+        yield tuple(word), state
+        return
     for i, left in enumerate(budget):
         if left:
             grown = _step(ctx, state, i, width)
@@ -278,10 +277,7 @@ def _extend(
                     continue
                 earlier.append(grown)
             word.append(i)
-            if last:
-                yield tuple(word), grown
-            else:
-                yield from _extend(ctx, grown, budget, word, height, width, seen)
+            yield from _extend(ctx, grown, budget, word, width, seen)
             word.pop()
             budget[i] += 1
 
@@ -317,22 +313,13 @@ def kostka_q(ctx: FockContext, shape: Bipartition, nu: Sequence[int]) -> QPoly:
         )
     key = (shape.comp1, shape.comp2)[: ctx.level]
     hit = _fold(ctx, seq).get(key)
-    return QPoly(_unpack(*hit, _width(ctx.level, len(seq))) if hit else {})
+    return _from_coeffs(_unpack(*hit, _width(ctx.level, len(seq))) if hit else {})
 
 
 def block_bipartitions(ctx: FockContext, beta: RootVec) -> list[Bipartition]:
     """All bipartitions whose residue content equals beta, sorted."""
     _check_block(ctx, beta)
-    n = beta.height
-    out = []
-    for m in range(n + 1):
-        if ctx.level == 1 and m != n:
-            continue
-        for p1 in partitions(m):
-            for p2 in partitions(n - m):
-                bp = Bipartition(p1, p2)
-                if content(ctx, bp) == beta:
-                    out.append(bp)
+    out = [bp for bp in bipartitions(ctx, beta.height) if content(ctx, bp) == beta]
     return sorted(out, key=lambda b: (b.comp1, b.comp2))
 
 
@@ -355,15 +342,14 @@ def nonzero_idempotents(ctx: FockContext, beta: RootVec) -> list[ResidueSeq]:
 
 def graded_dim(ctx: FockContext, nu_prime: Sequence[int], nu: Sequence[int]) -> QPoly:
     """Graded dimension between the idempotents of two residue words:
-    the sum over block bipartitions of K_q(shape, nu') * K_q(shape, nu)."""
+    the sum over block bipartitions of K_q(shape, nu') * K_q(shape, nu).
+    Words of different content give zero: a fold holds only shapes of its
+    word's content, so their folds share no shape."""
     a = _as_residue_seq(ctx, nu_prime)
     b = _as_residue_seq(ctx, nu)
     if len(a) != len(b):
         raise ValueError(f"residue words differ in length: {len(a)} vs {len(b)}")
-    if _seq_content(ctx, a) != _seq_content(ctx, b):
-        return QPoly.zero()
-    fold = _fold(ctx, a)
-    return _dot(fold, fold if b == a else _fold(ctx, b), _width(ctx.level, len(a)))
+    return _dot(_fold(ctx, a), _fold(ctx, b), _width(ctx.level, len(a)))
 
 
 @dataclass(frozen=True)
@@ -411,7 +397,7 @@ class DimMatrix:
         cells = [[str(p) for p in row] for row in self.entries]
         width0 = max((len(s) for s in labels), default=0)
         widths = [
-            max([len(labels[j])] + [cells[i][j] and len(cells[i][j]) or 1 for i in range(self.size)])
+            max([len(labels[j])] + [len(cells[i][j]) for i in range(self.size)])
             for j in range(self.size)
         ]
         lines = [
@@ -588,13 +574,11 @@ def _quiver_coeff(i: int, j: int, poly: QPoly) -> int:
     """c_ij of an entry delta_ij + c_ij q^2 + O(q^3) with nonnegative
     coefficients; QuiverShapeError naming the entry when it is not one."""
     delta = 1 if i == j else 0
-    rest = poly - QPoly({0: delta, 2: poly.coeff(2)})
-    md = rest.min_deg
     if (
         poly.coeff(0) != delta
-        or poly.coeff(1) != 0
+        or poly.coeff(1)
+        or (poly.min_deg or 0) < 0
         or not poly.is_nonnegative()
-        or (md is not None and md < 3)
     ):
         raise QuiverShapeError(
             f"entry ({i},{j}) = {poly} is not delta + c*q^2 + O(q^3)"

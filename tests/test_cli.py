@@ -131,6 +131,15 @@ def test_integer_lists_allow_spaces_and_signs(capsys):
     assert "e(0,1)" in out and "e(1,0)" in out
 
 
+def test_a_negative_first_coefficient_needs_the_equals_spelling(capsys):
+    code = main(["orbit", "--ell", "1", "--s", "1", "--beta", "-1,0"])
+    assert code == EXIT_USAGE
+    assert "argument --beta: expected one argument" in capsys.readouterr().err
+    code, out = run(capsys, "orbit", "--ell", "1", "--s", "1", "--beta=-1,0")
+    assert code == EXIT_OK
+    assert "dominant reduction: (-1,-1)" in out
+
+
 def test_orbit_report(capsys):
     code, out = run(capsys, "orbit", "--ell", "2", "--s", "1", "--beta", "3,1,1")
     assert code == EXIT_OK

@@ -78,6 +78,11 @@ def test_context_validation(rank2):
         FockContext(rank2, 3, level=2)
     with pytest.raises(ValueError):
         FockContext(rank2, 1, level=3)
+    for bad_s in (1.0, True):
+        with pytest.raises(ValueError, match="s must be an integer"):
+            FockContext(rank2, bad_s)
+    with pytest.raises(ValueError, match="level must be"):
+        FockContext(rank2, 0, level=2.0)
     ctx = FockContext(rank2, 1, level=2)
     assert ctx.highest_weight().level == 2
     assert (ctx.charge(1), ctx.charge(2)) == (0, 1)

@@ -539,6 +539,35 @@ def test_quiver_bounds_rejects_low_degree_off_diagonal():
         quiver_bounds(m)
 
 
+_NOT_A_BOUND = "is not delta + c*q^2 + O(q^3)"
+
+
+@pytest.mark.parametrize(
+    "i, j, terms, want",
+    [
+        (0, 0, {0: 1, 2: 2, 4: 1}, 2),
+        (0, 1, {2: 1, 3: 1}, 1),
+        (0, 1, {}, 0),
+        (0, 0, {}, f"entry (0,0) = 0 {_NOT_A_BOUND}"),
+        (0, 1, {0: 1, 2: 1}, f"entry (0,1) = 1+q^2 {_NOT_A_BOUND}"),
+        (0, 1, {1: 1, 3: 1}, f"entry (0,1) = q+q^3 {_NOT_A_BOUND}"),
+        (1, 1, {-2: 1, 0: 1, 2: 1}, f"entry (1,1) = q^-2+1+q^2 {_NOT_A_BOUND}"),
+        (1, 1, {0: 1, 4: -1}, f"entry (1,1) = 1-q^4 {_NOT_A_BOUND}"),
+    ],
+)
+def test_quiver_coeff_reads_each_clause(i, j, terms, want):
+    """Each entry either reads as delta_ij + c q^2 + O(q^3) with c returned,
+    or fails exactly one clause: the q^0 term, the q^1 term, a negative
+    degree, or a negative coefficient."""
+    poly = QPoly(terms)
+    if isinstance(want, int):
+        assert gdim._quiver_coeff(i, j, poly) == want
+    else:
+        with pytest.raises(QuiverShapeError) as exc:
+            gdim._quiver_coeff(i, j, poly)
+        assert str(exc.value) == want
+
+
 def _fresh_cache(monkeypatch, maxsize):
     """An empty prefix cache of the given size for the test, the module's
     own restored after.  The recursion of ``_prefix_state`` looks itself up
