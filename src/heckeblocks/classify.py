@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .cartan import AffineRank, RootVec, WeightVec, dynkin_rotate
+from .cartan import AffineRank, RootVec, WeightVec, _int_tuple, dynkin_rotate
 from .fock import FockContext, partitions
 from .gdim import QuiverBound, QuiverShapeError, _class_verdict
 from .orbits import (
@@ -307,7 +307,7 @@ def classify_level_two(
 ) -> BlockReport:
     """Classify for an arbitrary pair of charges by rotating the quiver so
     the smaller charge moves to vertex zero."""
-    a, b = charges
+    a, b = _int_tuple(charges, "charges")
     e = rank.e
     t = (-a) % e
     fund = [0] * e
@@ -376,10 +376,12 @@ def classify_heckeB(
     """
     if cfg is None:
         cfg = ClassifierConfig()
-    if e < 2:
-        raise ValueError(f"quantum characteristic must be at least 2, got {e}")
-    if n < 0:
-        raise ValueError(f"rank must be nonnegative, got {n}")
+    if type(e) is not int or e < 2:
+        raise ValueError(f"quantum characteristic must be an integer at least 2, got {e!r}")
+    if s is not None and type(s) is not int:
+        raise ValueError(f"s must be an integer or None, got {s!r}")
+    if type(n) is not int or n < 0:
+        raise ValueError(f"rank must be a nonnegative integer, got {n!r}")
     rank = AffineRank(e - 1)
     if s is not None:
         ctx = FockContext(rank, s % e, level=2)

@@ -128,6 +128,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_dims(args: argparse.Namespace) -> int:
     ctx = _context(args)
     beta = _beta_from_args(args, ctx)
+    if not beta.in_positive_cone():
+        raise NotAWeightError(f"{beta} is outside the positive cone; the block is zero")
     if args.all:
         matrix = class_matrix(ctx, beta)
         if not matrix.size:
@@ -274,7 +276,12 @@ def _build_parser() -> _Parser:
     p_dims = subs.add_parser("dims", help="graded dimension matrix")
     _add_block_flags(p_dims)
     words = p_dims.add_mutually_exclusive_group(required=True)
-    words.add_argument("--idems", type=str, default=None, help='words "0,1;1,0"')
+    words.add_argument(
+        "--idems",
+        type=str,
+        default=None,
+        help='words "0,1;1,0"; write --idems=-1,0 when the first entry is negative',
+    )
     words.add_argument("--all", action="store_true", help="use all idempotent classes")
     p_dims.set_defaults(handler=cmd_dims)
 

@@ -50,12 +50,14 @@ Brundan-Kleshchev-Wang):
   has the smaller words.  A word's class is its final state;
 - ``class_matrix`` hands those final states straight to the matrix
   assembly, so each class is folded once, by the walk that finds it;
-- ``quiver_bounds`` reads loops and arrows off a matrix.  The classify path
-  does not build the matrix: ``_quiver_verdict`` pulls the classes one at a
-  time, checks entry (0, j) as class j arrives and the later rows once the
-  walk is done, and stops at the first entry that rules the bound out.  On
-  most large blocks that is entry (0, 0) or (0, 1), a few classes into the
-  walk.
+- ``quiver_bounds`` reads loops and arrows off a matrix through
+  ``_read_bound``, the one reader of the bound: it reads entries over
+  j >= i in row order and stops at the first that rules the bound out.  The
+  classify path does not build the matrix: ``_class_verdict`` pulls the
+  classes one at a time, checks entry (0, j) as class j arrives, and hands
+  ``_read_bound`` the row-0 entries it kept and the ``_dot`` of two folds
+  for the rest.  On most large blocks the failing entry is (0, 0) or
+  (0, 1), a few classes into the walk.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .cartan import RootVec, _int_tuple
 from .fock import Bipartition, FockContext, bipartitions, content
@@ -564,10 +566,7 @@ def quiver_bounds(matrix: DimMatrix) -> QuiverBound:
     least c_ij arrows towards j.  The wild flag is set when some vertex has
     at least two loops with arrows both ways between it and another vertex.
     """
-    m = matrix.size
-    return _bound(
-        [[_quiver_coeff(i, j, matrix.entries[i][j]) for j in range(m)] for i in range(m)]
-    )
+    return _read_bound(matrix.size, matrix.entry)
 
 
 def _quiver_coeff(i: int, j: int, poly: QPoly) -> int:
@@ -586,49 +585,37 @@ def _quiver_coeff(i: int, j: int, poly: QPoly) -> int:
     return poly.coeff(2)
 
 
-def _bound(c: list[list[int]]) -> QuiverBound:
-    """The quiver bound of a symmetric matrix of q^2 coefficients."""
-    m = len(c)
-    wild = any(
-        c[i][i] >= 2 and c[i][j] >= 1 and c[j][i] >= 1
-        for i in range(m)
-        for j in range(m)
-        if i != j
-    )
-    return QuiverBound(
-        tuple(c[i][i] for i in range(m)),
-        tuple(tuple(row) for row in c),
-        wild,
-    )
-
-
-def _quiver_verdict(folds: Iterable[State], width: int) -> QuiverBound:
-    """``quiver_bounds`` of the matrix of the folds, packed ``width`` bits a
-    degree, decided from the first entry that rules it out.
-
-    Entry (0, j) is checked as fold j arrives, so a failure in row 0 stops
-    the folds being pulled; once they are all in, rows 1, 2, ... are checked
-    over j >= i, which is the order in which ``quiver_bounds`` meets the
-    entries of a symmetric matrix.  Each checked entry is the full ``_dot``
-    of two folds, the polynomial the matrix would hold, so the error names
-    the same entry with the same text."""
-    pulled: list[State] = []
-    first: list[int] = []
-    for j, fold in enumerate(folds):
-        pulled.append(fold)
-        first.append(_quiver_coeff(0, j, _dot(pulled[0], fold, width)))
-    m = len(pulled)
-    c = [first] if m else []
-    for i in range(1, m):
-        row = [c[j][i] for j in range(i)]
+def _read_bound(m: int, entry: Callable[[int, int], QPoly]) -> QuiverBound:
+    """The quiver bound of the symmetric m x m matrix with entries
+    ``entry(i, j)``.  Entries are read over j >= i in row order and mirrored,
+    which is the order in which a full row-order read first meets each one,
+    so the first entry that rules the bound out is named with the same text.
+    """
+    c = [[0] * m for _ in range(m)]
+    for i in range(m):
         for j in range(i, m):
-            row.append(_quiver_coeff(i, j, _dot(pulled[i], pulled[j], width)))
-        c.append(row)
-    return _bound(c)
+            c[i][j] = c[j][i] = _quiver_coeff(i, j, entry(i, j))
+    # c is symmetric, so an arrow i -> j comes with one j -> i.
+    wild = any(
+        c[i][i] >= 2 and c[i][j] >= 1 for i in range(m) for j in range(m) if i != j
+    )
+    return QuiverBound(tuple(c[i][i] for i in range(m)), tuple(map(tuple, c)), wild)
 
 
 def _class_verdict(ctx: FockContext, beta: RootVec) -> QuiverBound:
-    """``_quiver_verdict`` of the block's class folds, pulled from the class
-    walk as they are needed."""
-    folds = (fold for _, fold in _walk(ctx, beta, merge=True))
-    return _quiver_verdict(folds, _width(ctx.level, beta.height))
+    """``quiver_bounds`` of the class matrix, read from the class walk's
+    folds without building the matrix.  Entry (0, j) is checked as class j
+    arrives, so a failure in row 0 stops the walk; the later rows are read
+    once it is done.  Each entry is the full ``_dot`` of two folds, the
+    polynomial the matrix would hold, so an error names the same entry with
+    the same text."""
+    width = _width(ctx.level, beta.height)
+    folds: list[State] = []
+    first: list[QPoly] = []
+    for j, (_, fold) in enumerate(_walk(ctx, beta, merge=True)):
+        folds.append(fold)
+        first.append(_dot(folds[0], fold, width))
+        _quiver_coeff(0, j, first[j])
+    return _read_bound(
+        len(folds), lambda i, j: first[j] if i == 0 else _dot(folds[i], folds[j], width)
+    )

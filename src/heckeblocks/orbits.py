@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .cartan import (
     RootVec,
+    _int_tuple,
     lambda_rep,
     mu_rep,
     null_root,
@@ -46,6 +47,7 @@ class CanonicalRep:
     def __post_init__(self) -> None:
         if self.family not in (LAMBDA, MU):
             raise ValueError(f"family must be '{LAMBDA}' or '{MU}', got {self.family}")
+        _int_tuple((self.s, self.i, self.k), "s, i and k")
         if self.k < 0:
             raise ValueError(f"k must be nonnegative, got {self.k}")
 

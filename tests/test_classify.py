@@ -254,6 +254,35 @@ def test_heckeD_delegation_and_refusal():
     assert all(any("separated" in n for n in r.notes) for r in odd)
 
 
+@pytest.mark.parametrize(
+    "e, s, n, match",
+    [
+        (3, 0, 2.5, "rank"),
+        (3, 0, True, "rank"),
+        (3, True, 2, "s must be"),
+        (3, 1.0, 2, "s must be"),
+        (3.0, 0, 2, "quantum characteristic"),
+        (True, None, 2, "quantum characteristic"),
+    ],
+)
+def test_heckeB_rejects_arguments_that_are_not_ints(e, s, n, match):
+    with pytest.raises(ValueError, match=match):
+        classify_heckeB(e, s, n)
+
+
+@pytest.mark.parametrize("e, n", [(4, 2.0), (4, True), (4.0, 2), (3.0, 2)])
+def test_heckeD_rejects_arguments_that_are_not_ints(e, n):
+    with pytest.raises(ValueError, match="must be"):
+        classify_heckeD(e, n, ClassifierConfig(char_odd=True))
+
+
+@pytest.mark.parametrize("charges", [(0.0, 1), (True, 1), (0, 1.0), (0, False)])
+def test_level_two_rejects_charges_that_are_not_ints(charges):
+    rank = AffineRank(2)
+    with pytest.raises(ValueError, match="charges must be integers"):
+        classify_level_two(rank, charges, RootVec(rank, (1, 1, 0)))
+
+
 def test_partition_generator_counts():
     counts = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
     for n, want in enumerate(counts):

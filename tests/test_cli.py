@@ -3,6 +3,7 @@
 import inspect
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -96,6 +97,13 @@ def test_dims_trivial_and_empty_blocks(capsys):
     assert code == EXIT_EMPTY
 
 
+@pytest.mark.parametrize("words", [["--all"], ["--idems", "0,1"]])
+def test_dims_outside_the_positive_cone_is_an_empty_block(capsys, words):
+    code = main(["dims", "--ell", "1", "--s", "1", "--beta=-1,1", *words])
+    assert code == EXIT_EMPTY
+    assert "empty block: (-1,1) is outside the positive cone" in capsys.readouterr().err
+
+
 def test_dims_json_matrix(capsys):
     code, out = run(
         capsys, "dims", "--ell", "1", "--s", "1", "--beta", "1,1", "--all", "--json"
@@ -138,6 +146,49 @@ def test_a_negative_first_coefficient_needs_the_equals_spelling(capsys):
     code, out = run(capsys, "orbit", "--ell", "1", "--s", "1", "--beta=-1,0")
     assert code == EXIT_OK
     assert "dominant reduction: (-1,-1)" in out
+
+
+def test_a_negative_first_word_entry_needs_the_equals_spelling(capsys):
+    argv = ["dims", "--ell", "1", "--s", "1", "--beta", "1,1"]
+    code = main([*argv, "--idems", "-1,0"])
+    assert code == EXIT_USAGE
+    assert "argument --idems: expected one argument" in capsys.readouterr().err
+    code, out = run(capsys, *argv, "--idems=-1,0")
+    assert code == EXIT_OK
+    assert "e(1,0)  1+q^2+q^4" in out
+
+
+def _readme_commands():
+    """The lines of the README's command-line block, split as a shell would."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as f:
+        text = f.read()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [
+        (shlex.split(line, comments=True), line.partition("#")[2].split())
+        for line in block.splitlines()
+    ]
+
+
+def test_readme_command_examples_run(capsys):
+    """Every example in the README's command-line block exits 0, and each
+    classify line gives the type its comment names.  The check line is
+    left to test_check_oracle_suite."""
+    ran = []
+    for argv, comment in _readme_commands():
+        assert argv[0] == "heckeblocks", argv
+        if argv[1] == "check":
+            continue
+        code, out = run(capsys, *argv[1:])
+        assert code == EXIT_OK, argv
+        if argv[1] == "classify":
+            tag = comment[0].rstrip(",")
+            if "--json" in argv:
+                assert json.loads(out)["rep_type"] == tag, argv
+            else:
+                assert f"type: {tag}" in out, argv
+        ran.append(argv[1])
+    assert len(ran) == 10 and ran.count("classify") == 3
 
 
 def test_orbit_report(capsys):

@@ -299,10 +299,19 @@ def _packed(fold):
     }
 
 
-def _verdict(folds):
-    """The early-exit verdict, or the error text of its QuiverShapeError."""
+def _verdict(monkeypatch, folds):
+    """The early-exit verdict of ``_class_verdict`` with the class walk
+    replaced by the hand-built folds, pulled one at a time, or the error text
+    of its QuiverShapeError."""
+    monkeypatch.setattr(
+        gdim,
+        "_walk",
+        lambda ctx, beta, merge: (((j,), _packed(fold)) for j, fold in enumerate(folds)),
+    )
+    monkeypatch.setattr(gdim, "_width", lambda level, n: WIDTH)
+    ctx = FockContext(AffineRank(1), 0)
     try:
-        return gdim._quiver_verdict((_packed(fold) for fold in folds), WIDTH)
+        return gdim._class_verdict(ctx, RootVec(ctx.rank, (1, 1)))
     except QuiverShapeError as exc:
         return str(exc)
 
@@ -318,7 +327,7 @@ def _matrix_verdict(folds):
         return str(exc)
 
 
-def test_quiver_verdict_checks_the_later_rows_after_the_walk():
+def test_quiver_verdict_checks_the_later_rows_after_the_walk(monkeypatch):
     """Row 0 passes and entry (1,2) = q fails: the rows after the first are
     read once every fold is in, and the error matches the matrix's."""
     folds = [
@@ -326,12 +335,12 @@ def test_quiver_verdict_checks_the_later_rows_after_the_walk():
         {("a",): {0: 1}, ("s",): {1: 1}},
         {("b",): {0: 1}, ("s",): {0: 1}},
     ]
-    got = _verdict(iter(folds))
+    got = _verdict(monkeypatch, iter(folds))
     assert got == "entry (1,2) = q is not delta + c*q^2 + O(q^3)"
     assert got == _matrix_verdict(folds)
 
 
-def test_quiver_verdict_stops_pulling_at_a_failure_in_row_zero():
+def test_quiver_verdict_stops_pulling_at_a_failure_in_row_zero(monkeypatch):
     """Entry (0,3) = q fails: exactly four folds are pulled."""
     folds = [{("s",): {0: 1}}, {("a",): {0: 1}}, {("b",): {0: 1}}, {("s",): {1: 1}}]
     pulled = []
@@ -342,21 +351,26 @@ def test_quiver_verdict_stops_pulling_at_a_failure_in_row_zero():
             yield fold
         raise AssertionError("pulled past the failing entry")
 
-    got = _verdict(source())
+    got = _verdict(monkeypatch, source())
     assert len(pulled) == 4
     assert got == "entry (0,3) = q is not delta + c*q^2 + O(q^3)"
     assert got == _matrix_verdict(folds)
 
 
-def test_quiver_verdict_of_folds_that_pass():
+def test_quiver_verdict_of_folds_that_pass(monkeypatch):
     folds = [
         {("a",): {0: 1}, ("s",): {1: 1}, ("u",): {1: 1}, ("v",): {2: 1}},
         {("b",): {0: 1}, ("s",): {1: 1}},
     ]
-    got = _verdict(iter(folds))
+    got = _verdict(monkeypatch, iter(folds))
     assert got == _matrix_verdict(folds)
     assert got.arrows == ((2, 1), (1, 1)) and got.wild
-    assert _verdict(iter([])) == _matrix_verdict([])
+    # one loop at each vertex with arrows both ways is not wild
+    tame = [{("a",): {0: 1}, ("s",): {1: 1}}, {("b",): {0: 1}, ("s",): {1: 1}}]
+    got = _verdict(monkeypatch, iter(tame))
+    assert got == _matrix_verdict(tame)
+    assert got.arrows == ((1, 1), (1, 1)) and not got.wild
+    assert _verdict(monkeypatch, iter([])) == _matrix_verdict([])
 
 
 def test_every_weight_block_has_a_class():

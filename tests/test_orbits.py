@@ -36,6 +36,20 @@ def test_canonical_rep_validation_and_round_trip():
         CanonicalRep(LAMBDA, 1, 0, -1)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: CanonicalRep(LAMBDA, 0, 0, True),
+        lambda: CanonicalRep(LAMBDA, 0, 0, 1.5),
+        lambda: CanonicalRep(LAMBDA, 1.0, 0, 0),
+        lambda: CanonicalRep.from_json({"family": LAMBDA, "s": 0, "i": "1", "k": 0}),
+    ],
+)
+def test_canonical_rep_rejects_values_that_are_not_ints(make):
+    with pytest.raises(ValueError, match="s, i and k must be integers"):
+        make()
+
+
 def test_dominant_reduce_explicit(ctx21):
     beta = RootVec(ctx21.rank, (3, 1, 1))
     reduced = dominant_reduce(ctx21, beta)
