@@ -702,11 +702,13 @@ def textbook_reduce(ctx: FockContext, beta: RootVec) -> RootVec:
     """Dominant reduction read off the Cartan matrix: pair every vertex with
     ``pair_coroot`` after each step and reflect with ``simple_reflection``
     at the smallest one with negative pairing, under the same iteration cap
-    as ``orbits.dominant_reduce``.  An independent oracle for it."""
+    as ``orbits.dominant_reduce``, e^2 times the sum of the initial |pairings|.
+    An independent oracle for it."""
     if beta.rank != ctx.rank:
         raise ValueError("rank mismatch between context and root vector")
     weight = ctx.highest_weight()
-    cap = 10 * ctx.rank.e * max(1, abs(beta.height))
+    total = sum(abs(pair_coroot(i, weight, beta)) for i in ctx.rank.vertices)
+    cap = ctx.rank.e ** 2 * max(1, total)
     cur = beta
     for _ in range(cap):
         for i in ctx.rank.vertices:

@@ -13,13 +13,7 @@ from typing import Optional
 from .cartan import AffineRank, RootVec, WeightVec, _int_tuple, dynkin_rotate
 from .fock import FockContext, partitions
 from .gdim import QuiverBound, QuiverShapeError, _class_verdict
-from .orbits import (
-    LAMBDA,
-    MU,
-    CanonicalRep,
-    NotAWeightError,
-    canonical_rep,
-)
+from .orbits import LAMBDA, MU, CanonicalRep, canonical_rep
 
 SIMPLE = "simple"
 FINITE = "finite"
@@ -95,12 +89,6 @@ class RepType:
             raise ValueError(f"unknown tag {self.tag}")
         if self.structure is not None and self.tag in (SIMPLE, WILD):
             raise ValueError("structure data only applies to finite/tame blocks")
-
-    def to_json(self) -> dict:
-        return {
-            "tag": self.tag,
-            "brauer": None if self.structure is None else self.structure.to_json(),
-        }
 
     def __str__(self) -> str:
         return self.tag
@@ -260,16 +248,7 @@ def classify_block(
     """Full report for the block of beta in the given context."""
     if cfg is None:
         cfg = ClassifierConfig()
-    if beta.rank != ctx.rank:
-        raise ValueError("rank mismatch between context and root vector")
-    if not beta.in_positive_cone():
-        raise NotAWeightError(f"{beta} is outside the positive cone; the block is zero")
-    try:
-        rep = canonical_rep(ctx, beta)
-    except NotAWeightError:
-        raise NotAWeightError(
-            f"{beta} does not correspond to a module weight; the block is zero"
-        ) from None
+    rep = canonical_rep(ctx, beta)
     notes: list[str] = []
     if ctx.level == 1:
         rep_type = _levelone_type(ctx, rep)
@@ -306,7 +285,7 @@ def classify_level_two(
     cfg: Optional[ClassifierConfig] = None,
 ) -> BlockReport:
     """Classify for an arbitrary pair of charges by rotating the quiver so
-    the smaller charge moves to vertex zero."""
+    the first charge moves to vertex zero."""
     a, b = _int_tuple(charges, "charges")
     e = rank.e
     t = (-a) % e

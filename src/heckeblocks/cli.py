@@ -22,7 +22,7 @@ from .classify import (
 )
 from .fock import Bipartition, FockContext, content, enumerate_standard, tableau_stats
 from .gdim import class_matrix, dim_matrix
-from .orbits import NotAWeightError, dominant_reduce, label_dominant
+from .orbits import NotAWeightError, canonical_rep, dominant_reduce, label_dominant
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -41,7 +41,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _context(args: argparse.Namespace) -> FockContext:
     rank = AffineRank(args.ell)
-    return FockContext(rank, args.s, level=getattr(args, "level", 2))
+    return FockContext(rank, args.s, level=args.level)
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -84,16 +84,16 @@ def _beta_from_args(args: argparse.Namespace, ctx: FockContext) -> RootVec:
 def _config(args: argparse.Namespace) -> ClassifierConfig:
     try:
         return ClassifierConfig(
-            char2=getattr(args, "char2", False),
-            char_odd=getattr(args, "char_odd", False),
-            lambda_is_sign=getattr(args, "lambda_sign", "true") == "true",
+            char2=args.char2,
+            char_odd=args.char_odd,
+            lambda_is_sign=args.lambda_sign == "true",
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
 
 def _emit(args: argparse.Namespace, payload, human: str) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(human)
@@ -128,13 +128,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_dims(args: argparse.Namespace) -> int:
     ctx = _context(args)
     beta = _beta_from_args(args, ctx)
-    if not beta.in_positive_cone():
-        raise NotAWeightError(f"{beta} is outside the positive cone; the block is zero")
+    canonical_rep(ctx, beta)  # raises NotAWeightError on a zero block
     if args.all:
         matrix = class_matrix(ctx, beta)
-        if not matrix.size:
-            print(f"no nonzero idempotents: {beta} labels an empty block")
-            return EXIT_EMPTY
     else:
         idems = []
         for chunk in args.idems.split(";"):
@@ -175,16 +171,15 @@ def cmd_blocks(args: argparse.Namespace) -> int:
         reports = classify_heckeD(args.e, args.n, cfg)
     else:
         reports = classify_heckeB(args.e, None if args.separated else args.s, args.n, cfg)
-    if getattr(args, "json", False):
-        print(json.dumps([r.to_json() for r in reports], indent=2, sort_keys=True))
-        return EXIT_OK
+    lines = []
     for report in reports:
         if "beta" in report.input:
             label = f"beta={report.input['beta']}"
         else:
             label = f"beta1={report.input['beta1']} beta2={report.input['beta2']}"
         canon = f" canonical={report.canonical}" if report.canonical else ""
-        print(f"{label} type={report.rep_type.tag}{canon}")
+        lines.append(f"{label} type={report.rep_type.tag}{canon}")
+    _emit(args, [r.to_json() for r in reports], "\n".join(lines))
     return EXIT_OK
 
 
@@ -205,16 +200,13 @@ def cmd_tableaux(args: argparse.Namespace) -> int:
                 "degree": degree,
             }
         )
-    if getattr(args, "json", False):
-        print(json.dumps(rows, indent=2, sort_keys=True))
-    else:
-        for idx, row in enumerate(rows):
-            growth = " ".join(
-                f"({c},{r},{col})" for c, r, col in row["growth"]
-            )
-            residues = ",".join(str(x) for x in row["residues"])
-            print(f"T{idx}: degree={row['degree']} residues=({residues}) growth={growth}")
-        print(f"total: {len(rows)}")
+    lines = []
+    for idx, row in enumerate(rows):
+        growth = " ".join(f"({c},{r},{col})" for c, r, col in row["growth"])
+        residues = ",".join(str(x) for x in row["residues"])
+        lines.append(f"T{idx}: degree={row['degree']} residues=({residues}) growth={growth}")
+    lines.append(f"total: {len(rows)}")
+    _emit(args, rows, "\n".join(lines))
     return EXIT_OK
 
 

@@ -92,7 +92,15 @@ def _reduce(ctx: FockContext, beta: RootVec, cone: bool) -> RootVec | None:
     """``dominant_reduce``, or with ``cone`` None at the first negative
     coefficient.  A reflection is taken only at a negative pairing, so it
     lowers the one coefficient it touches: once a coefficient is negative the
-    reduction never returns to the positive cone."""
+    reduction never returns to the positive cone, and in cone mode it stops
+    within height(beta) reflections.
+
+    Each reflection lowers by one the number N of positive real coroots that
+    pair negatively with Lambda - beta, so the reduction takes exactly N
+    steps (Kac, Infinite dimensional Lie algebras, Lemma 3.11).  In affine
+    type A at positive level, N <= sum over 1 <= i <= j <= ell of
+    |p_i + ... + p_j| <= e^2 * sum_j |p_j| for the initial pairings p_j;
+    that is the cap, and ReductionCapError past it means a bug."""
     if beta.rank != ctx.rank:
         raise ValueError("rank mismatch between context and root vector")
     e = ctx.rank.e
@@ -101,7 +109,7 @@ def _reduce(ctx: FockContext, beta: RootVec, cone: bool) -> RootVec | None:
     if cone and min(c) < 0:
         return None
     p = [fund[j] - 2 * c[j] + c[(j + 1) % e] + c[j - 1] for j in range(e)]
-    cap = 10 * e * max(1, abs(beta.height))
+    cap = e * e * max(1, sum(map(abs, p)))
     for _ in range(cap):
         for i in range(e):
             if p[i] < 0:
@@ -135,10 +143,19 @@ def rep_root(ctx: FockContext, rep: CanonicalRep) -> RootVec:
 
 
 def canonical_rep(ctx: FockContext, beta: RootVec) -> CanonicalRep:
-    """Canonical orbit label of the block of beta."""
+    """Canonical orbit label of the block of beta.
+
+    This is the one test of whether a block is zero: NotAWeightError when
+    Lambda - beta is not a module weight, saying whether beta is outside
+    the positive cone or only reduces out of it, and ValueError when beta's
+    rank is not the context's."""
     plus = _reduce(ctx, beta, cone=True)
     if plus is None:
-        raise NotAWeightError(f"{beta} does not label a nonzero block")
+        if beta.in_positive_cone():
+            why = "does not correspond to a module weight"
+        else:
+            why = "is outside the positive cone"
+        raise NotAWeightError(f"{beta} {why}; the block is zero")
     return label_dominant(ctx, plus)
 
 

@@ -160,6 +160,11 @@ def test_classify_block_rejects_non_weights(ctx21):
         classify_block(ctx21, RootVec(ctx21.rank, (-1, 1, 0)), with_quiver=False)
 
 
+def test_classify_block_rejects_a_root_vector_of_another_rank(ctx21):
+    with pytest.raises(ValueError, match="^rank mismatch between context and root vector$"):
+        classify_block(ctx21, RootVec(AffineRank(1), (1, 1)))
+
+
 def test_classify_block_skips_quiver_above_cap(ctx11):
     report = classify_block(ctx11, RootVec(ctx11.rank, (5, 5)))
     assert report.rep_type.tag == WILD

@@ -104,6 +104,17 @@ def test_dims_outside_the_positive_cone_is_an_empty_block(capsys, words):
     assert "empty block: (-1,1) is outside the positive cone" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("words", [["--all"], ["--all", "--json"], ["--idems", "0,0"]])
+def test_dims_on_a_cone_label_that_is_no_weight_is_an_empty_block(capsys, words):
+    code = main(["dims", "--ell", "1", "--s", "1", "--beta", "2,0", *words])
+    captured = capsys.readouterr()
+    assert code == EXIT_EMPTY
+    assert captured.out == ""
+    assert captured.err == (
+        "empty block: (2,0) does not correspond to a module weight; the block is zero\n"
+    )
+
+
 def test_dims_json_matrix(capsys):
     code, out = run(
         capsys, "dims", "--ell", "1", "--s", "1", "--beta", "1,1", "--all", "--json"
@@ -199,6 +210,18 @@ def test_orbit_report(capsys):
     code, out = run(capsys, "orbit", "--ell", "2", "--s", "1", "--beta", "5,0,0")
     assert code == EXIT_OK
     assert "False" in out
+
+
+def test_orbit_reduces_a_mixed_sign_label_past_its_height(capsys):
+    """(-3,-3,5) at level one takes 31 reflections, more than a cap of
+    10*e*|height| = 30 would allow."""
+    code, out = run(capsys, "orbit", "--ell", "2", "--level", "1", "--beta=-3,-3,5")
+    assert code == EXIT_OK
+    assert out == (
+        "dominant reduction: (-67,-67,-67)\n"
+        "weight of the module: False\n"
+        "canonical: none (empty block)\n"
+    )
 
 
 def test_blocks_listing(capsys):

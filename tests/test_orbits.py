@@ -73,18 +73,18 @@ def test_dominant_reduce_matches_textbook_reduction(data):
     level = data.draw(st.sampled_from([1, 2]), label="level")
     s = data.draw(st.integers(min_value=0, max_value=ell), label="s") if level == 2 else 0
     coeffs = data.draw(
-        st.lists(st.integers(min_value=-2, max_value=8), min_size=ell + 1, max_size=ell + 1),
+        st.lists(st.integers(min_value=-8, max_value=8), min_size=ell + 1, max_size=ell + 1),
         label="coeffs",
     )
     rank = AffineRank(ell)
     ctx = FockContext(rank, s, level=level)
     beta = RootVec(rank, tuple(coeffs))
     got = _reduction_outcome(dominant_reduce, ctx, beta)
+    assert isinstance(got, RootVec), got  # the cap bounds every reduction
     assert got == _reduction_outcome(textbook_reduce, ctx, beta)
-    if isinstance(got, RootVec):
-        weight = ctx.highest_weight()
-        assert all(pair_coroot(i, weight, got) >= 0 for i in rank.vertices)
-        assert dominant_reduce(ctx, got) == got
+    weight = ctx.highest_weight()
+    assert all(pair_coroot(i, weight, got) >= 0 for i in rank.vertices)
+    assert dominant_reduce(ctx, got) == got
 
 
 def test_weight_detection(ctx21):
@@ -92,6 +92,20 @@ def test_weight_detection(ctx21):
     assert is_weight(ctx21, null_root(ctx21.rank))
     assert not is_weight(ctx21, RootVec(ctx21.rank, (5, 0, 0)))
     assert not is_weight(ctx21, RootVec(ctx21.rank, (-1, 0, 0)))
+
+
+@pytest.mark.parametrize(
+    "coeffs, why",
+    [
+        ((5, 0, 0), "does not correspond to a module weight"),
+        ((-1, 1, 0), "is outside the positive cone"),
+    ],
+)
+def test_canonical_rep_says_why_a_block_is_zero(ctx21, coeffs, why):
+    beta = RootVec(ctx21.rank, coeffs)
+    with pytest.raises(NotAWeightError) as info:
+        canonical_rep(ctx21, beta)
+    assert str(info.value) == f"{beta} {why}; the block is zero"
 
 
 def test_a_large_non_weight_is_rejected_at_its_first_negative_coefficient(ctx11):
