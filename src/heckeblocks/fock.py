@@ -92,7 +92,11 @@ class Bipartition:
 
     @classmethod
     def from_json(cls, data: list[list[int]]) -> "Bipartition":
-        if len(data) != 2:
+        """The bipartition of a list of two lists of parts; ValueError for
+        any other data."""
+        if not (
+            type(data) is list and len(data) == 2 and all(type(c) is list for c in data)
+        ):
             raise ValueError("a bipartition is a pair of partitions")
         return cls(tuple(data[0]), tuple(data[1]))
 

@@ -22,14 +22,14 @@ once, which is the Fock-space form of the graded dimension formula (e_i read
 along the word; Brundan-Kleshchev, with the degrees of
 Brundan-Kleshchev-Wang):
 
-- ``_fold`` reads the step along one word.  Prefix states come from
-  ``_prefix_state``, one step from the state of the prefix one node
-  shorter, under a ``functools.lru_cache`` keyed by the context, the word
-  length and the prefix, so repeated point lookups step only the new
-  suffix.  The cache holds ``_CACHE_STATES`` = 1024 prefix states, least
-  recently used dropped first.  It bounds states, not shapes: the 1024
-  largest prefix states of the block (1,1,6delta), height 12, hold 251 014
-  shapes, about 49 MB.  Cached states are shared and never mutated;
+- ``_fold`` reads the step along one word in one loop, stopping at the
+  first empty state, under a ``functools.lru_cache`` keyed by the context
+  and the word, so a repeated point lookup folds nothing.  The cache holds
+  ``_CACHE_STATES`` = 1024 folds, least recently used dropped first.  It
+  bounds states, not shapes: a fold is a prefix state of its own word, so
+  1024 folds of the block (1,1,6delta), height 12, hold at most the 251 014
+  shapes, about 49 MB, of its 1024 largest prefix states.  Cached states
+  are shared and never mutated;
 - ``kostka_q`` looks the shape up in the fold of the word and decodes it;
 - ``graded_dim`` is the dot product of the folds of its two words: one
   product of packed ints per shared shape, decoded once;
@@ -131,43 +131,40 @@ def _step(ctx: FockContext, state: State, i: int, width: int) -> State:
     strictly below it (later components, then larger rows), read in the
     larger shape.  Apart from the new node itself, which is not below
     itself, adding an i-node toggles only corners of the neighbouring
-    residues, so the i-corners of the smaller shape are the ones scanned.
-    Shifting a histogram is moving its least degree; two histograms landing
-    on one shape are aligned by one shift and added.
+    residues, so the i-corners of the smaller shape are the ones counted.
+    Each shape is read once from the bottom up with a running degree: a
+    removable i-node lowers it by one, an addable one is added at it and
+    then raises it by one.  Shifting a histogram is moving its least
+    degree; two histograms landing on one shape are aligned by one shift and
+    added.
     """
     e = ctx.rank.e
     out: State = {}
     for shape, (lo, packed) in state.items():
-        corners = []  # (+1 addable / -1 removable, component, row), top to bottom
-        for k, parts in enumerate(shape):
+        least = lo
+        for k in reversed(range(len(shape))):
+            parts = shape[k]
             charge = ctx.s if k else 0
             last = len(parts)
-            for r in range(last + 1):
+            for r in range(last, -1, -1):
                 p = parts[r] if r < last else 0
-                if (r == 0 or parts[r - 1] > p) and (p - r + charge) % e == i:
-                    corners.append((1, k, r))
-                if r < last and (r + 1 == last or parts[r + 1] < p) and (
-                    p - 1 - r + charge
-                ) % e == i:
-                    corners.append((-1, k, r))
-        below = 0
-        for sign, k, r in reversed(corners):
-            if sign > 0:
-                parts = shape[k]
-                if r < len(parts):
-                    grown = parts[:r] + (parts[r] + 1,) + parts[r + 1 :]
-                else:
-                    grown = parts + (1,)
-                new = shape[:k] + (grown,) + shape[k + 1 :]
-                least = lo + below
-                acc = out.get(new)
-                if acc is None:
-                    out[new] = (least, packed)
-                elif acc[0] <= least:
-                    out[new] = (acc[0], acc[1] + (packed << width * (least - acc[0])))
-                else:
-                    out[new] = (least, packed + (acc[1] << width * (acc[0] - least)))
-            below += sign
+                # The node right of row r has residue i + d; the last node
+                # of the row, one less.  As e >= 2, at most one is an i-node.
+                d = (p - r + charge - i) % e
+                if d == 1:
+                    if r < last and (r + 1 == last or parts[r + 1] < p):
+                        least -= 1
+                elif d == 0 and (r == 0 or parts[r - 1] > p):
+                    grown = parts[:r] + (p + 1,) + parts[r + 1 :]
+                    new = shape[:k] + (grown,) + shape[k + 1 :]
+                    acc = out.get(new)
+                    if acc is None:
+                        out[new] = (least, packed)
+                    elif acc[0] <= least:
+                        out[new] = (acc[0], acc[1] + (packed << width * (least - acc[0])))
+                    else:
+                        out[new] = (least, packed + (acc[1] << width * (acc[0] - least)))
+                    least += 1
     return out
 
 
@@ -175,54 +172,31 @@ def _start(ctx: FockContext) -> State:
     return {((),) * ctx.level: (0, 1)}
 
 
-#: Most prefix states the cache of ``_prefix_state`` holds.
+#: Most word folds the cache of ``_fold`` holds.
 _CACHE_STATES = 1024
-#: Longest stretch of a word ``_fold`` leaves to one recursion of
-#: ``_prefix_state``; longer words are warmed a stretch at a time.
-_RUN = 256
-
-
-class _Unrealised(Exception):
-    """A prefix that no standard (bi)tableau reads: its state is empty."""
 
 
 @functools.lru_cache(maxsize=_CACHE_STATES)
-def _prefix_state(ctx: FockContext, n: int, prefix: ResidueSeq) -> State:
-    """The state of a prefix of a word of length n: one step from the state
-    of the prefix one node shorter, from ``_start`` at the empty prefix.
-    Past the first empty state it raises ``_Unrealised``, which the cache
-    does not keep, so an unrealised word takes one slot, for its first empty
-    prefix state, and not one per longer prefix.  States are shared, never
-    mutated."""
-    if not prefix:
-        return _start(ctx)
-    state = _prefix_state(ctx, n, prefix[:-1])
-    if not state:
-        raise _Unrealised
-    return _step(ctx, state, prefix[-1], _width(ctx.level, n))
-
-
 def _fold(ctx: FockContext, word: ResidueSeq) -> State:
-    """The state of one word: the step read along it from the empty shape.
+    """The state of one word: the step read along it from the empty shape,
+    stopping at the first empty state, so a word that no standard
+    (bi)tableau reads folds to ``{}``.
 
-    Prefix states come from the cache of ``_prefix_state``, so a fold steps
-    only past the longest prefix cached, which ``graded_dim``, ``kostka_q``
-    and ``dim_matrix`` share across calls.  The recursion is as deep as the
-    part of the word not cached, so a long word is warmed ``_RUN`` nodes at
-    a time.  A word with an empty prefix state folds to ``{}``.
-
-    The cache holds ``_CACHE_STATES`` prefix states and drops the least
-    recently used first.  It bounds states, not shapes: the largest
-    state of the block (3,2,2delta), height 8, has 25 shapes, but the 1024
-    largest prefix states of (1,1,6delta), height 12, hold 251 014 shapes,
-    about 49 MB."""
-    n = len(word)
-    try:
-        for k in range(_RUN, n, _RUN):
-            _prefix_state(ctx, n, word[:k])
-        return _prefix_state(ctx, n, word)
-    except _Unrealised:
-        return {}
+    Folds are cached by context and word, which ``graded_dim``, ``kostka_q``
+    and ``dim_matrix`` share across calls; a cached fold is shared and never
+    mutated.  The cache holds ``_CACHE_STATES`` folds and drops the least
+    recently used first.  It bounds states, not shapes: the largest state of
+    the block (3,2,2delta), height 8, has 25 shapes.  A fold is the state of
+    a prefix of its own word, so 1024 folds of (1,1,6delta), height 12, hold
+    at most the 251 014 shapes, about 49 MB, of its 1024 largest prefix
+    states."""
+    width = _width(ctx.level, len(word))
+    state = _start(ctx)
+    for i in word:
+        state = _step(ctx, state, i, width)
+        if not state:
+            break
+    return state
 
 
 def _walk(ctx: FockContext, beta: RootVec, merge: bool) -> Iterator[tuple[ResidueSeq, State]]:

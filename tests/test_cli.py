@@ -283,6 +283,18 @@ def test_classify_rejects_parts_that_are_not_ints(capsys, shape):
     assert "must consist of integers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("shape", ['{"a":1,"b":2}', '"ab"', "[[1],2]", "null"])
+@pytest.mark.parametrize("flag", ["--from-bipartition", "--shape"])
+def test_a_shape_that_is_not_two_lists_is_malformed(capsys, flag, shape):
+    command = "classify" if flag == "--from-bipartition" else "tableaux"
+    assert main([command, "--ell", "1", flag, shape]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == (
+        f"usage error: malformed bipartition {shape!r}: "
+        "a bipartition is a pair of partitions\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -47,6 +47,15 @@ def test_bipartition_rejects_parts_that_are_not_ints(data):
         Bipartition.from_json(data)
 
 
+@pytest.mark.parametrize(
+    "data",
+    [{"a": 1, "b": 2}, "ab", [[1], 2], [1, 2], None, [[1], [1], [1]], ([1], [1]), [(1,), [1]]],
+)
+def test_bipartition_from_json_takes_only_a_list_of_two_lists(data):
+    with pytest.raises(ValueError, match="a bipartition is a pair of partitions"):
+        Bipartition.from_json(data)
+
+
 def test_bipartition_json_and_str():
     bp = Bipartition((2, 1))
     assert Bipartition.from_json(bp.to_json()) == bp

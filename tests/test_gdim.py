@@ -37,7 +37,7 @@ from heckeblocks import (
     tableau_stats,
     ungraded_block_dim,
 )
-from heckeblocks import gdim
+from heckeblocks import fock, gdim
 from heckeblocks.checks import _replay, _replay_dim, oracle_engine_replay
 from heckeblocks.fock import partitions
 from heckeblocks.gdim import _fold, _seq_content, _unpack, _width
@@ -583,29 +583,29 @@ def test_quiver_coeff_reads_each_clause(i, j, terms, want):
 
 
 def _fresh_cache(monkeypatch, maxsize):
-    """An empty prefix cache of the given size for the test, the module's
-    own restored after.  The recursion of ``_prefix_state`` looks itself up
-    in the module, so it goes through this cache too."""
-    cache = functools.lru_cache(maxsize=maxsize)(gdim._prefix_state.__wrapped__)
-    monkeypatch.setattr(gdim, "_prefix_state", cache)
+    """An empty fold cache of the given size for the test, the module's own
+    restored after.  The lookups call ``_fold`` through the module, so they
+    go through this cache."""
+    cache = functools.lru_cache(maxsize=maxsize)(gdim._fold.__wrapped__)
+    monkeypatch.setattr(gdim, "_fold", cache)
     return cache
 
 
 @pytest.fixture
 def fresh_cache():
-    """The module's own prefix cache, emptied before and after the test."""
-    gdim._prefix_state.cache_clear()
-    yield gdim._prefix_state
-    gdim._prefix_state.cache_clear()
+    """The module's own fold cache, emptied before and after the test."""
+    gdim._fold.cache_clear()
+    yield gdim._fold
+    gdim._fold.cache_clear()
 
 
 def _cold(call):
     """The answer of ``call()`` with nothing cached before or after it."""
-    gdim._prefix_state.cache_clear()
+    gdim._fold.cache_clear()
     try:
         return call()
     finally:
-        gdim._prefix_state.cache_clear()
+        gdim._fold.cache_clear()
 
 
 def _query_stream(seed, count):
@@ -657,11 +657,13 @@ def test_memoised_answers_equal_cold_answers(fresh_cache, monkeypatch):
 
 
 def test_memo_never_holds_more_than_its_bound(fresh_cache):
+    """(4,1,2delta) has 5 070 words, so a stream of 800 lookups of two words
+    each folds more distinct words than the cache holds."""
     assert fresh_cache.cache_info().maxsize == gdim._CACHE_STATES
-    ctx = FockContext(AffineRank(3), 2, level=2)
+    ctx = FockContext(AffineRank(4), 1, level=2)
     words = residue_sequences(ctx, 2 * null_root(ctx.rank))
     rng = random.Random(2)
-    for _ in range(400):
+    for _ in range(800):
         graded_dim(ctx, rng.choice(words), rng.choice(words))
         assert fresh_cache.cache_info().currsize <= gdim._CACHE_STATES
     assert fresh_cache.cache_info().misses > gdim._CACHE_STATES  # the stream outgrew it
@@ -714,8 +716,8 @@ def test_memo_is_safe_under_threads(monkeypatch):
 
 @pytest.mark.parametrize("word", [(0,) * 2000, (0, 0) + (0, 1) * 600])
 def test_long_words_fold_without_deep_recursion(ctx11, word, fresh_cache):
-    """A word far longer than the recursion limit folds a stretch at a time
-    and caches no state past its first empty one."""
+    """A word far longer than the recursion limit folds in one loop, which
+    stops at its first empty state, and takes one cache slot."""
     assert graded_dim(ctx11, word, word) == 0
     assert fresh_cache.cache_info().currsize < 5
 
@@ -758,3 +760,47 @@ def test_graded_dims_match_the_tableau_replay_at_heights_seven_and_eight(data):
     assert graded_dim(ctx, a, b) == _replay_dim(table, a, b)
     shape = data.draw(st.sampled_from(sorted(table, key=lambda bp: (bp.comp1, bp.comp2))))
     assert kostka_q(ctx, shape, a) == table[shape].get(a, QPoly.zero())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_step_matches_the_corner_count_on_shapes_up_to_fourteen_nodes(data):
+    """``_step`` on a state of random (bi)partitions of one size, each with a
+    random histogram from a random least degree, against the count built
+    from ``fock``'s corners: every addable i-node adds the histogram shifted
+    by its below-statistic in the larger shape, and the new shapes come in
+    the order the state's shapes and, within each, its nodes from the bottom
+    up first reach them."""
+    ell = data.draw(st.integers(min_value=1, max_value=4), label="ell")
+    level = data.draw(st.sampled_from([1, 2]), label="level")
+    s = data.draw(st.integers(min_value=0, max_value=ell), label="s") if level == 2 else 0
+    ctx = FockContext(AffineRank(ell), s, level=level)
+    n = data.draw(st.integers(min_value=0, max_value=14), label="size")
+    i = data.draw(st.integers(min_value=0, max_value=ell), label="i")
+    width = 8  # no sum of at most six counts of at most 9 carries
+    hists = {}
+    for _ in range(data.draw(st.integers(min_value=1, max_value=6), label="shapes")):
+        m = data.draw(st.integers(min_value=0, max_value=n), label="m") if level == 2 else n
+        bp = Bipartition(
+            data.draw(st.sampled_from(list(partitions(m))), label="first"),
+            data.draw(st.sampled_from(list(partitions(n - m))), label="second"),
+        )
+        lo = data.draw(st.integers(min_value=-30, max_value=30), label="lo")
+        counts = [data.draw(st.integers(min_value=1, max_value=9), label="least count")]
+        counts += data.draw(st.lists(st.integers(min_value=0, max_value=9), max_size=5))
+        hists[bp] = {lo + k: c for k, c in enumerate(counts) if c}
+    state = {}
+    for bp, hist in hists.items():
+        packed = sum(c << width * (d - min(hist)) for d, c in hist.items())
+        state[(bp.comp1, bp.comp2)[:level]] = (min(hist), packed)
+    want = {}
+    for bp, hist in hists.items():
+        for node in reversed(fock.addable_nodes(ctx, bp, i)):
+            grown = fock.add_node(bp, node)
+            below = fock._stat_below(ctx, grown, node, i)
+            acc = want.setdefault((grown.comp1, grown.comp2)[:level], {})
+            for d, c in hist.items():
+                acc[d + below] = acc.get(d + below, 0) + c
+    got = gdim._step(ctx, state, i, width)
+    assert list(got) == list(want)
+    assert {shape: _unpack(lo, packed, width) for shape, (lo, packed) in got.items()} == want
