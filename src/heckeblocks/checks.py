@@ -8,7 +8,11 @@ result records so the CLI and the test suite can share them.
 
 Every alternate path to a graded dimension lives here, as a labelled oracle
 for the engine: the tableau replay ``_replay`` under either node-placement
-convention, the brute-force K_q of O2 and the textbook reduction of O6.
+convention, the brute-force K_q of O2 and the textbook reduction of O6.  So
+does the code that only verifies the paper's lemmas: the Fock-space
+operators e_i / f_i of A9 on plain ``{shape: coefficient}`` vectors, the
+orbit BFS of A7, the ladder walks of A8 and the corner statistic above a
+node of O1.
 ``import heckeblocks`` does not load this module; import the suites from
 ``heckeblocks.checks``.
 """
@@ -16,6 +20,7 @@ convention, the brute-force K_q of O2 and the textbook reduction of O6.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .cartan import (
@@ -31,15 +36,14 @@ from .classify import FINITE, SIMPLE, TAME, WILD, ClassifierConfig, classify_can
 from .fock import (
     Bipartition,
     FockContext,
-    FockVector,
-    apply_e,
-    apply_f,
+    Node,
+    _corners,
+    _stat_below,
+    add_node,
+    addable_nodes,
     bipartitions,
     content,
-    d_above,
-    d_below,
     enumerate_standard,
-    remove_node,
     removable_nodes,
     tableau_stats,
 )
@@ -66,10 +70,7 @@ from .orbits import (
     canonical_rep,
     dominant_reduce,
     is_weight,
-    propagation_check_1,
-    propagation_check_2,
     rep_root,
-    weyl_orbit_bfs,
 )
 from .qpoly import QPoly, quantum_int
 
@@ -330,6 +331,26 @@ def _weight_vectors(ell: int, max_height: int) -> list[RootVec]:
     return out
 
 
+def weyl_orbit_bfs(ctx: FockContext, beta: RootVec, radius: int) -> set[RootVec]:
+    """Positive-cone members of the orbit of beta within the given number
+    of reflections; a brute-force oracle for canonical_rep."""
+    weight = ctx.highest_weight()
+    seen = {beta}
+    frontier = {beta}
+    for _ in range(radius):
+        nxt = set()
+        for b in frontier:
+            for i in ctx.rank.vertices:
+                image = simple_reflection(i, weight, b)
+                if image not in seen:
+                    nxt.add(image)
+        if not nxt:
+            break
+        seen |= nxt
+        frontier = nxt
+    return {b for b in seen if b.in_positive_cone()}
+
+
 def check_a7() -> CheckResult:
     name = "A7"
     checked = 0
@@ -376,6 +397,55 @@ def check_a7() -> CheckResult:
     return _ok(name, f"{checked} orbit/weight checks agree with the oracle")
 
 
+def _pairing_walk(
+    ctx: FockContext, start: RootVec, indices: list[int]
+) -> tuple[bool, RootVec]:
+    """Add simple roots in order, demanding pairing >= 1 before each step."""
+    weight = ctx.highest_weight()
+    cur = start
+    ok = True
+    for j in indices:
+        if pair_coroot(j, weight, cur) < 1:
+            ok = False
+        cur = cur + RootVec.simple(ctx.rank, j)
+    return ok, cur
+
+
+def propagation_check_1(ctx: FockContext, i: int, k: int) -> bool:
+    """Wildness carries from the (i, k) block to the (i-1, k+1) block:
+    verify the pairing inequalities along the root additions and that the
+    endpoint is the expected label."""
+    ell, s = ctx.rank.ell, ctx.s
+    if not 1 <= i <= (ell - s + 1) // 2:
+        raise ValueError(f"i must lie in 1..{(ell - s + 1) // 2}, got {i}")
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
+    start = lambda_rep(s, i, ctx.rank) + null_root(ctx.rank) * k
+    indices = list(range(s + i, ell - i + 2))
+    ok, end = _pairing_walk(ctx, start, indices)
+    expected = lambda_rep(s, i - 1, ctx.rank) + null_root(ctx.rank) * (k + 1)
+    return ok and end == expected
+
+
+def propagation_check_2(ctx: FockContext, i: int, k: int) -> bool:
+    """Wildness carries from the (i, k) block to the (i+1, k) block."""
+    ell, s = ctx.rank.ell, ctx.s
+    if not 0 <= i <= (ell - s - 1) // 2:
+        raise ValueError(f"i must lie in 0..{(ell - s - 1) // 2}, got {i}")
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
+    start = lambda_rep(s, i, ctx.rank) + null_root(ctx.rank) * k
+    indices = (
+        list(range(s + i, s, -1))
+        + list(range(ell - i + 1, ell + 1))
+        + list(range(0, s))
+        + [s]
+    )
+    ok, end = _pairing_walk(ctx, start, indices)
+    expected = lambda_rep(s, i + 1, ctx.rank) + null_root(ctx.rank) * k
+    return ok and end == expected
+
+
 def check_a8() -> CheckResult:
     name = "A8"
     count = 0
@@ -395,6 +465,55 @@ def check_a8() -> CheckResult:
     return _ok(name, f"{count} propagation walks verified")
 
 
+FockVec = dict[Bipartition, QPoly]
+
+
+def fock_sum(terms: Iterable[tuple[Bipartition, QPoly]]) -> FockVec:
+    """The vector sum of (shape, coefficient) pairs, zero coefficients dropped."""
+    acc: FockVec = {}
+    for bp, coeff in terms:
+        acc[bp] = acc.get(bp, QPoly.zero()) + coeff
+    return {bp: coeff for bp, coeff in acc.items() if coeff}
+
+
+def remove_node(bp: Bipartition, node: Node) -> Bipartition:
+    parts = list(bp.component(node.component))
+    r = node.row - 1
+    if r >= len(parts) or parts[r] != node.col:
+        raise ValueError(f"{node} is not a removable corner of {bp}")
+    parts[r] -= 1
+    new = tuple(p for p in parts if p > 0)
+    if node.component == 1:
+        return Bipartition(new, bp.comp2)
+    return Bipartition(bp.comp1, new)
+
+
+def _stat_above(ctx: FockContext, bp: Bipartition, node: Node, i: int) -> int:
+    """Addable minus removable i-nodes of bp in earlier components or rows."""
+    return sum(sign for sign, nd in _corners(ctx, bp, i) if nd[:2] < node[:2])
+
+
+def apply_e(ctx: FockContext, vec: FockVec, i: int) -> FockVec:
+    """Lower by an i-node: e_i |lam> = sum q^{stat below} |lam minus node>."""
+    i = i % ctx.rank.e
+    return fock_sum(
+        (remove_node(bp, node), coeff.shift(_stat_below(ctx, bp, node, i)))
+        for bp, coeff in vec.items()
+        for node in removable_nodes(ctx, bp, i)
+    )
+
+
+def apply_f(ctx: FockContext, vec: FockVec, i: int) -> FockVec:
+    """Raise by an i-node: f_i |lam> = sum q^{-stat above} |lam plus node>."""
+    i = i % ctx.rank.e
+    terms = []
+    for bp, coeff in vec.items():
+        for node in addable_nodes(ctx, bp, i):
+            bigger = add_node(bp, node)
+            terms.append((bigger, coeff.shift(-_stat_above(ctx, bigger, node, i))))
+    return fock_sum(terms)
+
+
 def check_a9() -> CheckResult:
     name = "A9"
     count = 0
@@ -405,14 +524,12 @@ def check_a9() -> CheckResult:
             bps = [bp for n in range(5) for bp in bipartitions(ctx, n)]
             weight = ctx.highest_weight()
             for bp in bps:
-                vec = FockVector.basis(bp)
+                vec = {bp: QPoly.one()}
                 for i in rank.vertices:
-                    lhs = apply_e(ctx, apply_f(ctx, vec, i), i) - apply_f(
-                        ctx, apply_e(ctx, vec, i), i
-                    )
+                    ef = apply_e(ctx, apply_f(ctx, vec, i), i)
+                    fe = apply_f(ctx, apply_e(ctx, vec, i), i)
                     n_i = pair_coroot(i, weight, content(ctx, bp))
-                    rhs = vec.scale(quantum_int(n_i))
-                    if lhs != rhs:
+                    if ef != fock_sum([*fe.items(), (bp, quantum_int(n_i))]):
                         return _fail(
                             name,
                             f"ell={ell} s={s} i={i} at {bp}: commutator mismatch",
@@ -555,12 +672,11 @@ def oracle_corner_stats() -> CheckResult:
                 for bp in bipartitions(ctx, n):
                     for node in removable_nodes(ctx, bp):
                         i = _brute_residue(ctx, (node.component, node.row, node.col))
-                        mu = remove_node(bp, node)
-                        got_b = d_below(ctx, bp, mu, i)
+                        got_b = _stat_below(ctx, bp, node, i)
                         want_b = _brute_stat(
                             ctx, bp, (node.component, node.row, node.col), i, "below"
                         )
-                        got_a = d_above(ctx, bp, mu, i)
+                        got_a = _stat_above(ctx, bp, node, i)
                         want_a = _brute_stat(
                             ctx, bp, (node.component, node.row, node.col), i, "above"
                         )

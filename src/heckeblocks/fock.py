@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .cartan import AffineRank, RootVec, WeightVec
-from .qpoly import QPoly
 
 
 def partitions(total: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -194,70 +193,9 @@ def add_node(bp: Bipartition, node: Node) -> Bipartition:
     return Bipartition(bp.comp1, new)
 
 
-def remove_node(bp: Bipartition, node: Node) -> Bipartition:
-    parts = list(bp.component(node.component))
-    r = node.row - 1
-    if r >= len(parts) or parts[r] != node.col:
-        raise ValueError(f"{node} is not a removable corner of {bp}")
-    parts[r] -= 1
-    new = tuple(p for p in parts if p > 0)
-    if node.component == 1:
-        return Bipartition(new, bp.comp2)
-    return Bipartition(bp.comp1, new)
-
-
 def _stat_below(ctx: FockContext, bp: Bipartition, node: Node, i: int) -> int:
     """Addable minus removable i-nodes of bp in later components or rows."""
     return sum(sign for sign, nd in _corners(ctx, bp, i) if nd[:2] > node[:2])
-
-
-def _stat_above(ctx: FockContext, bp: Bipartition, node: Node, i: int) -> int:
-    """Addable minus removable i-nodes of bp in earlier components or rows."""
-    return sum(sign for sign, nd in _corners(ctx, bp, i) if nd[:2] < node[:2])
-
-
-def _single_node_diff(
-    ctx: FockContext, lam: Bipartition, mu: Bipartition
-) -> tuple[Bipartition, Node]:
-    """Return (larger shape, its removable node whose removal gives the
-    smaller one)."""
-    big, small = (lam, mu) if lam.size > mu.size else (mu, lam)
-    for sign, node in _corners(ctx, big, None):
-        if sign < 0 and remove_node(big, node) == small:
-            return big, node
-    raise ValueError("shapes must differ by exactly one node")
-
-
-def _separating_node(
-    ctx: FockContext, lam: Bipartition, mu: Bipartition, i: int
-) -> tuple[Bipartition, Node, int]:
-    """(larger shape, separating node, i mod e) after checking both shapes
-    and that the node has residue i."""
-    ctx.check_shape(lam)
-    ctx.check_shape(mu)
-    big, node = _single_node_diff(ctx, lam, mu)
-    i = i % ctx.rank.e
-    if residue(ctx, node) != i:
-        raise ValueError(f"shapes differ by a node of residue {residue(ctx, node)}, not {i}")
-    return big, node, i
-
-
-def d_below(ctx: FockContext, lam: Bipartition, mu: Bipartition, i: int) -> int:
-    """Addable minus removable i-nodes strictly below the node separating
-    the two shapes, read in the larger shape.
-
-    For a fixed residue the count is insensitive to whether the separating
-    node itself is present: placing a node only toggles corners of the
-    neighbouring residues.
-    """
-    big, node, i = _separating_node(ctx, lam, mu, i)
-    return _stat_below(ctx, big, node, i)
-
-
-def d_above(ctx: FockContext, lam: Bipartition, mu: Bipartition, i: int) -> int:
-    """Mirror of d_below, counting strictly above the separating node."""
-    big, node, i = _separating_node(ctx, lam, mu, i)
-    return _stat_above(ctx, big, node, i)
 
 
 def content(ctx: FockContext, bp: Bipartition) -> RootVec:
@@ -267,89 +205,6 @@ def content(ctx: FockContext, bp: Bipartition) -> RootVec:
     for nd in bp.cells():
         coeffs[residue(ctx, nd)] += 1
     return RootVec(ctx.rank, tuple(coeffs))
-
-
-class FockVector:
-    """A finitely supported combination of bipartitions over Z[q, q^-1]."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=()):
-        items = terms.items() if isinstance(terms, dict) else terms
-        acc: dict[Bipartition, QPoly] = {}
-        for bp, coeff in items:
-            if not isinstance(coeff, QPoly):
-                coeff = QPoly({0: coeff})
-            cur = acc.get(bp, QPoly.zero()) + coeff
-            if cur:
-                acc[bp] = cur
-            else:
-                acc.pop(bp, None)
-        self._terms = acc
-
-    @classmethod
-    def basis(cls, bp: Bipartition) -> "FockVector":
-        return cls({bp: QPoly.one()})
-
-    @classmethod
-    def zero(cls) -> "FockVector":
-        return cls()
-
-    def terms(self) -> list[tuple[Bipartition, QPoly]]:
-        return sorted(self._terms.items(), key=lambda kv: (kv[0].comp1, kv[0].comp2))
-
-    def coeff(self, bp: Bipartition) -> QPoly:
-        return self._terms.get(bp, QPoly.zero())
-
-    def __add__(self, other: "FockVector") -> "FockVector":
-        return FockVector([*self._terms.items(), *other._terms.items()])
-
-    def __sub__(self, other: "FockVector") -> "FockVector":
-        return self + other.scale(-1)
-
-    def scale(self, factor: QPoly | int) -> "FockVector":
-        if not isinstance(factor, QPoly):
-            factor = QPoly({0: factor})
-        res = FockVector.__new__(FockVector)
-        res._terms = {bp: c * factor for bp, c in self._terms.items()} if factor else {}
-        return res
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FockVector):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "FockVector(0)"
-        bits = [f"({coeff})*{bp}" for bp, coeff in self.terms()]
-        return "FockVector(" + " + ".join(bits) + ")"
-
-
-def apply_e(ctx: FockContext, vec: FockVector, i: int) -> FockVector:
-    """Lower by an i-node: e_i |lam> = sum q^{d_below} |lam minus node>."""
-    i = i % ctx.rank.e
-    return FockVector(
-        [
-            (remove_node(bp, node), coeff.shift(_stat_below(ctx, bp, node, i)))
-            for bp, coeff in vec.terms()
-            for node in removable_nodes(ctx, bp, i)
-        ]
-    )
-
-
-def apply_f(ctx: FockContext, vec: FockVector, i: int) -> FockVector:
-    """Raise by an i-node: f_i |lam> = sum q^{-d_above} |lam plus node>."""
-    i = i % ctx.rank.e
-    terms = []
-    for bp, coeff in vec.terms():
-        for node in addable_nodes(ctx, bp, i):
-            bigger = add_node(bp, node)
-            terms.append((bigger, coeff.shift(-_stat_above(ctx, bigger, node, i))))
-    return FockVector(terms)
 
 
 @dataclass(frozen=True)

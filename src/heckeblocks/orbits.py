@@ -1,25 +1,19 @@
 """Weyl-orbit reduction of blocks to canonical labels.
 
 Every nonzero block corresponds to a weight of the integrable module with
-the context's highest weight.  Reflecting at a vertex with negative pairing
-strictly lowers the root-vector height, so repeated reflection reaches the
-dominant chamber; the block is then labelled by the distinguished family
-member (lambda or mu) plus a multiple of the null root.
+the context's highest weight.  Each reflection at a vertex with negative
+pairing lowers by one the number of positive real coroots that pair
+negatively with Lambda - beta, so repeated reflection reaches the dominant
+chamber (Kac, Infinite dimensional Lie algebras, Lemma 3.11); the block is
+then labelled by the distinguished family member (lambda or mu) plus a
+multiple of the null root.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cartan import (
-    RootVec,
-    _int_tuple,
-    lambda_rep,
-    mu_rep,
-    null_root,
-    pair_coroot,
-    simple_reflection,
-)
+from .cartan import RootVec, _int_tuple, lambda_rep, mu_rep, null_root
 from .fock import FockContext
 
 
@@ -181,71 +175,3 @@ def label_dominant(ctx: FockContext, plus: RootVec) -> CanonicalRep:
         "this contradicts the orbit classification and indicates a bug"
     )
 
-
-def weyl_orbit_bfs(ctx: FockContext, beta: RootVec, radius: int) -> set[RootVec]:
-    """Positive-cone members of the orbit of beta within the given number
-    of reflections; a brute-force oracle for canonical_rep."""
-    weight = ctx.highest_weight()
-    seen = {beta}
-    frontier = {beta}
-    for _ in range(radius):
-        nxt = set()
-        for b in frontier:
-            for i in ctx.rank.vertices:
-                image = simple_reflection(i, weight, b)
-                if image not in seen:
-                    nxt.add(image)
-        if not nxt:
-            break
-        seen |= nxt
-        frontier = nxt
-    return {b for b in seen if b.in_positive_cone()}
-
-
-def _pairing_walk(
-    ctx: FockContext, start: RootVec, indices: list[int]
-) -> tuple[bool, RootVec]:
-    """Add simple roots in order, demanding pairing >= 1 before each step."""
-    weight = ctx.highest_weight()
-    cur = start
-    ok = True
-    for j in indices:
-        if pair_coroot(j, weight, cur) < 1:
-            ok = False
-        cur = cur + RootVec.simple(ctx.rank, j)
-    return ok, cur
-
-
-def propagation_check_1(ctx: FockContext, i: int, k: int) -> bool:
-    """Wildness carries from the (i, k) block to the (i-1, k+1) block:
-    verify the pairing inequalities along the root additions and that the
-    endpoint is the expected label."""
-    ell, s = ctx.rank.ell, ctx.s
-    if not 1 <= i <= (ell - s + 1) // 2:
-        raise ValueError(f"i must lie in 1..{(ell - s + 1) // 2}, got {i}")
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    start = lambda_rep(s, i, ctx.rank) + null_root(ctx.rank) * k
-    indices = list(range(s + i, ell - i + 2))
-    ok, end = _pairing_walk(ctx, start, indices)
-    expected = lambda_rep(s, i - 1, ctx.rank) + null_root(ctx.rank) * (k + 1)
-    return ok and end == expected
-
-
-def propagation_check_2(ctx: FockContext, i: int, k: int) -> bool:
-    """Wildness carries from the (i, k) block to the (i+1, k) block."""
-    ell, s = ctx.rank.ell, ctx.s
-    if not 0 <= i <= (ell - s - 1) // 2:
-        raise ValueError(f"i must lie in 0..{(ell - s - 1) // 2}, got {i}")
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    start = lambda_rep(s, i, ctx.rank) + null_root(ctx.rank) * k
-    indices = (
-        list(range(s + i, s, -1))
-        + list(range(ell - i + 1, ell + 1))
-        + list(range(0, s))
-        + [s]
-    )
-    ok, end = _pairing_walk(ctx, start, indices)
-    expected = lambda_rep(s, i + 1, ctx.rank) + null_root(ctx.rank) * k
-    return ok and end == expected

@@ -1,4 +1,5 @@
-"""Orbit reduction, canonical representatives, and the two ladder walks."""
+"""Orbit reduction and canonical representatives, with the orbit BFS and the
+two ladder walks that ``heckeblocks.checks`` keeps as oracles."""
 
 import pytest
 from hypothesis import given, settings
@@ -17,12 +18,15 @@ from heckeblocks import (
     mu_rep,
     null_root,
     pair_coroot,
+    rep_root,
+)
+from heckeblocks.checks import (
+    _reduction_outcome,
     propagation_check_1,
     propagation_check_2,
-    rep_root,
+    textbook_reduce,
     weyl_orbit_bfs,
 )
-from heckeblocks.checks import _reduction_outcome, textbook_reduce
 from heckeblocks.orbits import LAMBDA, MU
 
 
