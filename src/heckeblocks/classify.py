@@ -2,7 +2,10 @@
 
 The decision tables live in :func:`classify_canonical`; everything else
 reduces its input to a canonical label (or a pair of level-one labels in
-the separated-parameter case) and dispatches.
+the separated-parameter case) and dispatches.  :func:`classify_heckeB` and
+:func:`classify_heckeD` take their blocks from ``orbits._grow_blocks``: at
+level two the blocks of height n, with separated parameters the level-one
+blocks of every height up to n, paired so that the heights sum to n.
 """
 
 from __future__ import annotations
@@ -11,9 +14,9 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .cartan import AffineRank, RootVec, WeightVec, _int_tuple, dynkin_rotate
-from .fock import FockContext, partitions
+from .fock import FockContext
 from .gdim import QuiverBound, QuiverShapeError, _class_verdict
-from .orbits import LAMBDA, MU, CanonicalRep, canonical_rep
+from .orbits import LAMBDA, MU, CanonicalRep, _grow_blocks, canonical_rep
 
 SIMPLE = "simple"
 FINITE = "finite"
@@ -312,35 +315,6 @@ def classify_level_two(
     )
 
 
-def _level_one_counts(e: int, n: int) -> list[tuple[int, ...]]:
-    """Distinct charge-zero residue counts of the partitions of n, sorted."""
-    seen: set[tuple[int, ...]] = set()
-    for parts in partitions(n):
-        cnt = [0] * e
-        for row, length in enumerate(parts):
-            for col in range(length):
-                cnt[(col - row) % e] += 1
-        seen.add(tuple(cnt))
-    return sorted(seen)
-
-
-def _level_one_block_contents(ctx: FockContext, n: int) -> list[RootVec]:
-    return [RootVec(ctx.rank, coeffs) for coeffs in _level_one_counts(ctx.rank.e, n)]
-
-
-def _level_two_block_contents(ctx: FockContext, n: int) -> list[RootVec]:
-    """Contents c(l1) + sigma^s c(l2) of the bipartitions of n, where c is
-    the charge-zero level-one content and sigma^s shifts residues by s."""
-    e, s = ctx.rank.e, ctx.s
-    ones = [_level_one_counts(e, m) for m in range(n + 1)]
-    seen: set[tuple[int, ...]] = set()
-    for m in range(n + 1):
-        for first in ones[m]:
-            for second in ones[n - m]:
-                seen.add(tuple(first[j] + second[(j - s) % e] for j in range(e)))
-    return [RootVec(ctx.rank, coeffs) for coeffs in sorted(seen)]
-
-
 def classify_heckeB(
     e: int,
     s: Optional[int],
@@ -365,13 +339,13 @@ def classify_heckeB(
     if s is not None:
         ctx = FockContext(rank, s % e, level=2)
         reports = []
-        for beta in _level_two_block_contents(ctx, n):
+        for beta in _grow_blocks(ctx, n)[n]:
             reports.append(classify_block(ctx, beta, cfg, with_quiver=False))
         return reports
     # separated parameters: pairs of level-one blocks
     ctx1 = FockContext(rank, 0, level=1)
     reports = []
-    ones = [_level_one_block_contents(ctx1, m) for m in range(n + 1)]
+    ones = _grow_blocks(ctx1, n)
     types = {b.coeffs: classify_typeA_levelone(ctx1, b) for blocks in ones for b in blocks}
     combos = [(b1, b2) for m in range(n + 1) for b1 in ones[m] for b2 in ones[n - m]]
     combos.sort(key=lambda pair: (pair[0].coeffs, pair[1].coeffs))

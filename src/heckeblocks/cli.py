@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import signal
 import sys
 from typing import Optional, Sequence
 
@@ -332,6 +333,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def run() -> None:
+    # A reader that closes the pipe early (``| head``) ends the process
+    # quietly, as it ends ``yes``, instead of reaching main's catch-all.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

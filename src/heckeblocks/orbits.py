@@ -7,6 +7,10 @@ negatively with Lambda - beta, so repeated reflection reaches the dominant
 chamber (Kac, Infinite dimensional Lie algebras, Lemma 3.11); the block is
 then labelled by the distinguished family member (lambda or mu) plus a
 multiple of the null root.
+
+The same pairings list every nonzero block of a given height without
+listing partitions: ``_grow_blocks`` grows the blocks of height m + 1 from
+those of height m by the weight rule stated in its docstring.
 """
 
 from __future__ import annotations
@@ -122,6 +126,33 @@ def _reduce(ctx: FockContext, beta: RootVec, cone: bool) -> RootVec | None:
     )
 
 
+def _grow_blocks(ctx: FockContext, n: int) -> list[list[RootVec]]:
+    """The nonzero blocks of heights 0..n, each height sorted by coefficients.
+
+    c is a block exactly when Lambda - c is a weight, and the weights have
+    unbroken i-strings and are W-invariant (Kac, Infinite dimensional Lie
+    algebras, ch. 3 and ch. 12).  Let c have height m and p = <h_i, Lambda - c>
+    as in ``_reduce``.  If p >= 1, c + alpha_i is a block.  If p <= 0, r_i
+    maps Lambda - c - alpha_i to Lambda - (c - (1 - p) alpha_i), a label of
+    height m - 1 + p that is already listed.  A block of height m + 1 has a
+    removable node, so it is c + alpha_i for some block c of height m."""
+    e = ctx.rank.e
+    fund = ctx.highest_weight().fund
+    heights = [{(0,) * e}]
+    for m in range(n):
+        grown = set()
+        for c in heights[m]:
+            for i in range(e):
+                p = fund[i] - 2 * c[i] + c[i - 1] + c[(i + 1) % e]
+                if p <= 0:
+                    low = c[:i] + (c[i] - 1 + p,) + c[i + 1 :]
+                    if low[i] < 0 or low not in heights[m - 1 + p]:
+                        continue
+                grown.add(c[:i] + (c[i] + 1,) + c[i + 1 :])
+        heights.append(grown)
+    return [[RootVec(ctx.rank, c) for c in sorted(level)] for level in heights]
+
+
 def is_weight(ctx: FockContext, beta: RootVec) -> bool:
     """Whether the context's highest weight minus beta is a module weight."""
     return _reduce(ctx, beta, cone=True) is not None
@@ -164,11 +195,11 @@ def label_dominant(ctx: FockContext, plus: RootVec) -> CanonicalRep:
     """
     s = ctx.s
     k = min(plus.coeffs)
-    rem = plus - null_root(ctx.rank) * k
-    i = rem.coeffs[0]
-    if i in _lambda_range(ctx) and lambda_rep(s, i, ctx.rank) == rem:
+    rem = tuple(c - k for c in plus.coeffs)
+    i = rem[0]
+    if i in _lambda_range(ctx) and lambda_rep(s, i, ctx.rank).coeffs == rem:
         return CanonicalRep(LAMBDA, s, i, k)
-    if i in _mu_range(ctx) and mu_rep(s, i, ctx.rank) == rem:
+    if i in _mu_range(ctx) and mu_rep(s, i, ctx.rank).coeffs == rem:
         return CanonicalRep(MU, s, i, k)
     raise RuntimeError(
         f"dominant reduction {plus} matches no family member; "

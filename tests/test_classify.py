@@ -28,9 +28,8 @@ from heckeblocks import (
     null_root,
     rep_root,
 )
-from heckeblocks.classify import _level_one_block_contents, _level_two_block_contents
-from heckeblocks.fock import Bipartition, content, partitions
-from heckeblocks.orbits import LAMBDA, MU
+from heckeblocks.fock import Bipartition, bipartitions, content, partitions
+from heckeblocks.orbits import LAMBDA, MU, _grow_blocks
 
 
 def ctx_for(ell, s):
@@ -233,6 +232,9 @@ def test_heckeB_block_enumeration():
     two = classify_heckeB(3, 1, 1)
     assert [r.input["beta"] for r in two] == [[0, 1, 0], [1, 0, 0]]
     assert all(r.rep_type.tag == SIMPLE for r in two)
+    # past the reach of the brute-force comparison below
+    assert len(classify_heckeB(3, 1, 40)) == 32
+    assert len(classify_heckeB(3, None, 30)) == 1031
 
 
 def test_heckeB_separated_parameters_tensor():
@@ -297,25 +299,16 @@ def test_partition_generator_counts():
         assert parts == sorted(parts, reverse=True)
 
 
-@pytest.mark.parametrize("e", [2, 3, 4, 5])
+@pytest.mark.parametrize("e", range(2, 9))
 def test_block_contents_match_brute_force(e):
     rank = AffineRank(e - 1)
-    one = FockContext(rank, 0, level=1)
-    for n in range(9):
-        want = {content(one, Bipartition(p)).coeffs for p in partitions(n)}
-        got = [b.coeffs for b in _level_one_block_contents(one, n)]
-        assert got == sorted(want)
-    for s in range(e):
-        ctx = FockContext(rank, s, level=2)
-        for n in range(9):
-            want = {
-                content(ctx, Bipartition(p1, p2)).coeffs
-                for m in range(n + 1)
-                for p1 in partitions(m)
-                for p2 in partitions(n - m)
-            }
-            got = [b.coeffs for b in _level_two_block_contents(ctx, n)]
-            assert got == sorted(want)
+    contexts = [FockContext(rank, 0, level=1)]
+    contexts += [FockContext(rank, s, level=2) for s in range(e)]
+    for ctx in contexts:
+        grown = _grow_blocks(ctx, 10)
+        for n, blocks in enumerate(grown):
+            want = {content(ctx, bp).coeffs for bp in bipartitions(ctx, n)}
+            assert [b.coeffs for b in blocks] == sorted(want)
 
 
 @pytest.mark.parametrize("e", [2, 3, 4])

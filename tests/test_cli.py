@@ -4,6 +4,7 @@ import inspect
 import json
 import os
 import shlex
+import signal
 import subprocess
 import sys
 
@@ -233,6 +234,9 @@ def test_blocks_listing(capsys):
     data = json.loads(out)
     assert len(data) == 5
     assert all(entry["canonical"] is None for entry in data)
+    code, out = run(capsys, "blocks", "--e", "3", "--s", "1", "--n", "60", "--json")
+    assert code == EXIT_OK
+    assert len(json.loads(out)) == 51
 
 
 def test_blocks_flag_conflicts(capsys):
@@ -356,6 +360,25 @@ def test_python_dash_m_runs_the_command_line(argv, code, text):
     )
     assert done.returncode == code, done.stderr
     assert text in done.stdout + done.stderr
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")
+def test_closed_pipe_ends_the_process_quietly():
+    # about 400 kB of output, more than a pipe buffer holds
+    argv = ["blocks", "--e", "3", "--n", "30", "--separated", "--json"]
+    src = os.path.dirname(os.path.dirname(heckeblocks.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    with subprocess.Popen(
+        [sys.executable, "-m", "heckeblocks", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (-signal.SIGPIPE, b"")
 
 
 def test_all_lists_the_public_names():
