@@ -66,7 +66,6 @@ from .orbits import (
     LAMBDA,
     MU,
     CanonicalRep,
-    ReductionCapError,
     canonical_rep,
     dominant_reduce,
     is_weight,
@@ -814,12 +813,19 @@ def oracle_conventions() -> CheckResult:
     return _ok(name, f"{count} tableau degrees agree under both conventions")
 
 
+class ReductionCapError(RuntimeError):
+    """The textbook reduction exceeded its iteration budget."""
+
+
 def textbook_reduce(ctx: FockContext, beta: RootVec) -> RootVec:
     """Dominant reduction read off the Cartan matrix: pair every vertex with
     ``pair_coroot`` after each step and reflect with ``simple_reflection``
-    at the smallest one with negative pairing, under the same iteration cap
-    as ``orbits.dominant_reduce``, e^2 times the sum of the initial |pairings|.
-    An independent oracle for it."""
+    at the smallest one with negative pairing, capped at e^2 times the sum
+    of the initial |pairings|.  Each reflection lowers by one the number N
+    of positive real coroots that pair negatively with Lambda - beta (Kac,
+    Infinite dimensional Lie algebras, Lemma 3.11), and in affine type A at
+    positive level N <= e^2 * sum_j |p_j|, so ReductionCapError means a bug.
+    An independent oracle for the closed form of ``orbits.dominant_reduce``."""
     if beta.rank != ctx.rank:
         raise ValueError("rank mismatch between context and root vector")
     weight = ctx.highest_weight()

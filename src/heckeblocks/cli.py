@@ -157,7 +157,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     }
     lines = [f"dominant reduction: {plus}", f"weight of the module: {weight}"]
     if weight:
-        rep = label_dominant(ctx, plus)
+        rep = label_dominant(ctx, plus.coeffs)
         payload["canonical"] = rep.to_json()
         lines.append(f"canonical: {rep}")
     else:

@@ -214,12 +214,31 @@ def test_orbit_report(capsys):
 
 
 def test_orbit_reduces_a_mixed_sign_label_past_its_height(capsys):
-    """(-3,-3,5) at level one takes 31 reflections, more than a cap of
-    10*e*|height| = 30 would allow."""
+    """(-3,-3,5) at level one lies 31 reflections from the dominant chamber,
+    more than 10*e*|height| = 30."""
     code, out = run(capsys, "orbit", "--ell", "2", "--level", "1", "--beta=-3,-3,5")
     assert code == EXIT_OK
     assert out == (
         "dominant reduction: (-67,-67,-67)\n"
+        "weight of the module: False\n"
+        "canonical: none (empty block)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "beta, reduction",
+    [
+        ("10000000,0", "(-49999995000000,-49999995000000)"),
+        ("1000000,-1000000", "(-2000000000000,-2000000000000)"),
+    ],
+)
+def test_orbit_reduces_a_huge_label(capsys, beta, reduction):
+    """Labels 10**7 and 2*10**6 reflections from the dominant chamber; a
+    reflection loop took seconds on each."""
+    code, out = run(capsys, "orbit", "--ell", "1", "--s", "1", f"--beta={beta}")
+    assert code == EXIT_OK
+    assert out == (
+        f"dominant reduction: {reduction}\n"
         "weight of the module: False\n"
         "canonical: none (empty block)\n"
     )
