@@ -22,14 +22,19 @@ once, which is the Fock-space form of the graded dimension formula (e_i read
 along the word; Brundan-Kleshchev, with the degrees of
 Brundan-Kleshchev-Wang):
 
+- ``_step`` memoises each shape's ``_moves`` (grown shapes and shifts) in
+  ``_MOVES`` per (ell, s, level, i), so states share their grown shapes.
+  The memo is bounded by the Fock space, not the traffic: words of length n
+  leave at most e entries per context and (bi)partition of size < n, so
+  3 x 434 on (2,1,3delta);
 - ``_fold`` reads the step along one word in one loop, stopping at the
   first empty state, under a ``functools.lru_cache`` keyed by the context
   and the word, so a repeated point lookup folds nothing.  The cache holds
   ``_CACHE_STATES`` = 1024 folds, least recently used dropped first.  It
   bounds states, not shapes: a fold is a prefix state of its own word, so
   1024 folds of the block (1,1,6delta), height 12, hold at most the 251 014
-  shapes, about 49 MB, of its 1024 largest prefix states.  Cached states
-  are shared and never mutated;
+  shapes, about 40 MB, of its 1024 largest prefix states; the shapes are the
+  memo's.  Cached states are shared and never mutated;
 - ``kostka_q`` looks the shape up in the fold of the word and decodes it;
 - ``graded_dim`` is the dot product of the folds of its two words: one
   product of packed ints per shared shape, decoded once;
@@ -124,47 +129,66 @@ def _unpack(lo: int, packed: int, width: int) -> dict[int, int]:
     return hist
 
 
-def _step(ctx: FockContext, state: State, i: int, width: int) -> State:
-    """Add one i-node to every shape of the state in every addable way.
+#: ``_moves`` per (ell, s, level, i), ints hashing faster than the context,
+#: then per shape.  Racing threads store equal moves, so it needs no lock.
+_MOVES: dict[tuple[int, int, int, int], dict[Shape, tuple[tuple[Shape, int], ...]]] = {}
 
-    The node's degree is the number of addable minus removable i-nodes
-    strictly below it (later components, then larger rows), read in the
-    larger shape.  Apart from the new node itself, which is not below
-    itself, adding an i-node toggles only corners of the neighbouring
-    residues, so the i-corners of the smaller shape are the ones counted.
-    Each shape is read once from the bottom up with a running degree: a
-    removable i-node lowers it by one, an addable one is added at it and
-    then raises it by one.  Shifting a histogram is moving its least
-    degree; two histograms landing on one shape are aligned by one shift and
-    added.
-    """
+
+def _moves(ctx: FockContext, shape: Shape, i: int) -> tuple[tuple[Shape, int], ...]:
+    """Each way to add an i-node to the shape, from the bottom up: the grown
+    shape and the node's degree, the number of addable minus removable
+    i-nodes strictly below it (later components, then larger rows), read in
+    the grown shape.  Apart from the new node itself, adding an i-node
+    toggles only corners of the neighbouring residues, so the i-corners of
+    the smaller shape are counted: a removable one lowers the running
+    degree, an addable one is added at it and then raises it."""
     e = ctx.rank.e
+    out = []
+    least = 0
+    for k in reversed(range(len(shape))):
+        parts = shape[k]
+        c = (ctx.s if k else 0) - i
+        # Row r ends in a node of residue i + d - 1, d = (p - r + c) % e, so
+        # it has an addable i-node if d is 0, a removable one if d is 1 (as
+        # e >= 2, not both).  The empty row below the last is addable.
+        if (c - len(parts)) % e == 0:
+            out.append((shape[:k] + (parts + (1,),) + shape[k + 1 :], least))
+            least += 1
+        below = 0
+        for r in range(len(parts) - 1, -1, -1):
+            p = parts[r]
+            d = (p - r + c) % e
+            if d == 1:
+                if below < p:
+                    least -= 1
+            elif d == 0 and (r == 0 or parts[r - 1] > p):
+                grown = parts[:r] + (p + 1,) + parts[r + 1 :]
+                out.append((shape[:k] + (grown,) + shape[k + 1 :], least))
+                least += 1
+            below = p
+    return tuple(out)
+
+
+def _step(ctx: FockContext, state: State, i: int, width: int) -> State:
+    """Add one i-node to every shape of the state in every addable way: each
+    of the shape's memoised ``_moves`` moves its histogram's least degree by
+    the node's degree onto the grown shape, where two histograms are aligned
+    by one shift and added."""
+    table = _MOVES.setdefault((ctx.rank.ell, ctx.s, ctx.level, i), {})
     out: State = {}
     for shape, (lo, packed) in state.items():
-        least = lo
-        for k in reversed(range(len(shape))):
-            parts = shape[k]
-            charge = ctx.s if k else 0
-            last = len(parts)
-            for r in range(last, -1, -1):
-                p = parts[r] if r < last else 0
-                # The node right of row r has residue i + d; the last node
-                # of the row, one less.  As e >= 2, at most one is an i-node.
-                d = (p - r + charge - i) % e
-                if d == 1:
-                    if r < last and (r + 1 == last or parts[r + 1] < p):
-                        least -= 1
-                elif d == 0 and (r == 0 or parts[r - 1] > p):
-                    grown = parts[:r] + (p + 1,) + parts[r + 1 :]
-                    new = shape[:k] + (grown,) + shape[k + 1 :]
-                    acc = out.get(new)
-                    if acc is None:
-                        out[new] = (least, packed)
-                    elif acc[0] <= least:
-                        out[new] = (acc[0], acc[1] + (packed << width * (least - acc[0])))
-                    else:
-                        out[new] = (least, packed + (acc[1] << width * (acc[0] - least)))
-                    least += 1
+        moves = table.get(shape)
+        if moves is None:
+            moves = table[shape] = _moves(ctx, shape, i)
+        for new, shift in moves:
+            least = lo + shift
+            acc = out.get(new)
+            if acc is None:
+                out[new] = (least, packed)
+            elif acc[0] <= least:
+                out[new] = (acc[0], acc[1] + (packed << width * (least - acc[0])))
+            else:
+                out[new] = (least, packed + (acc[1] << width * (acc[0] - least)))
     return out
 
 
@@ -188,7 +212,7 @@ def _fold(ctx: FockContext, word: ResidueSeq) -> State:
     recently used first.  It bounds states, not shapes: the largest state of
     the block (3,2,2delta), height 8, has 25 shapes.  A fold is the state of
     a prefix of its own word, so 1024 folds of (1,1,6delta), height 12, hold
-    at most the 251 014 shapes, about 49 MB, of its 1024 largest prefix
+    at most the 251 014 shapes, about 40 MB, of its 1024 largest prefix
     states."""
     width = _width(ctx.level, len(word))
     state = _start(ctx)

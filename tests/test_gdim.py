@@ -591,21 +591,28 @@ def _fresh_cache(monkeypatch, maxsize):
     return cache
 
 
+def _clear_memos():
+    gdim._fold.cache_clear()
+    gdim._MOVES.clear()
+
+
 @pytest.fixture
 def fresh_cache():
-    """The module's own fold cache, emptied before and after the test."""
-    gdim._fold.cache_clear()
+    """The module's own fold cache, emptied before and after the test, as is
+    the memo of moves."""
+    _clear_memos()
     yield gdim._fold
-    gdim._fold.cache_clear()
+    _clear_memos()
 
 
 def _cold(call):
-    """The answer of ``call()`` with nothing cached before or after it."""
-    gdim._fold.cache_clear()
+    """The answer of ``call()`` with nothing cached or memoised before or
+    after it."""
+    _clear_memos()
     try:
         return call()
     finally:
-        gdim._fold.cache_clear()
+        _clear_memos()
 
 
 def _query_stream(seed, count):
@@ -683,11 +690,13 @@ def test_answers_stay_right_after_eviction(monkeypatch):
 
 
 def test_memo_is_safe_under_threads(monkeypatch):
-    """Four threads evicting from a small cache at once raise nothing and
-    get the single-threaded answers."""
+    """Four threads evicting from a small cache at once, and racing on the
+    first writes of each table of moves, raise nothing and get the
+    single-threaded answers."""
     cache = _fresh_cache(monkeypatch, 40)
     streams = [_query_stream(seed, 200) for seed in (4, 5, 6, 7)]
     want = [[_cold(call) for call in calls] for calls in streams]
+    gdim._MOVES.clear()
     got = [[] for _ in streams]
     errors = []
 
@@ -712,6 +721,38 @@ def test_memo_is_safe_under_threads(monkeypatch):
     assert errors == []
     assert got == want
     assert 0 < cache.cache_info().currsize <= 40
+
+
+def test_moves_memo_keeps_charges_and_levels_apart(fresh_cache):
+    """One shape stepped at every residue under each charge at level two, and
+    its first component under level one, interleaved over three rounds, gets
+    the cold answer each time, shapes in the same order."""
+    rank = AffineRank(2)
+    cases = [(FockContext(rank, s, level=2), ((2, 1), (1,))) for s in range(3)]
+    cases.append((FockContext(rank, 0, level=1), ((2, 1),)))
+
+    def step(ctx, shape, i):
+        return list(gdim._step(ctx, {shape: (0, 1)}, i, 8).items())
+
+    cold = {(ctx, i): _cold(lambda: step(ctx, shape, i)) for ctx, shape in cases for i in range(3)}
+    # the charge moves the second component's residues, so it changes answers
+    assert len({repr(cold[ctx, 1]) for ctx, _ in cases[:3]}) == 3
+    for _ in range(3):
+        for i in range(3):
+            for ctx, shape in cases:
+                assert step(ctx, shape, i) == cold[ctx, i]
+
+
+def test_moves_memo_is_bounded_by_the_fock_space(fresh_cache):
+    """After the class walk of (2,1,3delta), whose words have 9 letters, the
+    memo holds at most e entries per bipartition of size at most 8 for the
+    context, whatever the walk's traffic."""
+    ctx = FockContext(AffineRank(2), 1, level=2)
+    assert len(nonzero_idempotents(ctx, 3 * null_root(ctx.rank))) == 312
+    shapes = sum(1 for n in range(9) for _ in fock.bipartitions(ctx, n))
+    assert shapes == 434
+    entries = sum(len(table) for key, table in gdim._MOVES.items() if key[:3] == (2, 1, 2))
+    assert 0 < entries <= ctx.rank.e * shapes
 
 
 @pytest.mark.parametrize("word", [(0,) * 2000, (0, 0) + (0, 1) * 600])
@@ -770,7 +811,8 @@ def test_step_matches_the_corner_count_on_shapes_up_to_fourteen_nodes(data):
     from ``fock``'s corners: every addable i-node adds the histogram shifted
     by its below-statistic in the larger shape, and the new shapes come in
     the order the state's shapes and, within each, its nodes from the bottom
-    up first reach them."""
+    up first reach them.  The state is stepped with the memo of moves empty,
+    then again with it warm, to the same shapes in the same order."""
     ell = data.draw(st.integers(min_value=1, max_value=4), label="ell")
     level = data.draw(st.sampled_from([1, 2]), label="level")
     s = data.draw(st.integers(min_value=0, max_value=ell), label="s") if level == 2 else 0
@@ -801,6 +843,8 @@ def test_step_matches_the_corner_count_on_shapes_up_to_fourteen_nodes(data):
             acc = want.setdefault((grown.comp1, grown.comp2)[:level], {})
             for d, c in hist.items():
                 acc[d + below] = acc.get(d + below, 0) + c
+    gdim._MOVES.clear()
     got = gdim._step(ctx, state, i, width)
+    assert list(gdim._step(ctx, state, i, width).items()) == list(got.items())
     assert list(got) == list(want)
     assert {shape: _unpack(lo, packed, width) for shape, (lo, packed) in got.items()} == want
