@@ -3,9 +3,11 @@
 The decision tables live in :func:`classify_canonical`; everything else
 reduces its input to a canonical label (or a pair of level-one labels in
 the separated-parameter case) and dispatches.  :func:`classify_heckeB` and
-:func:`classify_heckeD` take their blocks from ``orbits._grow_blocks``: at
-level two the blocks of height n, with separated parameters the level-one
-blocks of every height up to n, paired so that the heights sum to n.
+:func:`classify_heckeD` take their blocks with their labels from
+``orbits._grow_blocks``, so they reduce no block and classify each distinct
+label once: at level two the blocks of height n, with separated parameters
+the level-one blocks of every height up to n, paired so that the heights
+sum to n.
 """
 
 from __future__ import annotations
@@ -225,6 +227,19 @@ def classify_tensor(t1: RepType, t2: RepType, ell: int) -> RepType:
     return RepType(WILD)
 
 
+def _label_type(
+    ctx: FockContext, rep: CanonicalRep, cfg: ClassifierConfig, notes: list[str]
+) -> RepType:
+    """Representation type of the block labelled rep, appending to notes
+    the rewrite of a mu label."""
+    if ctx.level == 1:
+        return _levelone_type(ctx, rep)
+    ctx2, rep2 = normalize(ctx, rep)
+    if rep.family == MU:
+        notes.append(f"mu label rewritten as lambda label with charge {rep2.s}")
+    return classify_canonical(ctx2, rep2, cfg)
+
+
 def _attach_quiver(
     ctx: FockContext, beta: RootVec
 ) -> tuple[Optional[QuiverBound], list[str]]:
@@ -253,15 +268,7 @@ def classify_block(
         cfg = ClassifierConfig()
     rep = canonical_rep(ctx, beta)
     notes: list[str] = []
-    if ctx.level == 1:
-        rep_type = _levelone_type(ctx, rep)
-    else:
-        ctx2, rep2 = normalize(ctx, rep)
-        if rep.family == MU:
-            notes.append(
-                f"mu label rewritten as lambda label with charge {rep2.s}"
-            )
-        rep_type = classify_canonical(ctx2, rep2, cfg)
+    rep_type = _label_type(ctx, rep, cfg, notes)
     quiver: Optional[QuiverBound] = None
     if with_quiver:
         quiver, qnotes = _attach_quiver(ctx, beta)
@@ -327,6 +334,15 @@ def classify_heckeB(
     parameters are separated and every block is an outer tensor product
     of two level-one blocks.
     """
+    return _heckeB_reports(e, s, n, cfg, ())
+
+
+def _heckeB_reports(
+    e: int, s: Optional[int], n: int, cfg: Optional[ClassifierConfig], extra: tuple[str, ...]
+) -> list[BlockReport]:
+    """``classify_heckeB`` with the notes extra appended to every report.
+    The labels come with the grown blocks; each distinct one is classified
+    once."""
     if cfg is None:
         cfg = ClassifierConfig()
     if type(e) is not int or e < 2:
@@ -336,40 +352,31 @@ def classify_heckeB(
     if type(n) is not int or n < 0:
         raise ValueError(f"rank must be a nonnegative integer, got {n!r}")
     rank = AffineRank(e - 1)
+    reports = []
     if s is not None:
         ctx = FockContext(rank, s % e, level=2)
-        reports = []
-        for beta in _grow_blocks(ctx, n)[n]:
-            reports.append(classify_block(ctx, beta, cfg, with_quiver=False))
+        kinds: dict[CanonicalRep, tuple[RepType, tuple[str, ...]]] = {}
+        for c, rep in _grow_blocks(ctx, n)[n].items():
+            if rep not in kinds:
+                notes: list[str] = []
+                kinds[rep] = (_label_type(ctx, rep, cfg, notes), tuple(notes) + extra)
+            rep_type, rep_notes = kinds[rep]
+            block = {"ell": rank.ell, "s": ctx.s, "level": 2, "beta": list(c)}
+            reports.append(BlockReport(block, rep, rep_type, notes=rep_notes))
         return reports
     # separated parameters: pairs of level-one blocks
     ctx1 = FockContext(rank, 0, level=1)
-    reports = []
     ones = _grow_blocks(ctx1, n)
-    types = {b.coeffs: classify_typeA_levelone(ctx1, b) for blocks in ones for b in blocks}
-    combos = [(b1, b2) for m in range(n + 1) for b1 in ones[m] for b2 in ones[n - m]]
-    combos.sort(key=lambda pair: (pair[0].coeffs, pair[1].coeffs))
-    for b1, b2 in combos:
-        t1 = types[b1.coeffs]
-        t2 = types[b2.coeffs]
+    labels = {c: rep for blocks in ones for c, rep in blocks.items()}
+    types = {rep: _label_type(ctx1, rep, cfg, []) for rep in set(labels.values())}
+    pairs = sorted((a, b) for m in range(n + 1) for a in ones[m] for b in ones[n - m])
+    note = "separated parameters: outer tensor product of two level-one blocks"
+    for c1, c2 in pairs:
+        t1, t2 = types[labels[c1]], types[labels[c2]]
+        block = {"ell": rank.ell, "separated": True, "beta1": list(c1), "beta2": list(c2)}
         rep_type = classify_tensor(t1, t2, rank.ell)
-        reports.append(
-            BlockReport(
-                input={
-                    "ell": rank.ell,
-                    "separated": True,
-                    "beta1": b1.to_json(),
-                    "beta2": b2.to_json(),
-                },
-                canonical=None,
-                rep_type=rep_type,
-                notes=(
-                    "separated parameters: outer tensor product of two "
-                    "level-one blocks "
-                    f"({t1.tag} x {t2.tag})",
-                ),
-            )
-        )
+        why = f"{note} ({t1} x {t2})"
+        reports.append(BlockReport(block, None, rep_type, notes=(why, *extra)))
     return reports
 
 
@@ -391,16 +398,7 @@ def classify_heckeD(
         raise UnsupportedConfigError(
             "type-D classification requires odd ground-field characteristic"
         )
-    if e % 2 == 0:
-        reports = classify_heckeB(e, e // 2, n, cfg)
-        note = (
-            "type-D block shares the representation type of its type-B "
-            f"covering block with charge {e // 2}"
-        )
-    else:
-        reports = classify_heckeB(e, None, n, cfg)
-        note = (
-            "type-D block shares the representation type of its type-B "
-            "covering block with separated parameters"
-        )
-    return [replace(r, notes=r.notes + (note,)) for r in reports]
+    s = e // 2 if e % 2 == 0 else None
+    cover = "separated parameters" if s is None else f"charge {s}"
+    note = "type-D block shares the representation type of its type-B covering block with "
+    return _heckeB_reports(e, s, n, cfg, (note + cover,))

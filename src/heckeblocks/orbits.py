@@ -13,7 +13,9 @@ a multiple of the null root.
 The pairings <h_i, Lambda - beta> list every nonzero block of a given
 height without listing partitions: ``_grow_blocks`` grows the blocks of
 height m + 1 from those of height m by the weight rule stated in its
-docstring.
+docstring, and labels each as it finds it: W fixes the label, so a block
+takes that of its reflection's image, and only a dominant one is read by
+``label_dominant``.
 """
 
 from __future__ import annotations
@@ -113,32 +115,44 @@ def _reduce(ctx: FockContext, beta: RootVec) -> tuple[int, ...]:
     return tuple(list(accumulate(map(sub, lam[:-1], y), initial=top)))
 
 
-def _grow_blocks(ctx: FockContext, n: int) -> list[list[RootVec]]:
-    """The nonzero blocks of heights 0..n, each height sorted by coefficients.
+def _grow_blocks(ctx: FockContext, n: int) -> list[dict[tuple[int, ...], CanonicalRep]]:
+    """The nonzero blocks of heights 0..n with their canonical labels: per
+    height, a dict from coefficients to label, sorted by coefficients.
 
-    c is a block exactly when Lambda - c is a weight, and the weights have
-    unbroken i-strings and are W-invariant (Kac, Infinite dimensional Lie
-    algebras, ch. 3 and ch. 12).  Let c have height m and
-    p = <h_i, Lambda - c> = fund_i - 2c_i + c_{i-1} + c_{i+1}.  If p >= 1,
-    c + alpha_i is a block.  If p <= 0, r_i maps Lambda - c - alpha_i to
-    Lambda - (c - (1 - p) alpha_i), a label of height m - 1 + p that is
-    already listed.  A block of height m + 1 has a removable node, so it is
-    c + alpha_i for some block c of height m."""
+    c is a block exactly when Lambda - c is a weight; the weights have
+    unbroken i-strings and, with their labels, are W-invariant (Kac, Infinite
+    dimensional Lie algebras, ch. 3 and Prop. 12.5).  A block of height m + 1
+    is c' = c + alpha_i for a block c of height m (it has a removable node).
+    With q_j = <h_j, Lambda - c'>: if every q_j >= 0, c' is a dominant block,
+    labelled by ``label_dominant``; else, for the first j with q_j < 0, r_j
+    maps Lambda - c' to Lambda - (c' + q_j alpha_j), of height m + 1 + q_j,
+    and c' is a block exactly when that is one, with its label.  As
+    q_i = <h_i, Lambda - c> - 2, j = i is tried first, and the other q_j are
+    read only when it is not negative."""
     e = ctx.rank.e
     fund = ctx.highest_weight().fund
-    heights = [{(0,) * e}]
+    heights = [{(0,) * e: label_dominant(ctx, (0,) * e)}]
     for m in range(n):
-        grown = set()
+        grown: dict[tuple[int, ...], CanonicalRep] = {}
         for c in heights[m]:
             for i in range(e):
-                p = fund[i] - 2 * c[i] + c[i - 1] + c[(i + 1) % e]
-                if p <= 0:
-                    low = c[:i] + (c[i] - 1 + p,) + c[i + 1 :]
-                    if low[i] < 0 or low not in heights[m - 1 + p]:
+                up = c[:i] + (c[i] + 1,) + c[i + 1 :]
+                if up in grown:
+                    continue
+                j, q = i, fund[i] - 2 * c[i] + c[i - 1] + c[(i + 1) % e] - 2
+                if q >= 0:
+                    for j in range(e):
+                        q = fund[j] - 2 * up[j] + up[j - 1] + up[(j + 1) % e]
+                        if q < 0:
+                            break
+                    else:
+                        grown[up] = label_dominant(ctx, up)
                         continue
-                grown.add(c[:i] + (c[i] + 1,) + c[i + 1 :])
+                low = up[:j] + (up[j] + q,) + up[j + 1 :]
+                if low[j] >= 0 and low in heights[m + 1 + q]:
+                    grown[up] = heights[m + 1 + q][low]
         heights.append(grown)
-    return [[RootVec(ctx.rank, c) for c in sorted(level)] for level in heights]
+    return [dict(sorted(level.items())) for level in heights]
 
 
 def is_weight(ctx: FockContext, beta: RootVec) -> bool:

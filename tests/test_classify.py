@@ -16,6 +16,7 @@ from heckeblocks import (
     RepType,
     RootVec,
     UnsupportedConfigError,
+    canonical_rep,
     classify_block,
     classify_canonical,
     classify_heckeB,
@@ -259,6 +260,18 @@ def test_heckeD_delegation_and_refusal():
     )
     odd = classify_heckeD(3, 2, cfg)
     assert all(any("separated" in n for n in r.notes) for r in odd)
+    # the covering note comes last, after the notes of the type-B report
+    cover = "type-D block shares the representation type of its type-B covering block with "
+    [mu] = [r for r in classify_heckeD(6, 4, cfg) if r.input["beta"] == [1, 0, 0, 1, 1, 1]]
+    assert mu.notes == (
+        "mu label rewritten as lambda label with charge 3",
+        cover + "charge 3",
+    )
+    assert odd[0].input == {"ell": 2, "separated": True, "beta1": [0, 0, 0], "beta2": [1, 0, 1]}
+    assert odd[0].notes == (
+        "separated parameters: outer tensor product of two level-one blocks (simple x simple)",
+        cover + "separated parameters",
+    )
 
 
 @pytest.mark.parametrize(
@@ -308,7 +321,18 @@ def test_block_contents_match_brute_force(e):
         grown = _grow_blocks(ctx, 10)
         for n, blocks in enumerate(grown):
             want = {content(ctx, bp).coeffs for bp in bipartitions(ctx, n)}
-            assert [b.coeffs for b in blocks] == sorted(want)
+            assert list(blocks) == sorted(want)
+
+
+@pytest.mark.parametrize("e", range(2, 9))
+def test_grown_labels_match_canonical_rep(e):
+    rank = AffineRank(e - 1)
+    contexts = [FockContext(rank, 0, level=1)]
+    contexts += [FockContext(rank, s, level=2) for s in range(e)]
+    for ctx in contexts:
+        for blocks in _grow_blocks(ctx, 10):
+            for c, label in blocks.items():
+                assert label == canonical_rep(ctx, RootVec(rank, c)), (ctx, c)
 
 
 @pytest.mark.parametrize("e", [2, 3, 4])
