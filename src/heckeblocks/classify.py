@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .cartan import AffineRank, RootVec, WeightVec, _int_tuple, dynkin_rotate
+from .cartan import AffineRank, RootVec, _int_tuple
 from .fock import FockContext
 from .gdim import QuiverBound, QuiverShapeError, _class_verdict
 from .orbits import LAMBDA, MU, CanonicalRep, _grow_blocks, canonical_rep
@@ -299,14 +299,9 @@ def classify_level_two(
     a, b = _int_tuple(charges, "charges")
     e = rank.e
     t = (-a) % e
-    fund = [0] * e
-    fund[a % e] += 1
-    fund[b % e] += 1
-    weight = WeightVec(rank, tuple(fund))
-    _, beta2 = dynkin_rotate(t, weight, beta)
-    s = (b - a) % e
-    ctx = FockContext(rank, s, level=2)
-    report = classify_block(ctx, beta2, cfg)
+    c = beta.coeffs
+    rotated = RootVec(beta.rank, c[a % e :] + c[: a % e])  # vertex a % e moves to 0
+    report = classify_block(FockContext(rank, (b - a) % e), rotated, cfg)
     notes = report.notes
     if t != 0:
         notes = notes + (f"quiver rotated by {t} to move a charge to vertex 0",)

@@ -11,7 +11,7 @@ import json
 import re
 import signal
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .cartan import AffineRank, RootVec
 from .classify import (
@@ -93,11 +93,13 @@ def _config(args: argparse.Namespace) -> ClassifierConfig:
         raise _UsageError(str(exc)) from exc
 
 
-def _emit(args: argparse.Namespace, payload, human: str) -> None:
+def _emit(args: argparse.Namespace, payload: Callable, human: Callable) -> None:
+    """Print the JSON payload or the human text, each a zero-argument
+    callable, building only the form that is printed."""
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload(), indent=2, sort_keys=True))
     else:
-        print(human)
+        print(human())
 
 
 def _report_lines(report) -> str:
@@ -122,7 +124,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     beta = _beta_from_args(args, ctx)
     cfg = _config(args)
     report = classify_block(ctx, beta, cfg)
-    _emit(args, report.to_json(), _report_lines(report))
+    _emit(args, report.to_json, lambda: _report_lines(report))
     return EXIT_OK
 
 
@@ -140,7 +142,7 @@ def cmd_dims(args: argparse.Namespace) -> int:
             except ValueError as exc:
                 raise _UsageError(f"malformed --idems entry {chunk!r}") from exc
         matrix = dim_matrix(ctx, beta, idems)
-    _emit(args, matrix.to_json(), str(matrix))
+    _emit(args, matrix.to_json, matrix.__str__)
     return EXIT_OK
 
 
@@ -162,7 +164,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
         lines.append(f"canonical: {rep}")
     else:
         lines.append("canonical: none (empty block)")
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, lambda: payload, lambda: "\n".join(lines))
     return EXIT_OK
 
 
@@ -172,15 +174,16 @@ def cmd_blocks(args: argparse.Namespace) -> int:
         reports = classify_heckeD(args.e, args.n, cfg)
     else:
         reports = classify_heckeB(args.e, None if args.separated else args.s, args.n, cfg)
-    lines = []
-    for report in reports:
+
+    def line(report) -> str:
         if "beta" in report.input:
             label = f"beta={report.input['beta']}"
         else:
             label = f"beta1={report.input['beta1']} beta2={report.input['beta2']}"
         canon = f" canonical={report.canonical}" if report.canonical else ""
-        lines.append(f"{label} type={report.rep_type.tag}{canon}")
-    _emit(args, [r.to_json() for r in reports], "\n".join(lines))
+        return f"{label} type={report.rep_type.tag}{canon}"
+
+    _emit(args, lambda: [r.to_json() for r in reports], lambda: "\n".join(map(line, reports)))
     return EXIT_OK
 
 
@@ -201,13 +204,17 @@ def cmd_tableaux(args: argparse.Namespace) -> int:
                 "degree": degree,
             }
         )
-    lines = []
-    for idx, row in enumerate(rows):
-        growth = " ".join(f"({c},{r},{col})" for c, r, col in row["growth"])
-        residues = ",".join(str(x) for x in row["residues"])
-        lines.append(f"T{idx}: degree={row['degree']} residues=({residues}) growth={growth}")
-    lines.append(f"total: {len(rows)}")
-    _emit(args, rows, "\n".join(lines))
+
+    def human() -> str:
+        lines = []
+        for idx, row in enumerate(rows):
+            growth = " ".join(f"({c},{r},{col})" for c, r, col in row["growth"])
+            residues = ",".join(str(x) for x in row["residues"])
+            lines.append(f"T{idx}: degree={row['degree']} residues=({residues}) growth={growth}")
+        lines.append(f"total: {len(rows)}")
+        return "\n".join(lines)
+
+    _emit(args, lambda: rows, human)
     return EXIT_OK
 
 

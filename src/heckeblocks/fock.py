@@ -1,11 +1,11 @@
-"""Level-two Fock space combinatorics.
+"""Fock space combinatorics at levels one and two.
 
-Bipartitions carry residues determined by the charge pair (0, s): a node in
-row r, column c of component 1 has residue c - r mod e, and c - r + s mod e
-in component 2.  Nodes are ordered top to bottom with every node of
-component 1 above every node of component 2 and larger row indices lower
-within a component.  A level-one context reuses the same code with the
-second component forced empty.
+A context has one charge per component, (0, s) at level two and (0,) at
+level one, and every routine loops over them: a node in row r, column c of
+component k has residue c - r + (charge of k) mod e.  Nodes are ordered top
+to bottom with every node of an earlier component above every node of a
+later one and larger row indices lower within a component.  A bipartition
+read at level one has an empty second component.
 """
 
 from __future__ import annotations
@@ -70,24 +70,27 @@ class Bipartition:
         _check_parts(self.comp2, "component 2")
 
     @property
+    def parts(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The components in order, component 1 first."""
+        return (self.comp1, self.comp2)
+
+    @property
     def size(self) -> int:
-        return sum(self.comp1) + sum(self.comp2)
+        return sum(map(sum, self.parts))
 
     def component(self, c: int) -> tuple[int, ...]:
-        if c == 1:
-            return self.comp1
-        if c == 2:
-            return self.comp2
-        raise ValueError(f"component must be 1 or 2, got {c}")
+        if c not in (1, 2):
+            raise ValueError(f"component must be 1 or 2, got {c}")
+        return self.parts[c - 1]
 
     def cells(self) -> Iterator[Node]:
-        for c, parts in ((1, self.comp1), (2, self.comp2)):
+        for c, parts in enumerate(self.parts, 1):
             for r, p in enumerate(parts):
                 for col in range(1, p + 1):
                     yield Node(c, r + 1, col)
 
     def to_json(self) -> list[list[int]]:
-        return [list(self.comp1), list(self.comp2)]
+        return [list(parts) for parts in self.parts]
 
     @classmethod
     def from_json(cls, data: list[list[int]]) -> "Bipartition":
@@ -103,7 +106,7 @@ class Bipartition:
         def one(parts: tuple[int, ...]) -> str:
             return "(" + ",".join(str(p) for p in parts) + ")" if parts else "()"
 
-        return f"({one(self.comp1)}|{one(self.comp2)})"
+        return "(" + "|".join(map(one, self.parts)) + ")"
 
 
 @dataclass(frozen=True)
@@ -122,27 +125,29 @@ class FockContext:
         if self.level == 1 and self.s != 0:
             raise ValueError("a level-one context has charge 0")
 
+    @property
+    def charges(self) -> tuple[int, ...]:
+        """One charge per component: (0, s), or (0,) at level one."""
+        return (0, self.s)[: self.level]
+
     def highest_weight(self) -> WeightVec:
         fund = [0] * self.rank.e
-        fund[0] += 1
-        if self.level == 2:
-            fund[self.s] += 1
+        for c in self.charges:
+            fund[c] += 1
         return WeightVec(self.rank, tuple(fund))
 
     def charge(self, component: int) -> int:
-        return 0 if component == 1 else self.s
+        if type(component) is not int or not 1 <= component <= self.level:
+            raise ValueError(f"component must be in 1..{self.level}, got {component!r}")
+        return self.charges[component - 1]
 
     def check_shape(self, bp: Bipartition) -> None:
-        if self.level == 1 and bp.comp2:
-            raise ValueError("level-one context admits only one component")
+        if any(bp.parts[self.level :]):
+            raise ValueError(f"a level-{self.level} context admits {self.level} component(s)")
 
 
 def residue(ctx: FockContext, node: Node) -> int:
     """Residue of a node: (col - row + charge) mod e."""
-    if node.component == 2 and ctx.level == 1:
-        raise ValueError("component 2 node in a level-one context")
-    if node.component not in (1, 2):
-        raise ValueError(f"component must be 1 or 2, got {node.component}")
     return (node.col - node.row + ctx.charge(node.component)) % ctx.rank.e
 
 
@@ -154,9 +159,7 @@ def _corners(ctx: FockContext, bp: Bipartition, i: int | None) -> list[tuple[int
     if i is not None:
         i %= e
     out = []
-    for c in (1,) if ctx.level == 1 else (1, 2):
-        parts = bp.component(c)
-        charge = ctx.charge(c)
+    for c, (charge, parts) in enumerate(zip(ctx.charges, bp.parts), 1):
         last = len(parts)
         for r in range(last + 1):
             p = parts[r] if r < last else 0
@@ -187,10 +190,9 @@ def add_node(bp: Bipartition, node: Node) -> Bipartition:
     if r >= len(parts) or parts[r] + 1 != node.col:
         raise ValueError(f"{node} is not an addable corner of {bp}")
     parts[r] += 1
-    new = tuple(parts)
-    if node.component == 1:
-        return Bipartition(new, bp.comp2)
-    return Bipartition(bp.comp1, new)
+    comps = list(bp.parts)
+    comps[node.component - 1] = tuple(parts)
+    return Bipartition(*comps)
 
 
 def _stat_below(ctx: FockContext, bp: Bipartition, node: Node, i: int) -> int:
@@ -235,32 +237,28 @@ def enumerate_standard(ctx: FockContext, shape: Bipartition) -> Iterator[Bitable
     order of their (component, row) corner choices.
     """
     ctx.check_shape(shape)
-    t1, t2 = shape.comp1, shape.comp2
     n = shape.size
-    a1 = [0] * len(t1)
-    a2 = [0] * len(t2)
+    filled = [[0] * len(parts) for parts in shape.parts]
     growth: list[Node] = []
 
     def corners() -> list[tuple[int, int]]:
-        out = []
-        for r in range(len(t1)):
-            if a1[r] < t1[r] and (r == 0 or a1[r] < a1[r - 1]):
-                out.append((1, r))
-        for r in range(len(t2)):
-            if a2[r] < t2[r] and (r == 0 or a2[r] < a2[r - 1]):
-                out.append((2, r))
-        return out
+        return [
+            (c, r)
+            for c, (parts, row) in enumerate(zip(shape.parts, filled), 1)
+            for r in range(len(parts))
+            if row[r] < parts[r] and (r == 0 or row[r] < row[r - 1])
+        ]
 
     def walk() -> Iterator[Bitableau]:
         if len(growth) == n:
             yield Bitableau(shape, tuple(growth))
             return
         for comp, r in corners():
-            arr = a1 if comp == 1 else a2
-            growth.append(Node(comp, r + 1, arr[r] + 1))
-            arr[r] += 1
+            row = filled[comp - 1]
+            growth.append(Node(comp, r + 1, row[r] + 1))
+            row[r] += 1
             yield from walk()
-            arr[r] -= 1
+            row[r] -= 1
             growth.pop()
 
     return walk()

@@ -147,7 +147,7 @@ def _moves(ctx: FockContext, shape: Shape, i: int) -> tuple[tuple[Shape, int], .
     least = 0
     for k in reversed(range(len(shape))):
         parts = shape[k]
-        c = (ctx.s if k else 0) - i
+        c = ctx.charges[k] - i
         # Row r ends in a node of residue i + d - 1, d = (p - r + c) % e, so
         # it has an addable i-node if d is 0, a removable one if d is 1 (as
         # e >= 2, not both).  The empty row below the last is addable.
@@ -311,8 +311,7 @@ def kostka_q(ctx: FockContext, shape: Bipartition, nu: Sequence[int]) -> QPoly:
         raise ValueError(
             f"residue word has length {len(seq)}, shape has {shape.size} nodes"
         )
-    key = (shape.comp1, shape.comp2)[: ctx.level]
-    hit = _fold(ctx, seq).get(key)
+    hit = _fold(ctx, seq).get(shape.parts[: ctx.level])
     return _from_coeffs(_unpack(*hit, _width(ctx.level, len(seq))) if hit else {})
 
 
@@ -320,7 +319,7 @@ def block_bipartitions(ctx: FockContext, beta: RootVec) -> list[Bipartition]:
     """All bipartitions whose residue content equals beta, sorted."""
     _check_block(ctx, beta)
     out = [bp for bp in bipartitions(ctx, beta.height) if content(ctx, bp) == beta]
-    return sorted(out, key=lambda b: (b.comp1, b.comp2))
+    return sorted(out, key=lambda b: b.parts)
 
 
 def residue_sequences(ctx: FockContext, beta: RootVec) -> list[ResidueSeq]:
@@ -524,13 +523,12 @@ def _hook_product_count(parts: tuple[int, ...]) -> int:
 
 
 def count_standard(shape: Bipartition) -> int:
-    """Number of standard bitableaux of the shape."""
-    m = sum(shape.comp1)
-    return (
-        math.comb(shape.size, m)
-        * _hook_product_count(shape.comp1)
-        * _hook_product_count(shape.comp2)
-    )
+    """Number of standard bitableaux of the shape: the multinomial of the
+    component sizes times each component's count of standard tableaux."""
+    count = math.factorial(shape.size)
+    for parts in shape.parts:
+        count = count // math.factorial(sum(parts)) * _hook_product_count(parts)
+    return count
 
 
 def ungraded_block_dim(ctx: FockContext, beta: RootVec) -> int:

@@ -303,6 +303,14 @@ def test_level_two_rejects_charges_that_are_not_ints(charges):
         classify_level_two(rank, charges, RootVec(rank, (1, 1, 0)))
 
 
+@pytest.mark.parametrize("charges", [(0, 1), (1, 1), (5, 2)])
+def test_level_two_rejects_a_root_of_another_rank(charges):
+    with pytest.raises(ValueError, match="rank mismatch"):
+        classify_level_two(AffineRank(2), charges, RootVec(AffineRank(1), (1, 1)))
+    with pytest.raises(ValueError, match="rank mismatch"):
+        classify_level_two(AffineRank(1), charges, RootVec(AffineRank(2), (1, 1, 0)))
+
+
 def test_partition_generator_counts():
     counts = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
     for n, want in enumerate(counts):

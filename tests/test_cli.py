@@ -79,6 +79,22 @@ def test_dims_table_and_polynomials(capsys):
     assert "e(0,1)" in out and "e(1,0)" in out
 
 
+def test_dims_builds_only_the_form_it_prints(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("built an output form that is not printed")
+
+    argv = ["dims", "--ell", "1", "--s", "1", "--beta", "1,1", "--all"]
+    monkeypatch.setattr(heckeblocks.DimMatrix, "__str__", refuse)
+    code, out = run(capsys, *argv, "--json")
+    assert code == EXIT_OK
+    assert json.loads(out)["idempotents"] == [[0, 1], [1, 0]]
+    monkeypatch.undo()
+    monkeypatch.setattr(heckeblocks.DimMatrix, "to_json", refuse)
+    code, out = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert "1+q^2+q^4" in out
+
+
 def test_dims_with_explicit_idempotents(capsys):
     code, out = run(
         capsys,
@@ -287,8 +303,25 @@ def test_tableaux_listing(capsys):
         capsys, "tableaux", "--ell", "1", "--s", "1", "--shape", "[[2],[1]]"
     )
     assert code == EXIT_OK
-    assert "total: 3" in out
-    assert "degree=" in out and "residues=" in out
+    # The stream order is pinned: corner choices in (component, row) order.
+    assert out.splitlines() == [
+        "T0: degree=2 residues=(0,1,1) growth=(1,1,1) (1,1,2) (2,1,1)",
+        "T1: degree=0 residues=(0,1,1) growth=(1,1,1) (2,1,1) (1,1,2)",
+        "T2: degree=2 residues=(1,0,1) growth=(2,1,1) (1,1,1) (1,1,2)",
+        "total: 3",
+    ]
+
+
+def test_tableaux_listing_at_level_one(capsys):
+    code, out = run(
+        capsys, "tableaux", "--ell", "2", "--level", "1", "--shape", "[[2,1],[]]"
+    )
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        "T0: degree=0 residues=(0,1,2) growth=(1,1,1) (1,1,2) (1,2,1)",
+        "T1: degree=1 residues=(0,2,1) growth=(1,1,1) (1,2,1) (1,1,2)",
+        "total: 2",
+    ]
 
 
 def test_tableaux_rejects_a_negative_limit(capsys):

@@ -94,6 +94,14 @@ def test_context_validation(rank2):
     one_comp = FockContext(rank2, 0, level=1)
     with pytest.raises(ValueError):
         one_comp.check_shape(Bipartition((1,), (1,)))
+    assert (ctx.charges, one_comp.charges) == ((0, 1), (0,))
+    assert one_comp.charge(1) == 0
+    # A component outside 1..level has no charge, at either level.
+    for context, bad in [(ctx, 0), (ctx, 3), (ctx, -1), (ctx, True), (one_comp, 2)]:
+        with pytest.raises(ValueError, match="component must be"):
+            context.charge(bad)
+    with pytest.raises(ValueError, match="component must be"):
+        residue(one_comp, Node(2, 1, 1))
 
 
 def test_addable_nodes_of_empty_and_hook(ctx21):
