@@ -18,7 +18,7 @@ from typing import Optional
 from .cartan import AffineRank, RootVec, _int_tuple
 from .fock import FockContext
 from .gdim import QuiverBound, QuiverShapeError, _class_verdict
-from .orbits import LAMBDA, MU, CanonicalRep, _grow_blocks, canonical_rep
+from .orbits import LAMBDA, MU, CanonicalRep, _check_label, _grow_blocks, canonical_rep
 
 SIMPLE = "simple"
 FINITE = "finite"
@@ -126,11 +126,11 @@ class BlockReport:
 
 def normalize(ctx: FockContext, rep: CanonicalRep) -> tuple[FockContext, CanonicalRep]:
     """Rewrite a mu-family label as the lambda-family label of the rotated
-    context; lambda-family labels pass through unchanged."""
+    context; lambda-family labels pass through unchanged.  ValueError when
+    rep is not a label of the context."""
+    _check_label(ctx, rep)
     if rep.family == LAMBDA:
         return ctx, rep
-    if ctx.level != 2:
-        raise ValueError("mu labels only arise for level-two contexts")
     s2 = ctx.rank.ell - rep.s + 1
     ctx2 = FockContext(ctx.rank, s2, level=2)
     return ctx2, CanonicalRep(LAMBDA, s2, rep.i, rep.k)
@@ -172,12 +172,8 @@ def classify_canonical(
         raise ValueError("normalize the label before classifying")
     if ctx.level != 2:
         raise ValueError("use classify_typeA_levelone for level-one contexts")
-    ell, s = ctx.rank.ell, ctx.s
-    if rep.s != s:
-        raise ValueError(f"label charge {rep.s} does not match context charge {s}")
-    if not 0 <= rep.i <= (ell - s + 1) // 2:
-        raise ValueError(f"i must lie in 0..{(ell - s + 1) // 2}, got {rep.i}")
-    i, k = rep.i, rep.k
+    _check_label(ctx, rep)
+    ell, s, i, k = ctx.rank.ell, ctx.s, rep.i, rep.k
     if (i, k) == (0, 0):
         return RepType(SIMPLE)
     if (i, k) == (1, 0):

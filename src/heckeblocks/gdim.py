@@ -38,11 +38,12 @@ Brundan-Kleshchev-Wang):
 - ``kostka_q`` looks the shape up in the fold of the word and decodes it;
 - ``graded_dim`` is the dot product of the folds of its two words: one
   product of packed ints per shared shape, decoded once;
-- ``dim_matrix`` builds the matrix shape by shape.  Each histogram is
-  repacked (from the least degree of any fold, at the tightest width at
-  which no coefficient of the matrix carries), each shape lists the classes
-  whose fold it is in, and row i sums the products of packed histograms only
-  over the classes j >= i sharing a shape with i; each entry is decoded once;
+- ``dim_matrix`` builds the matrix shape by shape.  Each shape lists the
+  classes whose fold it is in, with their histograms packed as the folds
+  hold them, and row i sums the products of packed histograms only over
+  the classes j >= i sharing a shape with i, each shifted by its two least
+  degrees above the least of any fold; no sum carries at the fold width, so
+  each entry is decoded once;
 - ``_walk`` walks the prefix trie of the block's words depth first, within
   the per-residue budget of beta, so words share their prefixes' states; a
   word ends when its budget is spent.  It is a generator: each word comes
@@ -209,11 +210,7 @@ def _fold(ctx: FockContext, word: ResidueSeq) -> State:
     Folds are cached by context and word, which ``graded_dim``, ``kostka_q``
     and ``dim_matrix`` share across calls; a cached fold is shared and never
     mutated.  The cache holds ``_CACHE_STATES`` folds and drops the least
-    recently used first.  It bounds states, not shapes: the largest state of
-    the block (3,2,2delta), height 8, has 25 shapes.  A fold is the state of
-    a prefix of its own word, so 1024 folds of (1,1,6delta), height 12, hold
-    at most the 251 014 shapes, about 40 MB, of its 1024 largest prefix
-    states."""
+    recently used first; the module docstring bounds what they hold."""
     width = _width(ctx.level, len(word))
     state = _start(ctx)
     for i in word:
@@ -441,51 +438,29 @@ def class_matrix(ctx: FockContext, beta: RootVec) -> DimMatrix:
 def _matrix(seqs: list[ResidueSeq], folds: list[State], width: int) -> DimMatrix:
     """The matrix of the words with the given folds, packed ``width`` bits a
     degree, shape by shape.  The list of folds is cleared entry by entry as
-    each fold is repacked."""
+    each fold's histograms go into the buckets."""
     m = len(seqs)
-    # Repack each histogram from the least degree lo of any fold, as tightly
-    # as no chunk of a sum of products carries.  A coefficient of entry
-    # (i, j) is at most T_i * T_j, T_i the total tableau count of fold i, so
-    # one bit more than the largest T^2 is enough, as is the fold width.
-    # A histogram's total is its packed int mod 2^width - 1, since the
-    # total is smaller than that.  Folds share most histograms, so each
-    # distinct one is repacked once.
-    lo = None
-    most = 0
-    ones = (1 << width) - 1
-    for fold in folds:
-        total = 0
-        for least, packed in fold.values():
-            total += packed % ones
-            if lo is None or least < lo:
-                lo = least
-        most = max(most, total)
-    if lo is None:
-        lo = 0
-    tight = min((most * most).bit_length() + 1, width)
+    lo = min((least for fold in folds for least, _ in fold.values()), default=0)
     zero = _from_coeffs({})
     entries = [[zero] * m for _ in range(m)]
-    by_shape: dict[Shape, list[tuple[int, int]]] = {}
-    repacked: dict[int, int] = {}
+    by_shape: dict[Shape, list[tuple[int, int, int]]] = {}
     for i in reversed(range(m)):
         # by_shape holds the classes j >= i, so row i is summed over j >= i
-        # sharing a shape with i only.
+        # sharing a shape with i only.  A bucket keeps each histogram as its
+        # fold packs it, with its least degree above lo in bits, so a product
+        # is shifted once to its place above 2 * lo; at the fold width no sum
+        # of products carries.
         acc: dict[int, int] = {}
         for shape, (least, packed) in folds[i].items():
-            if tight < width:
-                wide = packed
-                packed = repacked.get(wide)
-                if packed is None:
-                    packed = repacked[wide] = _repack(wide, width, tight)
-            packed <<= tight * (least - lo)
+            here = width * (least - lo)
             bucket = by_shape.setdefault(shape, [])
-            bucket.append((i, packed))
-            for j, other in bucket:
-                acc[j] = acc.get(j, 0) + packed * other
-        folds[i] = {}  # repacked now; free it while the rows fill
+            bucket.append((i, here, packed))
+            for j, there, other in bucket:
+                acc[j] = acc.get(j, 0) + ((packed * other) << (here + there))
+        folds[i] = {}  # in the buckets now; free it while the rows fill
         row = entries[i]
         for j, x in acc.items():
-            row[j] = entries[j][i] = _from_coeffs(_unpack(2 * lo, x, tight))
+            row[j] = entries[j][i] = _from_coeffs(_unpack(2 * lo, x, width))
     result = DimMatrix(tuple(seqs), tuple(tuple(row) for row in entries))
     for i in range(m):
         diag = result.entries[i][i]
@@ -495,17 +470,6 @@ def _matrix(seqs: list[ResidueSeq], folds: list[State], width: int) -> DimMatrix
                 stacklevel=3,
             )
     return result
-
-
-def _repack(packed: int, width: int, tight: int) -> int:
-    """A packed histogram moved from ``width`` to ``tight`` bits a degree."""
-    mask = (1 << width) - 1
-    out = shift = 0
-    while packed:
-        out |= (packed & mask) << shift
-        packed >>= width
-        shift += tight
-    return out
 
 
 def _hook_product_count(parts: tuple[int, ...]) -> int:

@@ -163,8 +163,21 @@ def is_weight(ctx: FockContext, beta: RootVec) -> bool:
     return min(_reduce(ctx, beta)) >= 0
 
 
+def _check_label(ctx: FockContext, rep: CanonicalRep) -> None:
+    """ValueError unless rep is a label of the context: its charge is the
+    context's and its index is in its family's range."""
+    if rep.s != ctx.s:
+        raise ValueError(f"label charge {rep.s} does not match context charge {ctx.s}")
+    span = _lambda_range(ctx) if rep.family == LAMBDA else _mu_range(ctx)
+    if rep.i not in span:
+        raise ValueError(
+            f"{rep.family} label index {rep.i} is not in {list(span)} for this context"
+        )
+
+
 def rep_root(ctx: FockContext, rep: CanonicalRep) -> RootVec:
-    """The root vector named by a canonical label."""
+    """The root vector named by a canonical label of the context."""
+    _check_label(ctx, rep)
     if rep.family == LAMBDA:
         base = lambda_rep(rep.s, rep.i, ctx.rank)
     else:

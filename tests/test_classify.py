@@ -26,6 +26,7 @@ from heckeblocks import (
     classify_typeA_levelone,
     dynkin_rotate,
     lambda_rep,
+    normalize,
     null_root,
     rep_root,
 )
@@ -105,6 +106,27 @@ def test_equal_charges_table_depends_on_scalars():
     ctx1 = ctx_for(1, 0)
     assert classify_canonical(ctx1, rep(0, 0, 1), plain).tag == TAME
     assert classify_canonical(ctx1, rep(0, 0, 1), other_scalar).tag == TAME
+
+
+@pytest.mark.parametrize(
+    "label, match",
+    [
+        (CanonicalRep(MU, 2, 1, 0), "^label charge 2 does not match context charge 1$"),
+        (CanonicalRep(MU, 3, 1, 0), "^label charge 3 does not match context charge 1$"),
+        (CanonicalRep(MU, 1, 1, 0), r"^mu label index 1 is not in \[\] for this context$"),
+        (rep(1, 2, 0), r"^lambda label index 2 is not in \[0, 1\] for this context$"),
+    ],
+)
+def test_a_label_of_another_context_is_rejected(label, match):
+    """A label whose charge or index the context does not have names no
+    block of it: normalize and classify_canonical refuse it rather than
+    classify the label of another context."""
+    ctx = ctx_for(3, 1)
+    with pytest.raises(ValueError, match=match):
+        normalize(ctx, label)
+    if label.family == LAMBDA:
+        with pytest.raises(ValueError, match=match):
+            classify_canonical(ctx, label, ClassifierConfig())
 
 
 def test_tame_reports_carry_graph_data():

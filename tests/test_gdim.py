@@ -327,6 +327,36 @@ def _matrix_verdict(folds):
         return str(exc)
 
 
+@pytest.mark.filterwarnings("ignore:diagonal graded dimension")
+def test_matrix_shifts_each_product_by_its_two_least_degrees():
+    """Hand-built folds whose least degrees spread over -9..7, with shapes
+    that some folds share and none all: each entry of ``_matrix`` is the sum
+    over shared shapes of the products of the two histograms.  The largest
+    coefficient, 243, fills the top bit of the 8-bit chunks, so a wrong shift
+    or a carry would show.  The diagonals are not palindromic."""
+    rng = random.Random(17)
+    folds = []
+    for _ in range(7):
+        fold = {}
+        for name in rng.sample("abcde", rng.randint(1, 4)):
+            least = rng.randint(-9, 7)
+            fold[(name,)] = {least + d: rng.randint(1, 9) for d in range(rng.randint(1, 3))}
+        folds.append(fold)
+    want = tuple(
+        tuple(
+            sum((QPoly(a[shape]) * QPoly(b[shape]) for shape in a if shape in b), QPoly())
+            for b in folds
+        )
+        for a in folds
+    )
+    leasts = [min(hist) for fold in folds for hist in fold.values()]
+    assert (min(leasts), max(leasts)) == (-9, 7)
+    assert not set(folds[0]).intersection(*folds[1:])
+    assert max(c for row in want for poly in row for _, c in poly.items()) == 243
+    seqs = [(j,) for j in range(len(folds))]
+    assert gdim._matrix(seqs, [_packed(fold) for fold in folds], WIDTH).entries == want
+
+
 def test_quiver_verdict_checks_the_later_rows_after_the_walk(monkeypatch):
     """Row 0 passes and entry (1,2) = q fails: the rows after the first are
     read once every fold is in, and the error matches the matrix's."""

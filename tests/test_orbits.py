@@ -166,6 +166,26 @@ def test_rep_root_and_canonical_round_trip():
             assert canonical_rep(ctx, rep_root(ctx, rep)) == rep
 
 
+@pytest.mark.parametrize(
+    "level, label, match",
+    [
+        (2, CanonicalRep(LAMBDA, 2, 1, 0), "^label charge 2 does not match context charge 1$"),
+        (2, CanonicalRep(MU, 2, 1, 0), "^label charge 2 does not match context charge 1$"),
+        (2, CanonicalRep(LAMBDA, 1, 2, 0), r"^lambda label index 2 is not in \[0, 1\]"),
+        (2, CanonicalRep(MU, 1, 1, 0), r"^mu label index 1 is not in \[\]"),
+        (1, CanonicalRep(LAMBDA, 0, 1, 0), r"^lambda label index 1 is not in \[0\]"),
+        (1, CanonicalRep(LAMBDA, 1, 0, 0), "^label charge 1 does not match context charge 0$"),
+    ],
+)
+def test_rep_root_rejects_a_label_of_another_context(level, label, match):
+    """rep_root names no root vector for a label the context does not have,
+    rather than one whose canonical label is another.  The context has
+    charge 1 at level two and 0 at level one."""
+    ctx = FockContext(AffineRank(3), level - 1, level=level)
+    with pytest.raises(ValueError, match=match):
+        rep_root(ctx, label)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_canonical_rep_inverts_rep_root(data):
