@@ -7,7 +7,9 @@ the separated-parameter case) and dispatches.  :func:`classify_heckeB` and
 ``orbits._grow_blocks``, so they reduce no block and classify each distinct
 label once: at level two the blocks of height n, with separated parameters
 the level-one blocks of every height up to n, paired so that the heights
-sum to n.
+sum to n.  With separated parameters each level-one block's type is read
+once, and the tensor type and note of each pair of types are built once and
+shared by the reports of every pair of blocks with those types.
 """
 
 from __future__ import annotations
@@ -333,7 +335,10 @@ def _heckeB_reports(
 ) -> list[BlockReport]:
     """``classify_heckeB`` with the notes extra appended to every report.
     The labels come with the grown blocks; each distinct one is classified
-    once."""
+    once.  With separated parameters each level-one block carries the index
+    of its type among the distinct types, and ``classify_tensor`` and the
+    note run once per pair of indices; the reports share the immutable
+    results."""
     if cfg is None:
         cfg = ClassifierConfig()
     if type(e) is not int or e < 2:
@@ -358,16 +363,33 @@ def _heckeB_reports(
     # separated parameters: pairs of level-one blocks
     ctx1 = FockContext(rank, 0, level=1)
     ones = _grow_blocks(ctx1, n)
-    labels = {c: rep for blocks in ones for c, rep in blocks.items()}
-    types = {rep: _label_type(ctx1, rep, cfg, []) for rep in set(labels.values())}
-    pairs = sorted((a, b) for m in range(n + 1) for a in ones[m] for b in ones[n - m])
+    # each block's type read once, as an index into the distinct types
+    types: list[RepType] = []
+    index: dict[CanonicalRep, int] = {}
+    typed: list[list[tuple[tuple[int, ...], int]]] = []
+    for blocks in ones:
+        typed.append([])
+        for c, rep in blocks.items():
+            if rep not in index:
+                rep_type = _label_type(ctx1, rep, cfg, [])
+                if rep_type not in types:
+                    types.append(rep_type)
+                index[rep] = types.index(rep_type)
+            typed[-1].append((c, index[rep]))
+    ell = rank.ell
     note = "separated parameters: outer tensor product of two level-one blocks"
-    for c1, c2 in pairs:
-        t1, t2 = types[labels[c1]], types[labels[c2]]
-        block = {"ell": rank.ell, "separated": True, "beta1": list(c1), "beta2": list(c2)}
-        rep_type = classify_tensor(t1, t2, rank.ell)
-        why = f"{note} ({t1} x {t2})"
-        reports.append(BlockReport(block, None, rep_type, notes=(why, *extra)))
+    shared: dict[tuple[int, int], tuple[RepType, tuple[str, ...]]] = {}
+    # the first blocks of all heights in order, each with the second blocks
+    # of the complementary height in order: the pairs in order
+    for c1, k1, m in sorted((c, k, m) for m, row in enumerate(typed) for c, k in row):
+        for c2, k2 in typed[n - m]:
+            result = shared.get((k1, k2))
+            if result is None:
+                t1, t2 = types[k1], types[k2]
+                why = f"{note} ({t1} x {t2})"
+                result = shared[k1, k2] = (classify_tensor(t1, t2, ell), (why, *extra))
+            block = {"ell": ell, "separated": True, "beta1": list(c1), "beta2": list(c2)}
+            reports.append(BlockReport(block, None, result[0], notes=result[1]))
     return reports
 
 

@@ -15,7 +15,11 @@ height without listing partitions: ``_grow_blocks`` grows the blocks of
 height m + 1 from those of height m by the weight rule stated in its
 docstring, and labels each as it finds it: W fixes the label, so a block
 takes that of its reflection's image, and only a dominant one is read by
-``label_dominant``.
+``label_dominant``.  It keys the blocks of each height by an integer code,
+their coefficients as digits in base n + 1: no coefficient of a block of
+height at most n exceeds n, so a step or a reflection is one addition with
+no carry or borrow, and the codes sort as the coefficient tuples do.  A
+tuple is built only for a candidate that is a block.
 """
 
 from __future__ import annotations
@@ -127,32 +131,49 @@ def _grow_blocks(ctx: FockContext, n: int) -> list[dict[tuple[int, ...], Canonic
     labelled by ``label_dominant``; else, for the first j with q_j < 0, r_j
     maps Lambda - c' to Lambda - (c' + q_j alpha_j), of height m + 1 + q_j,
     and c' is a block exactly when that is one, with its label.  As
-    q_i = <h_i, Lambda - c> - 2, j = i is tried first, and the other q_j are
-    read only when it is not negative."""
+    q_i = <h_i, Lambda - c> - 2, j = i is tried first.  When q_i >= 0 the
+    i-string through Lambda - c reaches Lambda - c', so c' is a block, and
+    only then are the other q_j read.
+
+    Each height's dict is keyed by the integer code sum_t c_t (n + 1)^(e-1-t)
+    of c, so that c + alpha_i and c' + q alpha_j are one addition each.  The
+    coefficients of a block are nonnegative and sum to its height, so none
+    of a block of height at most n exceeds n.  So no digit carries; none
+    borrows, as c' + q_j alpha_j is looked up only once its digit c'_j + q_j
+    is known to be nonnegative (by a test for j = i, and for j != i because
+    c' is a block and so is its image); and the codes order as the tuples do.
+    The tuple of a candidate is built only once it is known to be a block,
+    and it is kept beside the block's label."""
     e = ctx.rank.e
     fund = ctx.highest_weight().fund
-    heights = [{(0,) * e: label_dominant(ctx, (0,) * e)}]
+    unit = [(n + 1) ** (e - 1 - t) for t in range(e)]
+    zero = (0,) * e
+    heights = [{0: (zero, label_dominant(ctx, zero))}]
     for m in range(n):
-        grown: dict[tuple[int, ...], CanonicalRep] = {}
-        for c in heights[m]:
+        grown: dict[int, tuple[tuple[int, ...], CanonicalRep]] = {}
+        for code, (c, _) in heights[m].items():
             for i in range(e):
-                up = c[:i] + (c[i] + 1,) + c[i + 1 :]
+                up = code + unit[i]
                 if up in grown:
                     continue
-                j, q = i, fund[i] - 2 * c[i] + c[i - 1] + c[(i + 1) % e] - 2
-                if q >= 0:
-                    for j in range(e):
-                        q = fund[j] - 2 * up[j] + up[j - 1] + up[(j + 1) % e]
-                        if q < 0:
-                            break
-                    else:
-                        grown[up] = label_dominant(ctx, up)
-                        continue
-                low = up[:j] + (up[j] + q,) + up[j + 1 :]
-                if low[j] >= 0 and low in heights[m + 1 + q]:
-                    grown[up] = heights[m + 1 + q][low]
+                q = fund[i] - 2 * c[i] + c[i - 1] + c[(i + 1) % e] - 2
+                if q < 0:
+                    if c[i] + 1 + q >= 0:
+                        low = heights[m + 1 + q].get(up + q * unit[i])
+                        if low is not None:
+                            grown[up] = (c[:i] + (c[i] + 1,) + c[i + 1 :], low[1])
+                    continue
+                # <h_i, Lambda - c> >= 2, so the i-string makes c' a block
+                plus = c[:i] + (c[i] + 1,) + c[i + 1 :]
+                for j in range(e):
+                    q = fund[j] - 2 * plus[j] + plus[j - 1] + plus[(j + 1) % e]
+                    if q < 0:
+                        grown[up] = (plus, heights[m + 1 + q][up + q * unit[j]][1])
+                        break
+                else:
+                    grown[up] = (plus, label_dominant(ctx, plus))
         heights.append(grown)
-    return [dict(sorted(level.items())) for level in heights]
+    return [dict(block for _, block in sorted(level.items())) for level in heights]
 
 
 def is_weight(ctx: FockContext, beta: RootVec) -> bool:

@@ -17,6 +17,7 @@ from heckeblocks import (
     RootVec,
     UnsupportedConfigError,
     canonical_rep,
+    cartan_entry,
     classify_block,
     classify_canonical,
     classify_heckeB,
@@ -30,6 +31,7 @@ from heckeblocks import (
     null_root,
     rep_root,
 )
+from heckeblocks import classify, orbits
 from heckeblocks.fock import Bipartition, bipartitions, content, partitions
 from heckeblocks.orbits import LAMBDA, MU, _grow_blocks
 
@@ -363,6 +365,121 @@ def test_grown_labels_match_canonical_rep(e):
         for blocks in _grow_blocks(ctx, 10):
             for c, label in blocks.items():
                 assert label == canonical_rep(ctx, RootVec(rank, c)), (ctx, c)
+
+
+@pytest.mark.parametrize("e", range(2, 9))
+def test_grown_blocks_at_their_own_height(e):
+    """The code base is n + 1 for a grower called at height n: the blocks of
+    height n, whose largest coefficient may equal n, are still grown."""
+    rank = AffineRank(e - 1)
+    contexts = [FockContext(rank, 0, level=1)]
+    contexts += [FockContext(rank, s, level=2) for s in range(e)]
+    for ctx in contexts:
+        for n in range(9):
+            blocks = _grow_blocks(ctx, n)[n]
+            want = {content(ctx, bp).coeffs for bp in bipartitions(ctx, n)}
+            assert list(blocks) == sorted(want), (ctx, n)
+            for c, label in blocks.items():
+                assert label == canonical_rep(ctx, RootVec(rank, c)), (ctx, c)
+
+
+@pytest.mark.parametrize(
+    "e, s, level, top",
+    [(2, 0, 2, (2, 0)), (2, 0, 1, (1, 0)), (3, 0, 2, (2, 0, 0))],
+)
+def test_a_coefficient_equal_to_the_height_is_a_digit(e, s, level, top):
+    ctx = FockContext(AffineRank(e - 1), s, level=level)
+    n = max(top)
+    blocks = _grow_blocks(ctx, n)[n]
+    assert top in blocks
+    assert blocks[top] == canonical_rep(ctx, RootVec(ctx.rank, top))
+
+
+def _defect(rank, fund, c):
+    """def(beta) = (Lambda|beta) - (beta|beta)/2 from the Cartan matrix."""
+    e = rank.e
+    norm = sum(c[i] * c[j] * cartan_entry(rank, i, j) for i in range(e) for j in range(e))
+    return sum(f * x for f, x in zip(fund, c)) - norm // 2
+
+
+def _obeys_defect_rules(tag, defect):
+    """simple iff def 0, finite iff def 1, tame only at def 2, wild from def 3."""
+    if (tag == SIMPLE) != (defect == 0) or (tag == FINITE) != (defect == 1):
+        return False
+    return (tag != TAME or defect == 2) and (defect < 3 or tag == WILD)
+
+
+def _separated_defect(rank, report):
+    one = [1] + [0] * (rank.e - 1)
+    return _defect(rank, one, report.input["beta1"]) + _defect(rank, one, report.input["beta2"])
+
+
+@pytest.mark.parametrize("e", range(2, 8))
+def test_decision_table_follows_the_defect(e):
+    """Every verdict agrees with the defect of its block, computed here from
+    the Cartan matrix alone: no grower or canonical label is in the check."""
+    rank = AffineRank(e - 1)
+    odd = ClassifierConfig(char_odd=True)
+    for n in range(13):
+        for s in range(e):
+            fund = [0] * e
+            fund[0] += 1
+            fund[s] += 1
+            for r in classify_heckeB(e, s, n):
+                assert _obeys_defect_rules(r.rep_type.tag, _defect(rank, fund, r.input["beta"])), r
+        separated = classify_heckeB(e, None, n)
+        if e % 2:
+            separated += classify_heckeD(e, n, odd)
+        for r in separated:
+            assert _obeys_defect_rules(r.rep_type.tag, _separated_defect(rank, r)), r
+
+
+def test_separated_types_are_read_once_per_block_and_pair(monkeypatch):
+    """Each distinct level-one label is classified once, and each distinct
+    pair of types is tensored once, not once per report."""
+    counts = {"label": 0, "tensor": 0}
+    label_type, tensor = classify._label_type, classify.classify_tensor
+
+    def counted_label_type(*args):
+        counts["label"] += 1
+        return label_type(*args)
+
+    def counted_tensor(*args):
+        counts["tensor"] += 1
+        return tensor(*args)
+
+    monkeypatch.setattr(classify, "_label_type", counted_label_type)
+    monkeypatch.setattr(classify, "classify_tensor", counted_tensor)
+    reports = classify_heckeB(8, None, 16)
+    one = FockContext(AffineRank(7), 0, level=1)
+    labels = {label for blocks in _grow_blocks(one, 16) for label in blocks.values()}
+    assert counts["label"] == len(labels)
+    assert counts["tensor"] == len({r.notes for r in reports}) < len(reports)
+
+
+def test_only_dominant_blocks_are_read_by_label_dominant(monkeypatch):
+    """The grower reads a label off each dominant block once; every other
+    block takes the label of its reflection's image."""
+    ctx = FockContext(AffineRank(7), 3, level=2)
+    labels = {label for blocks in _grow_blocks(ctx, 14) for label in blocks.values()}
+    read = []
+    label_dominant = orbits.label_dominant
+
+    def recorded(ctx, plus):
+        read.append(plus)
+        return label_dominant(ctx, plus)
+
+    monkeypatch.setattr(orbits, "label_dominant", recorded)
+    classify_heckeB(8, 3, 14)
+    # one dominant block per W-orbit, so one per label
+    assert len(read) == len(set(read)) == len(labels)
+    fund, e = ctx.highest_weight().fund, ctx.rank.e
+    for c in read:
+        pairings = [
+            fund[j] - sum(cartan_entry(ctx.rank, j, i) * c[i] for i in range(e))
+            for j in range(e)
+        ]
+        assert min(pairings) >= 0, c
 
 
 @pytest.mark.parametrize("e", [2, 3, 4])
