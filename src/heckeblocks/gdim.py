@@ -22,11 +22,11 @@ once, which is the Fock-space form of the graded dimension formula (e_i read
 along the word; Brundan-Kleshchev, with the degrees of
 Brundan-Kleshchev-Wang):
 
-- ``_step`` memoises each shape's ``_moves`` (grown shapes and shifts) in
-  ``_MOVES`` per (ell, s, level, i), so states share their grown shapes.
-  The memo is bounded by the Fock space, not the traffic: words of length n
-  leave at most e entries per context and (bi)partition of size < n, so
-  3 x 434 on (2,1,3delta);
+- ``_step`` reads each shape's ``_moves`` (grown shapes and shifts) from a
+  ``functools.cache`` keyed by (e, charges, shape, i), so states share their
+  grown shapes.  The cache is bounded by the Fock space, not the traffic:
+  words of length n leave at most e entries per context and (bi)partition of
+  size < n, so 3 x 434 on (2,1,3delta);
 - ``_fold`` reads the step along one word in one loop, stopping at the
   first empty state, under a ``functools.lru_cache`` keyed by the context
   and the word, so a repeated point lookup folds nothing.  The cache holds
@@ -130,25 +130,23 @@ def _unpack(lo: int, packed: int, width: int) -> dict[int, int]:
     return hist
 
 
-#: ``_moves`` per (ell, s, level, i), ints hashing faster than the context,
-#: then per shape.  Racing threads store equal moves, so it needs no lock.
-_MOVES: dict[tuple[int, int, int, int], dict[Shape, tuple[tuple[Shape, int], ...]]] = {}
-
-
-def _moves(ctx: FockContext, shape: Shape, i: int) -> tuple[tuple[Shape, int], ...]:
+@functools.cache
+def _moves(
+    e: int, charges: tuple[int, ...], shape: Shape, i: int
+) -> tuple[tuple[Shape, int], ...]:
     """Each way to add an i-node to the shape, from the bottom up: the grown
     shape and the node's degree, the number of addable minus removable
     i-nodes strictly below it (later components, then larger rows), read in
     the grown shape.  Apart from the new node itself, adding an i-node
     toggles only corners of the neighbouring residues, so the i-corners of
     the smaller shape are counted: a removable one lowers the running
-    degree, an addable one is added at it and then raises it."""
-    e = ctx.rank.e
+    degree, an addable one is added at it and then raises it.  Cached on
+    plain data; racing threads store equal moves, so it needs no lock."""
     out = []
     least = 0
     for k in reversed(range(len(shape))):
         parts = shape[k]
-        c = ctx.charges[k] - i
+        c = charges[k] - i
         # Row r ends in a node of residue i + d - 1, d = (p - r + c) % e, so
         # it has an addable i-node if d is 0, a removable one if d is 1 (as
         # e >= 2, not both).  The empty row below the last is addable.
@@ -172,16 +170,13 @@ def _moves(ctx: FockContext, shape: Shape, i: int) -> tuple[tuple[Shape, int], .
 
 def _step(ctx: FockContext, state: State, i: int, width: int) -> State:
     """Add one i-node to every shape of the state in every addable way: each
-    of the shape's memoised ``_moves`` moves its histogram's least degree by
-    the node's degree onto the grown shape, where two histograms are aligned
-    by one shift and added."""
-    table = _MOVES.setdefault((ctx.rank.ell, ctx.s, ctx.level, i), {})
+    of the shape's cached ``_moves`` under the context's e and charges moves
+    its histogram's least degree by the node's degree onto the grown shape,
+    where two histograms are aligned by one shift and added."""
+    e, charges = ctx.rank.e, ctx.charges
     out: State = {}
     for shape, (lo, packed) in state.items():
-        moves = table.get(shape)
-        if moves is None:
-            moves = table[shape] = _moves(ctx, shape, i)
-        for new, shift in moves:
+        for new, shift in _moves(e, charges, shape, i):
             least = lo + shift
             acc = out.get(new)
             if acc is None:

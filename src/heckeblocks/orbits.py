@@ -74,8 +74,6 @@ def _lambda_range(ctx: FockContext) -> range:
 
 
 def _mu_range(ctx: FockContext) -> range:
-    if ctx.level == 1:
-        return range(1, 1)
     return range(1, ctx.s // 2 + 1)
 
 
@@ -114,8 +112,8 @@ def _reduce(ctx: FockContext, beta: RootVec) -> tuple[int, ...]:
     low = level * q
     y = [low + level + r for r in rs[e - k :]] + [low + r for r in rs[: e - k]]
     top = c[0] + (sum([v * v for v in y]) - sum([v * v for v in x])) // (2 * level)
-    # tuple() of an iterator grows and then shrinks its allocation, which
-    # left sweep's peak RSS 0.1 MB higher; from a list it allocates once.
+    # tuple() of an iterator grows and then shrinks its allocation; from a
+    # list it allocates once.
     return tuple(list(accumulate(map(sub, lam[:-1], y), initial=top)))
 
 

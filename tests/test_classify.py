@@ -131,6 +131,15 @@ def test_a_label_of_another_context_is_rejected(label, match):
             classify_canonical(ctx, label, ClassifierConfig())
 
 
+def test_a_mu_label_at_level_one_is_rejected():
+    """A level-one context has charge 0, so its mu family is empty."""
+    ctx = FockContext(AffineRank(2), 0, level=1)
+    label = CanonicalRep(MU, 0, 1, 0)
+    for call in (rep_root, normalize):
+        with pytest.raises(ValueError, match=r"^mu label index 1 is not in \[\] for this context$"):
+            call(ctx, label)
+
+
 def test_tame_reports_carry_graph_data():
     cfg = ClassifierConfig()
     result = classify_canonical(ctx_for(1, 1), rep(1, 0, 1), cfg)

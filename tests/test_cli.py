@@ -274,6 +274,16 @@ def test_blocks_listing(capsys):
     assert len(json.loads(out)) == 51
 
 
+def test_separated_blocks_listing_names_both_factors(capsys):
+    code, out = run(capsys, "blocks", "--e", "2", "--separated", "--n", "2")
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        "beta1=[0, 0] beta2=[1, 1] type=finite",
+        "beta1=[1, 0] beta2=[1, 0] type=simple",
+        "beta1=[1, 1] beta2=[0, 0] type=finite",
+    ]
+
+
 def test_blocks_flag_conflicts(capsys):
     assert run(capsys, "blocks", "--e", "3", "--n", "2")[0] == EXIT_USAGE
     assert (
@@ -309,6 +319,17 @@ def test_tableaux_listing(capsys):
         "T1: degree=0 residues=(0,1,1) growth=(1,1,1) (2,1,1) (1,1,2)",
         "T2: degree=2 residues=(1,0,1) growth=(2,1,1) (1,1,1) (1,1,2)",
         "total: 3",
+    ]
+
+
+def test_tableaux_listing_stops_at_the_limit(capsys):
+    code, out = run(
+        capsys, "tableaux", "--ell", "1", "--s", "1", "--shape", "[[2],[1]]", "--limit", "1"
+    )
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        "T0: degree=2 residues=(0,1,1) growth=(1,1,1) (1,1,2) (2,1,1)",
+        "total: 1",
     ]
 
 

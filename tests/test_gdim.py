@@ -623,7 +623,7 @@ def _fresh_cache(monkeypatch, maxsize):
 
 def _clear_memos():
     gdim._fold.cache_clear()
-    gdim._MOVES.clear()
+    gdim._moves.cache_clear()
 
 
 @pytest.fixture
@@ -726,7 +726,7 @@ def test_memo_is_safe_under_threads(monkeypatch):
     cache = _fresh_cache(monkeypatch, 40)
     streams = [_query_stream(seed, 200) for seed in (4, 5, 6, 7)]
     want = [[_cold(call) for call in calls] for calls in streams]
-    gdim._MOVES.clear()
+    gdim._moves.cache_clear()
     got = [[] for _ in streams]
     errors = []
 
@@ -781,7 +781,7 @@ def test_moves_memo_is_bounded_by_the_fock_space(fresh_cache):
     assert len(nonzero_idempotents(ctx, 3 * null_root(ctx.rank))) == 312
     shapes = sum(1 for n in range(9) for _ in fock.bipartitions(ctx, n))
     assert shapes == 434
-    entries = sum(len(table) for key, table in gdim._MOVES.items() if key[:3] == (2, 1, 2))
+    entries = gdim._moves.cache_info().currsize
     assert 0 < entries <= ctx.rank.e * shapes
 
 
@@ -873,7 +873,7 @@ def test_step_matches_the_corner_count_on_shapes_up_to_fourteen_nodes(data):
             acc = want.setdefault((grown.comp1, grown.comp2)[:level], {})
             for d, c in hist.items():
                 acc[d + below] = acc.get(d + below, 0) + c
-    gdim._MOVES.clear()
+    gdim._moves.cache_clear()
     got = gdim._step(ctx, state, i, width)
     assert list(gdim._step(ctx, state, i, width).items()) == list(got.items())
     assert list(got) == list(want)
