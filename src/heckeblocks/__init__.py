@@ -13,14 +13,9 @@ does not import.
 from .cartan import (
     AffineRank,
     RootVec,
-    WeightVec,
-    cartan_entry,
-    dynkin_rotate,
     lambda_rep,
     mu_rep,
     null_root,
-    pair_coroot,
-    simple_reflection,
 )
 from .classify import (
     FINITE,
@@ -39,7 +34,6 @@ from .classify import (
     classify_heckeD,
     classify_level_two,
     classify_tensor,
-    classify_typeA_levelone,
     normalize,
 )
 from .fock import (
@@ -104,13 +98,11 @@ __all__ = [
     "TAME",
     "UnsupportedConfigError",
     "WILD",
-    "WeightVec",
     "add_node",
     "addable_nodes",
     "block_bipartitions",
     "brauer_of_finite",
     "canonical_rep",
-    "cartan_entry",
     "class_matrix",
     "classify_block",
     "classify_canonical",
@@ -118,12 +110,10 @@ __all__ = [
     "classify_heckeD",
     "classify_level_two",
     "classify_tensor",
-    "classify_typeA_levelone",
     "content",
     "count_standard",
     "dim_matrix",
     "dominant_reduce",
-    "dynkin_rotate",
     "enumerate_standard",
     "graded_dim",
     "is_weight",
@@ -133,14 +123,12 @@ __all__ = [
     "nonzero_idempotents",
     "normalize",
     "null_root",
-    "pair_coroot",
     "quantum_int",
     "quiver_bounds",
     "removable_nodes",
     "rep_root",
     "residue",
     "residue_sequences",
-    "simple_reflection",
     "tableau_stats",
     "ungraded_block_dim",
     "__version__",

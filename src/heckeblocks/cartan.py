@@ -1,10 +1,12 @@
-"""Cartan data for affine type A.
+"""Root-lattice data for affine type A.
 
 Vertices of the cycle quiver are labelled 0..ell and all index arithmetic
 wraps modulo e = ell + 1.  Roots are integer vectors in the basis of simple
-roots; weights are integer combinations of fundamental weights.  A
-weight's multiple of the null root delta pairs to zero with every coroot,
-so it is not stored.
+roots, and the two families of orbit representatives are roots.  There is
+no weight type: a context's highest weight is the sum of the fundamental
+weights Lambda_c over its charges c, and ``FockContext.charges`` is the
+one form of it.  The Cartan pairing and the simple reflections that read
+it live in ``heckeblocks.checks``, beside the oracles that use them.
 """
 
 from __future__ import annotations
@@ -43,21 +45,6 @@ class AffineRank:
     @property
     def vertices(self) -> range:
         return range(self.e)
-
-
-def cartan_entry(rank: AffineRank, i: int, j: int) -> int:
-    """Entry a_ij of the affine Cartan matrix.
-
-    The single formula 2*[i==j] - [j==i+1] - [j==i-1] covers ell = 1 as
-    well: both neighbour conditions then hit the same vertex, giving -2.
-    """
-    i, j = rank.reduce(i), rank.reduce(j)
-    a = 2 if i == j else 0
-    if j == rank.reduce(i + 1):
-        a -= 1
-    if j == rank.reduce(i - 1):
-        a -= 1
-    return a
 
 
 @dataclass(frozen=True)
@@ -115,79 +102,9 @@ class RootVec:
         return "(" + ",".join(str(c) for c in self.coeffs) + ")"
 
 
-@dataclass(frozen=True)
-class WeightVec:
-    """An integral weight, as a sum of fundamental weights."""
-
-    rank: AffineRank
-    fund: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.fund) != self.rank.e:
-            raise ValueError(
-                f"expected {self.rank.e} fundamental coefficients, got {len(self.fund)}"
-            )
-        object.__setattr__(self, "fund", _int_tuple(self.fund, "weight coefficients"))
-
-    @classmethod
-    def fundamental(cls, rank: AffineRank, j: int) -> "WeightVec":
-        j = rank.reduce(j)
-        return cls(rank, tuple(1 if t == j else 0 for t in range(rank.e)))
-
-    @property
-    def level(self) -> int:
-        return sum(self.fund)
-
-
-def pair_coroot(i: int, weight: WeightVec, beta: RootVec | None = None) -> int:
-    """<h_i, weight> or, with beta given, <h_i, weight - beta>.
-
-    <h_i, Lambda_j> is the Kronecker delta_ij.
-    """
-    rank = weight.rank
-    i = rank.reduce(i)
-    val = weight.fund[i]
-    if beta is not None:
-        if beta.rank != rank:
-            raise ValueError("rank mismatch between weight and root")
-        val -= sum(cartan_entry(rank, i, j) * beta.coeffs[j] for j in range(rank.e))
-    return val
-
-
 def null_root(rank: AffineRank) -> RootVec:
     """delta = alpha_0 + ... + alpha_ell."""
     return RootVec(rank, (1,) * rank.e)
-
-
-def simple_reflection(i: int, weight: WeightVec, beta: RootVec) -> RootVec:
-    """Reflect weight - beta in r_i, returned as the new beta.
-
-    r_i(weight - beta) = weight - beta', where
-    beta' = beta + <h_i, weight - beta> alpha_i.
-    """
-    rank = weight.rank
-    if beta.rank != rank:
-        raise ValueError("rank mismatch between weight and root")
-    i = rank.reduce(i)
-    p = pair_coroot(i, weight, beta)
-    new = list(beta.coeffs)
-    new[i] += p
-    return RootVec(rank, tuple(new))
-
-
-def dynkin_rotate(t: int, weight: WeightVec, beta: RootVec) -> tuple[WeightVec, RootVec]:
-    """Apply the cycle rotation sigma^t: index j goes to j + t."""
-    rank = weight.rank
-    if beta.rank != rank:
-        raise ValueError("rank mismatch between weight and root")
-    e = rank.e
-    t = t % e
-    fund = [0] * e
-    coeffs = [0] * e
-    for j in range(e):
-        fund[(j + t) % e] = weight.fund[j]
-        coeffs[(j + t) % e] = beta.coeffs[j]
-    return WeightVec(rank, tuple(fund)), RootVec(rank, tuple(coeffs))
 
 
 def lambda_rep(s: int, i: int, rank: AffineRank) -> RootVec:

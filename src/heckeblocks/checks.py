@@ -9,10 +9,12 @@ result records so the CLI and the test suite can share them.
 Every alternate path to a graded dimension lives here, as a labelled oracle
 for the engine: the tableau replay ``_replay`` under either node-placement
 convention, the brute-force K_q of O2 and the textbook reduction of O6.  So
-does the code that only verifies the paper's lemmas: the Fock-space
-operators e_i / f_i of A9 on plain ``{shape: coefficient}`` vectors, the
-orbit BFS of A7, the ladder walks of A8 and the corner statistic above a
-node of O1.
+does the reference Cartan algebra the oracles read: ``cartan_entry``, and
+``pair_coroot`` and ``simple_reflection``, which take the highest weight as
+a charge tuple, as ``FockContext.charges`` holds it.  So does the code that
+only verifies the paper's lemmas: the Fock-space operators e_i / f_i of A9
+on plain ``{shape: coefficient}`` vectors, the orbit BFS of A7, the ladder
+walks of A8 and the corner statistic above a node of O1.
 ``import heckeblocks`` does not load this module; import the suites from
 ``heckeblocks.checks``.
 """
@@ -23,15 +25,7 @@ import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .cartan import (
-    AffineRank,
-    RootVec,
-    lambda_rep,
-    mu_rep,
-    null_root,
-    pair_coroot,
-    simple_reflection,
-)
+from .cartan import AffineRank, RootVec, lambda_rep, mu_rep, null_root
 from .classify import FINITE, SIMPLE, TAME, WILD, ClassifierConfig, classify_canonical
 from .fock import (
     Bipartition,
@@ -333,14 +327,13 @@ def _weight_vectors(ell: int, max_height: int) -> list[RootVec]:
 def weyl_orbit_bfs(ctx: FockContext, beta: RootVec, radius: int) -> set[RootVec]:
     """Positive-cone members of the orbit of beta within the given number
     of reflections; a brute-force oracle for canonical_rep."""
-    weight = ctx.highest_weight()
     seen = {beta}
     frontier = {beta}
     for _ in range(radius):
         nxt = set()
         for b in frontier:
             for i in ctx.rank.vertices:
-                image = simple_reflection(i, weight, b)
+                image = simple_reflection(ctx.charges, i, b)
                 if image not in seen:
                     nxt.add(image)
         if not nxt:
@@ -400,11 +393,10 @@ def _pairing_walk(
     ctx: FockContext, start: RootVec, indices: list[int]
 ) -> tuple[bool, RootVec]:
     """Add simple roots in order, demanding pairing >= 1 before each step."""
-    weight = ctx.highest_weight()
     cur = start
     ok = True
     for j in indices:
-        if pair_coroot(j, weight, cur) < 1:
+        if pair_coroot(ctx.charges, j, cur) < 1:
             ok = False
         cur = cur + RootVec.simple(ctx.rank, j)
     return ok, cur
@@ -521,13 +513,12 @@ def check_a9() -> CheckResult:
         for s in range(ell + 1):
             ctx = FockContext(rank, s, level=2)
             bps = [bp for n in range(5) for bp in bipartitions(ctx, n)]
-            weight = ctx.highest_weight()
             for bp in bps:
                 vec = {bp: QPoly.one()}
                 for i in rank.vertices:
                     ef = apply_e(ctx, apply_f(ctx, vec, i), i)
                     fe = apply_f(ctx, apply_e(ctx, vec, i), i)
-                    n_i = pair_coroot(i, weight, content(ctx, bp))
+                    n_i = pair_coroot(ctx.charges, i, content(ctx, bp))
                     if ef != fock_sum([*fe.items(), (bp, quantum_int(n_i))]):
                         return _fail(
                             name,
@@ -813,6 +804,46 @@ def oracle_conventions() -> CheckResult:
     return _ok(name, f"{count} tableau degrees agree under both conventions")
 
 
+def cartan_entry(rank: AffineRank, i: int, j: int) -> int:
+    """Entry a_ij of the affine Cartan matrix.
+
+    The single formula 2*[i==j] - [j==i+1] - [j==i-1] covers ell = 1 as
+    well: both neighbour conditions then hit the same vertex, giving -2.
+    """
+    i, j = rank.reduce(i), rank.reduce(j)
+    a = 2 if i == j else 0
+    if j == rank.reduce(i + 1):
+        a -= 1
+    if j == rank.reduce(i - 1):
+        a -= 1
+    return a
+
+
+def pair_coroot(charges: tuple[int, ...], i: int, beta: RootVec) -> int:
+    """<h_i, Lambda - beta> for Lambda the sum of the fundamental weights
+    Lambda_c over the charges c, read off the Cartan matrix.
+
+    <h_i, Lambda_c> is 1 when c = i mod e and 0 otherwise, so a charge
+    tuple (c,) pairs as a Kronecker delta.
+    """
+    rank = beta.rank
+    i = rank.reduce(i)
+    val = sum(rank.reduce(c) == i for c in charges)
+    return val - sum(cartan_entry(rank, i, j) * beta.coeffs[j] for j in rank.vertices)
+
+
+def simple_reflection(charges: tuple[int, ...], i: int, beta: RootVec) -> RootVec:
+    """Reflect Lambda - beta in r_i, returned as the new beta.
+
+    r_i(Lambda - beta) = Lambda - beta', where
+    beta' = beta + <h_i, Lambda - beta> alpha_i.
+    """
+    i = beta.rank.reduce(i)
+    new = list(beta.coeffs)
+    new[i] += pair_coroot(charges, i, beta)
+    return RootVec(beta.rank, tuple(new))
+
+
 class ReductionCapError(RuntimeError):
     """The textbook reduction exceeded its iteration budget."""
 
@@ -828,14 +859,13 @@ def textbook_reduce(ctx: FockContext, beta: RootVec) -> RootVec:
     An independent oracle for the closed form of ``orbits.dominant_reduce``."""
     if beta.rank != ctx.rank:
         raise ValueError("rank mismatch between context and root vector")
-    weight = ctx.highest_weight()
-    total = sum(abs(pair_coroot(i, weight, beta)) for i in ctx.rank.vertices)
+    total = sum(abs(pair_coroot(ctx.charges, i, beta)) for i in ctx.rank.vertices)
     cap = ctx.rank.e ** 2 * max(1, total)
     cur = beta
     for _ in range(cap):
         for i in ctx.rank.vertices:
-            if pair_coroot(i, weight, cur) < 0:
-                cur = simple_reflection(i, weight, cur)
+            if pair_coroot(ctx.charges, i, cur) < 0:
+                cur = simple_reflection(ctx.charges, i, cur)
                 break
         else:
             return cur
@@ -856,7 +886,6 @@ def oracle_reduction() -> CheckResult:
     count = 0
     for ell in range(1, 5):
         for ctx in _contexts(ell):
-            weight = ctx.highest_weight()
             where = f"level {ctx.level}, ell={ell}, s={ctx.s}"
             for beta in _weight_vectors(ell, 5):
                 plus = _reduction_outcome(dominant_reduce, ctx, beta)
@@ -870,7 +899,7 @@ def oracle_reduction() -> CheckResult:
                     return _fail(name, f"{where}: reduction of {beta} failed: {plus}")
                 if dominant_reduce(ctx, plus) != plus:
                     return _fail(name, f"{where}: reduction of {beta} is not idempotent")
-                if any(pair_coroot(i, weight, plus) < 0 for i in ctx.rank.vertices):
+                if any(pair_coroot(ctx.charges, i, plus) < 0 for i in ctx.rank.vertices):
                     return _fail(name, f"{where}: reduction of {beta} is not dominant")
                 if is_weight(ctx, beta) != plus.in_positive_cone():
                     return _fail(name, f"{where}: is_weight({beta}) disagrees with {plus}")

@@ -173,7 +173,7 @@ def classify_canonical(
     if rep.family != LAMBDA:
         raise ValueError("normalize the label before classifying")
     if ctx.level != 2:
-        raise ValueError("use classify_typeA_levelone for level-one contexts")
+        raise ValueError("use classify_block for level-one contexts")
     _check_label(ctx, rep)
     ell, s, i, k = ctx.rank.ell, ctx.s, rep.i, rep.k
     if (i, k) == (0, 0):
@@ -195,6 +195,8 @@ def classify_canonical(
 
 
 def _levelone_type(ctx: FockContext, rep: CanonicalRep) -> RepType:
+    """Representation type of the level-one block labelled rep, by its
+    multiple of the null root."""
     if rep.k == 0:
         return RepType(SIMPLE)
     if rep.k == 1:
@@ -202,13 +204,6 @@ def _levelone_type(ctx: FockContext, rep: CanonicalRep) -> RepType:
     if rep.k == 2 and ctx.rank.ell == 1:
         return RepType(TAME)
     return RepType(WILD)
-
-
-def classify_typeA_levelone(ctx: FockContext, beta: RootVec) -> RepType:
-    """Representation type of a level-one block, by null-root multiplicity."""
-    if ctx.level != 1:
-        raise ValueError("context must be level one")
-    return _levelone_type(ctx, canonical_rep(ctx, beta))
 
 
 def classify_tensor(t1: RepType, t2: RepType, ell: int) -> RepType:
@@ -294,7 +289,10 @@ def classify_level_two(
 ) -> BlockReport:
     """Classify for an arbitrary pair of charges by rotating the quiver so
     the first charge moves to vertex zero."""
-    a, b = _int_tuple(charges, "charges")
+    charges = _int_tuple(charges, "charges")
+    if len(charges) != 2:
+        raise ValueError(f"charges must be a pair of integers, got {charges!r}")
+    a, b = charges
     e = rank.e
     t = (-a) % e
     c = beta.coeffs

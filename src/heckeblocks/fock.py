@@ -10,10 +10,10 @@ read at level one has an empty second component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
-from .cartan import AffineRank, RootVec, WeightVec
+from .cartan import AffineRank, RootVec
 
 
 def partitions(total: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -111,11 +111,15 @@ class Bipartition:
 
 @dataclass(frozen=True)
 class FockContext:
-    """Rank, charge s and level; fixes residues and the highest weight."""
+    """Rank, charge s and level; fixes residues and the highest weight,
+    the sum of the fundamental weights Lambda_c over the charges c."""
 
     rank: AffineRank
     s: int = 0
     level: int = 2
+    #: one charge per component, (0, s) or (0,) at level one; set once, so
+    #: every read is the same tuple, and left out of equality and hashing
+    charges: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if type(self.level) is not int or self.level not in (1, 2):
@@ -124,17 +128,7 @@ class FockContext:
             raise ValueError(f"s must be an integer in 0..{self.rank.ell}, got {self.s!r}")
         if self.level == 1 and self.s != 0:
             raise ValueError("a level-one context has charge 0")
-
-    @property
-    def charges(self) -> tuple[int, ...]:
-        """One charge per component: (0, s), or (0,) at level one."""
-        return (0, self.s)[: self.level]
-
-    def highest_weight(self) -> WeightVec:
-        fund = [0] * self.rank.e
-        for c in self.charges:
-            fund[c] += 1
-        return WeightVec(self.rank, tuple(fund))
+        object.__setattr__(self, "charges", (0, self.s)[: self.level])
 
     def charge(self, component: int) -> int:
         if type(component) is not int or not 1 <= component <= self.level:

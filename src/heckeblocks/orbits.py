@@ -143,7 +143,9 @@ def _grow_blocks(ctx: FockContext, n: int) -> list[dict[tuple[int, ...], Canonic
     The tuple of a candidate is built only once it is known to be a block,
     and it is kept beside the block's label."""
     e = ctx.rank.e
-    fund = ctx.highest_weight().fund
+    fund = [0] * e
+    for c in ctx.charges:
+        fund[c] += 1
     unit = [(n + 1) ** (e - 1 - t) for t in range(e)]
     zero = (0,) * e
     heights = [{0: (zero, label_dominant(ctx, zero))}]

@@ -1,28 +1,12 @@
-"""Affine root-lattice data: Cartan matrix, pairings, reflections, orbit reps."""
+"""Affine root-lattice data and orbit reps, with the Cartan matrix, pairings
+and reflections that ``heckeblocks.checks`` keeps for the oracles."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckeblocks import (
-    AffineRank,
-    RootVec,
-    WeightVec,
-    cartan_entry,
-    dynkin_rotate,
-    lambda_rep,
-    mu_rep,
-    null_root,
-    pair_coroot,
-    simple_reflection,
-)
-
-
-def level_two(rank, s):
-    fund = [0] * rank.e
-    fund[0] += 1
-    fund[s] += 1
-    return WeightVec(rank, tuple(fund))
+from heckeblocks import AffineRank, RootVec, lambda_rep, mu_rep, null_root
+from heckeblocks.checks import cartan_entry, pair_coroot, simple_reflection
 
 
 def test_rank_validation():
@@ -40,7 +24,6 @@ def test_rank_validation():
         lambda: AffineRank(True),
         lambda: RootVec(AffineRank(1), (1.7, True)),
         lambda: RootVec.from_json(AffineRank(1), ["2", 1]),
-        lambda: WeightVec(AffineRank(1), (0.5, 1)),
     ],
 )
 def test_values_that_are_not_ints_are_rejected_not_truncated(build):
@@ -88,54 +71,33 @@ def test_root_vector_arithmetic():
 
 def test_fundamental_weight_pairing_is_kronecker():
     rank = AffineRank(3)
+    zero = 0 * null_root(rank)
     for j in rank.vertices:
-        w = WeightVec.fundamental(rank, j)
-        assert [pair_coroot(i, w) for i in rank.vertices] == [
+        assert [pair_coroot((j,), i, zero) for i in rank.vertices] == [
             1 if i == j else 0 for i in rank.vertices
         ]
-        assert w.level == 1
 
 
 def test_null_root_is_invisible_to_pairings():
     rank = AffineRank(2)
-    w = level_two(rank, 1)
     beta = RootVec(rank, (1, 0, 2))
     for i in rank.vertices:
-        assert pair_coroot(i, w, beta + null_root(rank)) == pair_coroot(i, w, beta)
-
-
-def test_level_counts_both_charges():
-    rank = AffineRank(2)
-    assert level_two(rank, 1).level == 2
-    assert level_two(rank, 0).level == 2
+        assert pair_coroot((0, 1), i, beta + null_root(rank)) == pair_coroot((0, 1), i, beta)
 
 
 def test_reflection_is_an_involution():
     rank = AffineRank(2)
-    w = level_two(rank, 1)
     beta = RootVec(rank, (2, 1, 0))
     for i in rank.vertices:
-        assert simple_reflection(i, w, simple_reflection(i, w, beta)) == beta
+        assert simple_reflection((0, 1), i, simple_reflection((0, 1), i, beta)) == beta
 
 
 def test_reflection_flips_the_pairing():
     rank = AffineRank(3)
-    w = level_two(rank, 2)
     beta = RootVec(rank, (1, 1, 0, 3))
     for i in rank.vertices:
-        refl = simple_reflection(i, w, beta)
-        assert pair_coroot(i, w, refl) == -pair_coroot(i, w, beta)
-
-
-def test_rotation_composes_and_returns():
-    rank = AffineRank(3)
-    w = level_two(rank, 1)
-    beta = RootVec(rank, (3, 1, 4, 1))
-    w1, b1 = dynkin_rotate(1, w, beta)
-    w2, b2 = dynkin_rotate(3, w1, b1)
-    assert (w2, b2) == (w, beta)
-    assert dynkin_rotate(rank.e, w, beta) == (w, beta)
-    assert b1.coeffs == (1, 3, 1, 4)
+        refl = simple_reflection((0, 2), i, beta)
+        assert pair_coroot((0, 2), i, refl) == -pair_coroot((0, 2), i, beta)
 
 
 def test_first_family_small_members():
@@ -181,11 +143,16 @@ def test_rep_range_validation():
     st.lists(st.integers(min_value=-3, max_value=3), min_size=2, max_size=5),
 )
 def test_reflection_preserves_rotation(ell, t, raw):
+    """Rotating the cycle by t (vertex j to j + t, charges with it) carries
+    r_i to r_(i+t)."""
     rank = AffineRank(ell)
     coeffs = tuple((raw + [0] * rank.e)[: rank.e])
-    w = level_two(rank, ell)
     beta = RootVec(rank, coeffs)
+    cut = t % rank.e
+
+    def rotate(b):
+        return RootVec(rank, b.coeffs[-cut:] + b.coeffs[:-cut])
+
     for i in rank.vertices:
-        w_r, b_r = dynkin_rotate(t, w, simple_reflection(i, w, beta))
-        _, b_alt = dynkin_rotate(t, w, beta)
-        assert simple_reflection(i + t, w_r, b_alt) == b_r
+        rotated = rotate(simple_reflection((0, ell), i, beta))
+        assert simple_reflection((t, ell + t), i + t, rotate(beta)) == rotated

@@ -17,21 +17,19 @@ from heckeblocks import (
     RootVec,
     UnsupportedConfigError,
     canonical_rep,
-    cartan_entry,
     classify_block,
     classify_canonical,
     classify_heckeB,
     classify_heckeD,
     classify_level_two,
     classify_tensor,
-    classify_typeA_levelone,
-    dynkin_rotate,
     lambda_rep,
     normalize,
     null_root,
     rep_root,
 )
 from heckeblocks import classify, orbits
+from heckeblocks.checks import cartan_entry, pair_coroot
 from heckeblocks.fock import Bipartition, bipartitions, content, partitions
 from heckeblocks.orbits import LAMBDA, MU, _grow_blocks
 
@@ -223,24 +221,28 @@ def test_rotation_invariance_of_charged_classification():
     base = FockContext(rank, 2, level=2)
     for beta in (null_root(rank), lambda_rep(2, 1, rank), rep_root(base, rep(2, 0, 2))):
         want = classify_block(base, beta, with_quiver=False).rep_type.tag
-        weight = base.highest_weight()
+        c = beta.coeffs
         for t in range(rank.e):
-            w_rot, b_rot = dynkin_rotate(t, weight, beta)
-            charges = [j for j in rank.vertices for _ in range(w_rot.fund[j])]
-            got = classify_level_two(rank, tuple(charges), b_rot)
+            # rotate the cycle by t: vertex j moves to j + t, charges (0, 2) with it
+            rotated = RootVec(rank, c[rank.e - t :] + c[: rank.e - t])
+            got = classify_level_two(rank, (t, 2 + t), rotated)
             assert got.rep_type.tag == want
+
+
+def _levelone_type(ctx, beta):
+    return classify_block(ctx, beta, with_quiver=False).rep_type
 
 
 def test_level_one_classification(rank2):
     ctx = FockContext(rank2, 0, level=1)
-    assert classify_typeA_levelone(ctx, RootVec(rank2, (0, 0, 0))).tag == SIMPLE
-    finite = classify_typeA_levelone(ctx, null_root(rank2))
+    assert _levelone_type(ctx, RootVec(rank2, (0, 0, 0))).tag == SIMPLE
+    finite = _levelone_type(ctx, null_root(rank2))
     assert finite.tag == FINITE
     assert finite.structure.edges == 2
-    assert classify_typeA_levelone(ctx, 2 * null_root(rank2)).tag == WILD
+    assert _levelone_type(ctx, 2 * null_root(rank2)).tag == WILD
     one = FockContext(AffineRank(1), 0, level=1)
-    assert classify_typeA_levelone(one, 2 * null_root(AffineRank(1))).tag == TAME
-    assert classify_typeA_levelone(one, 3 * null_root(AffineRank(1))).tag == WILD
+    assert _levelone_type(one, 2 * null_root(AffineRank(1))).tag == TAME
+    assert _levelone_type(one, 3 * null_root(AffineRank(1))).tag == WILD
 
 
 def test_tensor_rules():
@@ -482,13 +484,9 @@ def test_only_dominant_blocks_are_read_by_label_dominant(monkeypatch):
     classify_heckeB(8, 3, 14)
     # one dominant block per W-orbit, so one per label
     assert len(read) == len(set(read)) == len(labels)
-    fund, e = ctx.highest_weight().fund, ctx.rank.e
     for c in read:
-        pairings = [
-            fund[j] - sum(cartan_entry(ctx.rank, j, i) * c[i] for i in range(e))
-            for j in range(e)
-        ]
-        assert min(pairings) >= 0, c
+        beta = RootVec(ctx.rank, c)
+        assert all(pair_coroot(ctx.charges, j, beta) >= 0 for j in ctx.rank.vertices), c
 
 
 @pytest.mark.parametrize("e", [2, 3, 4])
@@ -507,7 +505,7 @@ def test_heckeB_separated_matches_per_combo_recompute(e):
     )
     assert [(tuple(r.input["beta1"]), tuple(r.input["beta2"])) for r in reports] == pairs
     for report, (c1, c2) in zip(reports, pairs):
-        t1 = classify_typeA_levelone(one, RootVec(rank, c1))
-        t2 = classify_typeA_levelone(one, RootVec(rank, c2))
+        t1 = _levelone_type(one, RootVec(rank, c1))
+        t2 = _levelone_type(one, RootVec(rank, c2))
         assert report.rep_type == classify_tensor(t1, t2, rank.ell)
         assert report.notes[0].endswith(f"({t1.tag} x {t2.tag})")

@@ -186,15 +186,19 @@ def test_a_negative_first_word_entry_needs_the_equals_spelling(capsys):
     assert "e(1,0)  1+q^2+q^4" in out
 
 
-def _readme_commands():
-    """The lines of the README's command-line block, split as a shell would."""
+def _readme_block(heading, lang):
+    """The first fenced block in the given language under a README heading."""
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as f:
         text = f.read()
-    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return text.split(heading, 1)[1].split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def _readme_commands():
+    """The lines of the README's command-line block, split as a shell would."""
     return [
         (shlex.split(line, comments=True), line.partition("#")[2].split())
-        for line in block.splitlines()
+        for line in _readme_block("## Command line", "sh").splitlines()
     ]
 
 
@@ -217,6 +221,19 @@ def test_readme_command_examples_run(capsys):
                 assert f"type: {tag}" in out, argv
         ran.append(argv[1])
     assert len(ran) == 10 and ran.count("classify") == 3
+
+
+def test_readme_library_example_prints_its_comments(capsys):
+    """The README's Library block runs, and each print line that carries a
+    comment prints exactly the comment."""
+    block = _readme_block("## Library", "python")
+    exec(compile(block, "README.md", "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    prints = [line for line in block.splitlines() if line.startswith("print(")]
+    comments = [line.partition("#")[2].strip() for line in prints]
+    assert len(out) == len(prints)
+    pinned = [(got, want) for got, want in zip(out, comments) if want]
+    assert pinned == [("q^2", "q^2"), ("tame", "tame")]
 
 
 def test_orbit_report(capsys):

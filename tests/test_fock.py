@@ -1,5 +1,7 @@
 """Bipartition combinatorics and the charged two-component node calculus."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,13 +18,12 @@ from heckeblocks import (
     content,
     count_standard,
     enumerate_standard,
-    pair_coroot,
     quantum_int,
     removable_nodes,
     residue,
     tableau_stats,
 )
-from heckeblocks.checks import _stat_above, apply_e, apply_f, fock_sum, remove_node
+from heckeblocks.checks import _stat_above, apply_e, apply_f, fock_sum, pair_coroot, remove_node
 from heckeblocks.fock import _stat_below, partitions
 
 
@@ -89,7 +90,6 @@ def test_context_validation(rank2):
     with pytest.raises(ValueError, match="level must be"):
         FockContext(rank2, 0, level=2.0)
     ctx = FockContext(rank2, 1, level=2)
-    assert ctx.highest_weight().level == 2
     assert (ctx.charge(1), ctx.charge(2)) == (0, 1)
     one_comp = FockContext(rank2, 0, level=1)
     with pytest.raises(ValueError):
@@ -102,6 +102,17 @@ def test_context_validation(rank2):
             context.charge(bad)
     with pytest.raises(ValueError, match="component must be"):
         residue(one_comp, Node(2, 1, 1))
+
+
+def test_charges_are_stored_once_and_kept_out_of_equality(rank2):
+    """Every read of a context's charges is the same tuple, and equal
+    contexts stay equal, hash equally and print as before."""
+    ctx = FockContext(rank2, 1)
+    assert ctx.charges is ctx.charges
+    twin = FockContext(rank2, 1, level=2)
+    assert twin == ctx and hash(twin) == hash(ctx)
+    assert repr(ctx) == "FockContext(rank=AffineRank(ell=2), s=1, level=2)"
+    assert replace(ctx, s=2).charges == (0, 2)
 
 
 def test_addable_nodes_of_empty_and_hook(ctx21):
@@ -165,13 +176,12 @@ def test_corner_counts_pair_the_highest_weight_with_the_content():
         rank = AffineRank(ell)
         ctxs = [FockContext(rank, s, level=2) for s in range(ell + 1)]
         for ctx in ctxs + [FockContext(rank, 0, level=1)]:
-            weight = ctx.highest_weight()
             for bp in shapes:
                 if ctx.level == 1 and bp.comp2:
                     continue
                 beta = content(ctx, bp)
                 for i in rank.vertices:
-                    want = pair_coroot(i, weight, beta)
+                    want = pair_coroot(ctx.charges, i, beta)
                     add = addable_nodes(ctx, bp, i)
                     rem = removable_nodes(ctx, bp, i)
                     assert len(add) - len(rem) == want, (ctx, bp, i)
@@ -257,7 +267,7 @@ def test_commutator_matches_the_pairing_at_level_one(data):
     vec = {shape: QPoly.one()}
     ef = apply_e(ctx, apply_f(ctx, vec, i), i)
     fe = apply_f(ctx, apply_e(ctx, vec, i), i)
-    pairing = pair_coroot(i, ctx.highest_weight(), content(ctx, shape))
+    pairing = pair_coroot(ctx.charges, i, content(ctx, shape))
     assert ef == fock_sum([*fe.items(), (shape, quantum_int(pairing))])
 
 

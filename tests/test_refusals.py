@@ -21,7 +21,7 @@ from heckeblocks import (
     class_matrix,
     classify_canonical,
     classify_heckeD,
-    classify_typeA_levelone,
+    classify_level_two,
     tableau_stats,
 )
 from heckeblocks.orbits import LAMBDA, MU, label_dominant
@@ -47,12 +47,12 @@ LEVEL_ONE = FockContext(RANK, 0, level=1)
         (
             lambda: classify_canonical(LEVEL_ONE, CanonicalRep(LAMBDA, 0, 0, 0), ClassifierConfig()),
             ValueError,
-            "use classify_typeA_levelone for level-one contexts",
+            "use classify_block for level-one contexts",
         ),
         (
-            lambda: classify_typeA_levelone(LEVEL_TWO, RootVec(RANK, (1, 0, 0))),
+            lambda: classify_level_two(RANK, (0, 1, 2), RootVec(RANK, (1, 0, 0))),
             ValueError,
-            "context must be level one",
+            "charges must be a pair of integers, got (0, 1, 2)",
         ),
         (
             lambda: brauer_of_finite(LEVEL_TWO, CanonicalRep(MU, 1, 1, 0)),
