@@ -3,8 +3,9 @@
 Two suites are exposed: the fixture suite replays every printed
 graded-dimension table, classification statement, and identity the package
 is built around; the oracle suite cross-checks the optimized code paths
-against independent brute-force reimplementations.  Both return plain
-result records so the CLI and the test suite can share them.
+against independent brute-force reimplementations.  Each is a table of
+checks keyed by name, run one check at a time into plain result records
+that the CLI and the test suite share; a check that raises fails alone.
 
 Every alternate path to a graded dimension lives here, as a labelled oracle
 for the engine: the tableau replay ``_replay`` under either node-placement
@@ -22,7 +23,7 @@ walks of A8 and the corner statistic above a node of O1.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .cartan import AffineRank, RootVec, lambda_rep, mu_rep, null_root
@@ -570,19 +571,26 @@ def check_a10() -> CheckResult:
     )
 
 
+ACCEPTANCE = {
+    "A1": check_a1, "A2": check_a2, "A3": check_a3, "A4": check_a4, "A5": check_a5,
+    "A6": check_a6, "A7": check_a7, "A8": check_a8, "A9": check_a9, "A10": check_a10,
+}
+
+
 def acceptance_suite() -> list[CheckResult]:
-    return [
-        check_a1(),
-        check_a2(),
-        check_a3(),
-        check_a4(),
-        check_a5(),
-        check_a6(),
-        check_a7(),
-        check_a8(),
-        check_a9(),
-        check_a10(),
-    ]
+    return _run(ACCEPTANCE)
+
+
+def _run(checks: dict[str, Callable[[], CheckResult]]) -> list[CheckResult]:
+    """Run each check on its own: a check that raises fails with the
+    exception as its detail, and the checks after it still run."""
+    results = []
+    for name, check in checks.items():
+        try:
+            results.append(check())
+        except Exception as exc:
+            results.append(_fail(name, f"{type(exc).__name__}: {exc}"))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -1009,27 +1017,17 @@ def oracle_quiver_verdict() -> CheckResult:
     )
 
 
-def oracle_suite() -> list[CheckResult]:
-    return [
-        oracle_corner_stats(),
-        oracle_kostka(),
-        oracle_counts(),
-        oracle_block_tables(),
-        oracle_conventions(),
-        oracle_reduction(),
-        oracle_engine_replay(),
-        oracle_quiver_verdict(),
-    ]
-
-
-SUITES = {
-    "paper-fixtures": acceptance_suite,
-    "oracle": oracle_suite,
+ORACLES = {
+    "O1": oracle_corner_stats, "O2": oracle_kostka, "O3": oracle_counts,
+    "O4": oracle_block_tables, "O5": oracle_conventions, "O6": oracle_reduction,
+    "O7": oracle_engine_replay, "O8": oracle_quiver_verdict,
 }
+
+SUITES = {"paper-fixtures": ACCEPTANCE, "oracle": ORACLES}
 
 
 def run_suite(suite: str) -> tuple[list[CheckResult], bool]:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
-    results = SUITES[suite]()
+    results = _run(SUITES[suite])
     return results, all(r.passed for r in results)

@@ -169,15 +169,19 @@ def _tame_graph_level_two() -> BrauerData:
 def classify_canonical(
     ctx: FockContext, rep: CanonicalRep, cfg: ClassifierConfig
 ) -> RepType:
-    """Decision table on a normalized (lambda-family) canonical label."""
+    """Decision table on a normalized (lambda-family) canonical label, at
+    either level."""
     if rep.family != LAMBDA:
         raise ValueError("normalize the label before classifying")
-    if ctx.level != 2:
-        raise ValueError("use classify_block for level-one contexts")
     _check_label(ctx, rep)
     ell, s, i, k = ctx.rank.ell, ctx.s, rep.i, rep.k
     if (i, k) == (0, 0):
         return RepType(SIMPLE)
+    if ctx.level == 1:
+        # the block of k times the null root
+        if k == 1:
+            return RepType(FINITE, brauer_of_finite(ctx, rep))
+        return RepType(TAME) if (k, ell) == (2, 1) else RepType(WILD)
     if (i, k) == (1, 0):
         return RepType(FINITE, brauer_of_finite(ctx, rep))
     if s >= 1:
@@ -190,18 +194,6 @@ def classify_canonical(
             return RepType(TAME)
         return RepType(WILD)
     if (i, k) == (2, 0) and not cfg.char2:
-        return RepType(TAME)
-    return RepType(WILD)
-
-
-def _levelone_type(ctx: FockContext, rep: CanonicalRep) -> RepType:
-    """Representation type of the level-one block labelled rep, by its
-    multiple of the null root."""
-    if rep.k == 0:
-        return RepType(SIMPLE)
-    if rep.k == 1:
-        return RepType(FINITE, brauer_of_finite(ctx, rep))
-    if rep.k == 2 and ctx.rank.ell == 1:
         return RepType(TAME)
     return RepType(WILD)
 
@@ -225,8 +217,6 @@ def _label_type(
 ) -> RepType:
     """Representation type of the block labelled rep, appending to notes
     the rewrite of a mu label."""
-    if ctx.level == 1:
-        return _levelone_type(ctx, rep)
     ctx2, rep2 = normalize(ctx, rep)
     if rep.family == MU:
         notes.append(f"mu label rewritten as lambda label with charge {rep2.s}")

@@ -70,7 +70,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -345,7 +344,9 @@ def graded_dim(ctx: FockContext, nu_prime: Sequence[int], nu: Sequence[int]) -> 
 
 @dataclass(frozen=True)
 class DimMatrix:
-    """A symmetric matrix of graded dimensions over chosen residue words."""
+    """A matrix of graded dimensions over chosen residue words.  The
+    constructor enforces its three rules: the matrix is symmetric, its
+    coefficients are nonnegative and its diagonal entries are palindromic."""
 
     idempotents: tuple[ResidueSeq, ...]
     entries: tuple[tuple[QPoly, ...], ...]
@@ -360,6 +361,12 @@ class DimMatrix:
                     raise ValueError("dimension matrix must be symmetric")
                 if not self.entries[i][j].is_nonnegative():
                     raise ValueError("graded dimensions must have nonnegative coefficients")
+            diag = self.entries[i][i]
+            if not diag.is_palindromic():
+                raise ValueError(
+                    f"diagonal graded dimension at e{self.idempotents[i]} "
+                    f"is not palindromic: {diag}"
+                )
 
     @property
     def size(self) -> int:
@@ -415,7 +422,8 @@ def dim_matrix(
     for nu in seqs:
         if _seq_content(ctx, nu) != target:
             raise ValueError(f"residue word {nu} does not have content {beta}")
-    return _matrix(seqs, [_fold(ctx, nu) for nu in seqs], _width(ctx.level, beta.height))
+    folds = [_fold(ctx, nu) for nu in seqs]
+    return DimMatrix(tuple(seqs), _matrix(folds, _width(ctx.level, beta.height)))
 
 
 def class_matrix(ctx: FockContext, beta: RootVec) -> DimMatrix:
@@ -427,14 +435,14 @@ def class_matrix(ctx: FockContext, beta: RootVec) -> DimMatrix:
     for word, fold in _walk(ctx, beta, merge=True):
         words.append(word)
         folds.append(fold)
-    return _matrix(words, folds, _width(ctx.level, beta.height))
+    return DimMatrix(tuple(words), _matrix(folds, _width(ctx.level, beta.height)))
 
 
-def _matrix(seqs: list[ResidueSeq], folds: list[State], width: int) -> DimMatrix:
-    """The matrix of the words with the given folds, packed ``width`` bits a
+def _matrix(folds: list[State], width: int) -> tuple[tuple[QPoly, ...], ...]:
+    """The rows of the matrix of the given folds, packed ``width`` bits a
     degree, shape by shape.  The list of folds is cleared entry by entry as
     each fold's histograms go into the buckets."""
-    m = len(seqs)
+    m = len(folds)
     lo = min((least for fold in folds for least, _ in fold.values()), default=0)
     zero = _from_coeffs({})
     entries = [[zero] * m for _ in range(m)]
@@ -456,15 +464,7 @@ def _matrix(seqs: list[ResidueSeq], folds: list[State], width: int) -> DimMatrix
         row = entries[i]
         for j, x in acc.items():
             row[j] = entries[j][i] = _from_coeffs(_unpack(2 * lo, x, width))
-    result = DimMatrix(tuple(seqs), tuple(tuple(row) for row in entries))
-    for i in range(m):
-        diag = result.entries[i][i]
-        if diag and not diag.is_palindromic():
-            warnings.warn(
-                f"diagonal graded dimension at e{seqs[i]} is not palindromic: {diag}",
-                stacklevel=3,
-            )
-    return result
+    return tuple(tuple(row) for row in entries)
 
 
 def _hook_product_count(parts: tuple[int, ...]) -> int:

@@ -229,20 +229,37 @@ def test_rotation_invariance_of_charged_classification():
             assert got.rep_type.tag == want
 
 
-def _levelone_type(ctx, beta):
+def _block_type(ctx, beta):
     return classify_block(ctx, beta, with_quiver=False).rep_type
 
 
 def test_level_one_classification(rank2):
     ctx = FockContext(rank2, 0, level=1)
-    assert _levelone_type(ctx, RootVec(rank2, (0, 0, 0))).tag == SIMPLE
-    finite = _levelone_type(ctx, null_root(rank2))
+    assert _block_type(ctx, RootVec(rank2, (0, 0, 0))).tag == SIMPLE
+    finite = _block_type(ctx, null_root(rank2))
     assert finite.tag == FINITE
     assert finite.structure.edges == 2
-    assert _levelone_type(ctx, 2 * null_root(rank2)).tag == WILD
+    assert _block_type(ctx, 2 * null_root(rank2)).tag == WILD
     one = FockContext(AffineRank(1), 0, level=1)
-    assert _levelone_type(one, 2 * null_root(AffineRank(1))).tag == TAME
-    assert _levelone_type(one, 3 * null_root(AffineRank(1))).tag == WILD
+    assert _block_type(one, 2 * null_root(AffineRank(1))).tag == TAME
+    assert _block_type(one, 3 * null_root(AffineRank(1))).tag == WILD
+
+
+@pytest.mark.parametrize("char2", [False, True])
+@pytest.mark.parametrize("lambda_is_sign", [False, True])
+def test_level_one_rows_of_the_decision_table(char2, lambda_is_sign):
+    """At level one the label is k times the null root and only k and ell
+    decide: k = 0 simple, k = 1 finite on a line of ell edges, k = 2 tame at
+    ell = 1, wild otherwise; the ground-field settings play no part."""
+    cfg = ClassifierConfig(char2=char2, lambda_is_sign=lambda_is_sign)
+    for ell in range(1, 7):
+        ctx = FockContext(AffineRank(ell), 0, level=1)
+        for k in range(5):
+            got = classify_canonical(ctx, rep(0, 0, k), cfg)
+            want = {0: SIMPLE, 1: FINITE, 2: TAME if ell == 1 else WILD}.get(k, WILD)
+            assert got.tag == want, (ell, k)
+            if k == 1:
+                assert got.structure.edges == ell
 
 
 def test_tensor_rules():
@@ -505,7 +522,7 @@ def test_heckeB_separated_matches_per_combo_recompute(e):
     )
     assert [(tuple(r.input["beta1"]), tuple(r.input["beta2"])) for r in reports] == pairs
     for report, (c1, c2) in zip(reports, pairs):
-        t1 = _levelone_type(one, RootVec(rank, c1))
-        t2 = _levelone_type(one, RootVec(rank, c2))
+        t1 = _block_type(one, RootVec(rank, c1))
+        t2 = _block_type(one, RootVec(rank, c2))
         assert report.rep_type == classify_tensor(t1, t2, rank.ell)
         assert report.notes[0].endswith(f"({t1.tag} x {t2.tag})")

@@ -425,6 +425,35 @@ def test_check_oracle_suite(capsys):
     ]
 
 
+def test_check_paper_fixtures_fails_only_on_a2_and_a10(capsys):
+    """The printed table that A2 checks is inconsistent, so the suite exits 3
+    with A2 and A10 its only FAIL lines."""
+    code, out = run(capsys, "check", "--suite", "paper-fixtures")
+    assert code == EXIT_INTERNAL
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines] == [f"[A{i}]" for i in range(1, 11)]
+    assert [line.split()[0] for line in lines if " FAIL " in line] == ["[A2]", "[A10]"]
+
+
+def test_a_check_that_raises_fails_alone(capsys, monkeypatch):
+    """A check that raises prints as its own FAIL line with the exception;
+    the other checks still run and the exit code is the failed suite's, not
+    a usage error."""
+    from heckeblocks import checks
+
+    def broken():
+        raise ValueError("dimension matrix must be symmetric")
+
+    monkeypatch.setitem(checks.ACCEPTANCE, "A5", broken)
+    assert main(["check", "--suite", "paper-fixtures"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert captured.err == ""
+    assert lines[4] == "[A5] FAIL -- ValueError: dimension matrix must be symmetric"
+    assert [line.split()[0] for line in lines if " FAIL " in line] == ["[A2]", "[A5]", "[A10]"]
+    assert sum(" PASS " in line for line in lines) == 7
+
+
 def test_package_import_leaves_the_suites_unloaded():
     code = "import sys, heckeblocks; print('heckeblocks.checks' in sys.modules)"
     src = os.path.dirname(os.path.dirname(heckeblocks.__file__))

@@ -40,7 +40,7 @@ from heckeblocks import (
 from heckeblocks import fock, gdim
 from heckeblocks.checks import _replay, _replay_dim, oracle_engine_replay
 from heckeblocks.fock import partitions
-from heckeblocks.gdim import _fold, _seq_content, _unpack, _width
+from heckeblocks.gdim import _fold, _read_bound, _seq_content, _unpack, _width
 
 
 def replay_kostka(ctx, shape, nu, convention="post"):
@@ -318,16 +318,13 @@ def _verdict(monkeypatch, folds):
 
 def _matrix_verdict(folds):
     """The verdict read off the whole matrix of the folds."""
-    matrix = gdim._matrix(
-        [(j,) for j in range(len(folds))], [_packed(fold) for fold in folds], WIDTH
-    )
+    rows = gdim._matrix([_packed(fold) for fold in folds], WIDTH)
     try:
-        return quiver_bounds(matrix)
+        return _read_bound(len(rows), lambda i, j: rows[i][j])
     except QuiverShapeError as exc:
         return str(exc)
 
 
-@pytest.mark.filterwarnings("ignore:diagonal graded dimension")
 def test_matrix_shifts_each_product_by_its_two_least_degrees():
     """Hand-built folds whose least degrees spread over -9..7, with shapes
     that some folds share and none all: each entry of ``_matrix`` is the sum
@@ -353,8 +350,7 @@ def test_matrix_shifts_each_product_by_its_two_least_degrees():
     assert (min(leasts), max(leasts)) == (-9, 7)
     assert not set(folds[0]).intersection(*folds[1:])
     assert max(c for row in want for poly in row for _, c in poly.items()) == 243
-    seqs = [(j,) for j in range(len(folds))]
-    assert gdim._matrix(seqs, [_packed(fold) for fold in folds], WIDTH).entries == want
+    assert gdim._matrix([_packed(fold) for fold in folds], WIDTH) == want
 
 
 def test_quiver_verdict_checks_the_later_rows_after_the_walk(monkeypatch):

@@ -14,6 +14,7 @@ from heckeblocks import (
     DimMatrix,
     FockContext,
     Node,
+    QPoly,
     RootVec,
     UnsupportedConfigError,
     block_bipartitions,
@@ -45,9 +46,9 @@ LEVEL_ONE = FockContext(RANK, 0, level=1)
             "normalize the label before classifying",
         ),
         (
-            lambda: classify_canonical(LEVEL_ONE, CanonicalRep(LAMBDA, 0, 0, 0), ClassifierConfig()),
+            lambda: classify_canonical(LEVEL_ONE, CanonicalRep(LAMBDA, 0, 1, 0), ClassifierConfig()),
             ValueError,
-            "use classify_block for level-one contexts",
+            "lambda label index 1 is not in [0] for this context",
         ),
         (
             lambda: classify_level_two(RANK, (0, 1, 2), RootVec(RANK, (1, 0, 0))),
@@ -94,6 +95,18 @@ LEVEL_ONE = FockContext(RANK, 0, level=1)
             lambda: DimMatrix(((0,),), ()),
             ValueError,
             "entry matrix shape does not match idempotent count",
+        ),
+        (
+            lambda: DimMatrix(((0, 1),), ((QPoly({0: 1, 2: 2}),),)),
+            ValueError,
+            "diagonal graded dimension at e(0, 1) is not palindromic: 1+2q^2",
+        ),
+        (
+            lambda: DimMatrix.from_json(
+                {"idempotents": [[0, 1]], "entries": [[{"min_deg": 0, "coeffs": [1, 0, 2]}]]}
+            ),
+            ValueError,
+            "diagonal graded dimension at e(0, 1) is not palindromic: 1+2q^2",
         ),
     ],
 )
