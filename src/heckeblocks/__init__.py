@@ -69,7 +69,6 @@ from .orbits import (
     NotAWeightError,
     canonical_rep,
     dominant_reduce,
-    is_weight,
     rep_root,
 )
 from .qpoly import QPoly, quantum_int
@@ -116,7 +115,6 @@ __all__ = [
     "dominant_reduce",
     "enumerate_standard",
     "graded_dim",
-    "is_weight",
     "kostka_q",
     "lambda_rep",
     "mu_rep",

@@ -7,6 +7,7 @@ failure or failed check suite.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import signal
@@ -23,7 +24,7 @@ from .classify import (
 )
 from .fock import Bipartition, FockContext, content, enumerate_standard, tableau_stats
 from .gdim import class_matrix, dim_matrix
-from .orbits import NotAWeightError, canonical_rep, dominant_reduce, label_dominant
+from .orbits import NotAWeightError, canonical_rep, dominant_reduce
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -150,20 +151,21 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     ctx = _context(args)
     beta = _beta_from_args(args, ctx)
     plus = dominant_reduce(ctx, beta)
-    weight = plus.in_positive_cone()
+    try:
+        rep = canonical_rep(ctx, beta)
+    except NotAWeightError:
+        rep = None
     payload = {
         "beta": beta.to_json(),
         "dominant_reduction": plus.to_json(),
-        "is_weight": weight,
-        "canonical": None,
+        "is_weight": rep is not None,
+        "canonical": None if rep is None else rep.to_json(),
     }
-    lines = [f"dominant reduction: {plus}", f"weight of the module: {weight}"]
-    if weight:
-        rep = label_dominant(ctx, plus.coeffs)
-        payload["canonical"] = rep.to_json()
-        lines.append(f"canonical: {rep}")
-    else:
-        lines.append("canonical: none (empty block)")
+    lines = [
+        f"dominant reduction: {plus}",
+        f"weight of the module: {rep is not None}",
+        "canonical: none (empty block)" if rep is None else f"canonical: {rep}",
+    ]
     _emit(args, lambda: payload, lambda: "\n".join(lines))
     return EXIT_OK
 
@@ -188,33 +190,29 @@ def cmd_blocks(args: argparse.Namespace) -> int:
 
 
 def cmd_tableaux(args: argparse.Namespace) -> int:
+    """The JSON form is one document, so it is built whole; the human form
+    prints each line as its tableau is read, so a large shape starts at
+    once."""
     if args.limit is not None and args.limit < 0:
         raise _UsageError(f"--limit must be nonnegative, got {args.limit}")
     ctx = _context(args)
     shape = _parse_shape(args.shape)
-    rows = []
-    for idx, tab in enumerate(enumerate_standard(ctx, shape)):
-        if args.limit is not None and idx >= args.limit:
-            break
-        degree, residues = tableau_stats(ctx, tab)
-        rows.append(
-            {
-                "growth": tab.to_json()["growth"],
-                "residues": list(residues),
-                "degree": degree,
-            }
-        )
 
-    def human() -> str:
-        lines = []
-        for idx, row in enumerate(rows):
-            growth = " ".join(f"({c},{r},{col})" for c, r, col in row["growth"])
-            residues = ",".join(str(x) for x in row["residues"])
-            lines.append(f"T{idx}: degree={row['degree']} residues=({residues}) growth={growth}")
-        lines.append(f"total: {len(rows)}")
-        return "\n".join(lines)
+    def rows():
+        for tab in itertools.islice(enumerate_standard(ctx, shape), args.limit):
+            degree, residues = tableau_stats(ctx, tab)
+            growth = tab.to_json()["growth"]
+            yield {"growth": growth, "residues": list(residues), "degree": degree}
 
-    _emit(args, lambda: rows, human)
+    if args.json:
+        print(json.dumps(list(rows()), indent=2, sort_keys=True))
+        return EXIT_OK
+    count = 0
+    for count, row in enumerate(rows(), 1):
+        growth = " ".join(f"({c},{r},{col})" for c, r, col in row["growth"])
+        residues = ",".join(str(x) for x in row["residues"])
+        print(f"T{count - 1}: degree={row['degree']} residues=({residues}) growth={growth}")
+    print(f"total: {count}")
     return EXIT_OK
 
 

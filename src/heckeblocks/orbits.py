@@ -8,7 +8,9 @@ finite root lattice, and the W-invariant norm fixes the multiple of delta
 (Kac, Infinite dimensional Lie algebras, 6.5-6.6).  The block is then zero
 unless the reduction is in the positive cone (Kac, Prop. 12.5), and
 otherwise labelled by the distinguished family member (lambda or mu) plus
-a multiple of the null root.
+a multiple of the null root.  ``canonical_rep`` is the only code that
+makes this test: a caller that needs to know whether a block is zero asks
+it for the label and catches ``NotAWeightError``.
 
 The pairings <h_i, Lambda - beta> list every nonzero block of a given
 height without listing partitions: ``_grow_blocks`` grows the blocks of
@@ -176,14 +178,6 @@ def _grow_blocks(ctx: FockContext, n: int) -> list[dict[tuple[int, ...], Canonic
     return [dict(block for _, block in sorted(level.items())) for level in heights]
 
 
-def is_weight(ctx: FockContext, beta: RootVec) -> bool:
-    """Whether the context's highest weight minus beta is a module weight:
-    W permutes the weights, and a dominant Lambda - beta' is one exactly
-    when beta' is in the positive cone (Kac, Infinite dimensional Lie
-    algebras, Prop. 12.5)."""
-    return min(_reduce(ctx, beta)) >= 0
-
-
 def _check_label(ctx: FockContext, rep: CanonicalRep) -> None:
     """ValueError unless rep is a label of the context: its charge is the
     context's and its index is in its family's range."""
@@ -209,10 +203,12 @@ def rep_root(ctx: FockContext, rep: CanonicalRep) -> RootVec:
 def canonical_rep(ctx: FockContext, beta: RootVec) -> CanonicalRep:
     """Canonical orbit label of the block of beta.
 
-    This is the one test of whether a block is zero: NotAWeightError when
-    Lambda - beta is not a module weight, saying whether beta is outside
-    the positive cone or only reduces out of it, and ValueError when beta's
-    rank is not the context's."""
+    This is the one test of whether a block is zero, so the library and the
+    command line ask it rather than testing the reduction themselves:
+    NotAWeightError when Lambda - beta is not a module weight (its dominant
+    reduction leaves the positive cone; Kac, Prop. 12.5), saying whether
+    beta is outside the positive cone or only reduces out of it, and
+    ValueError when beta's rank is not the context's."""
     plus = _reduce(ctx, beta)
     if min(plus) < 0:
         if beta.in_positive_cone():

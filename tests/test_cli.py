@@ -350,6 +350,25 @@ def test_tableaux_listing_stops_at_the_limit(capsys):
     ]
 
 
+def test_tableaux_prints_each_line_as_it_reads_the_tableau(capsys, monkeypatch):
+    """The human listing prints a tableau's line before it reads the next
+    tableau, so a shape with millions of them starts at once."""
+    from heckeblocks import cli
+
+    real = cli.enumerate_standard
+
+    def one_then_fail(ctx, shape):
+        yield next(real(ctx, shape))
+        raise RuntimeError("read past the first tableau")
+
+    monkeypatch.setattr(cli, "enumerate_standard", one_then_fail)
+    code = main(["tableaux", "--ell", "1", "--s", "1", "--shape", "[[2],[1]]"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL
+    assert captured.out == "T0: degree=2 residues=(0,1,1) growth=(1,1,1) (1,1,2) (2,1,1)\n"
+    assert captured.err == "internal error: read past the first tableau\n"
+
+
 def test_tableaux_listing_at_level_one(capsys):
     code, out = run(
         capsys, "tableaux", "--ell", "2", "--level", "1", "--shape", "[[2,1],[]]"
@@ -416,8 +435,8 @@ def test_check_oracle_suite(capsys):
         "[O3] PASS -- hook-length counts agree with direct enumeration",
         "[O4] PASS -- block tables are symmetric and sum to the block dimension",
         "[O5] PASS -- 554 tableau degrees agree under both conventions",
-        "[O6] PASS -- dominant reduction matches the textbook reduction, is idempotent, "
-        "lands in the chamber and agrees with is_weight on 2429 vectors",
+        "[O6] PASS -- dominant reduction matches the textbook reduction, is idempotent "
+        "and lands in the chamber on 2429 vectors",
         "[O7] PASS -- engine words, classes, K_q and dimension matrices match the "
         "tableau replay on 123 blocks",
         "[O8] PASS -- the early-exit quiver verdict matches quiver_bounds of the class "

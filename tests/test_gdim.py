@@ -16,10 +16,12 @@ from heckeblocks import (
     Bipartition,
     DimMatrix,
     FockContext,
+    NotAWeightError,
     QPoly,
     QuiverShapeError,
     RootVec,
     block_bipartitions,
+    canonical_rep,
     class_matrix,
     classify_block,
     content,
@@ -27,7 +29,6 @@ from heckeblocks import (
     dim_matrix,
     enumerate_standard,
     graded_dim,
-    is_weight,
     kostka_q,
     lambda_rep,
     nonzero_idempotents,
@@ -38,7 +39,7 @@ from heckeblocks import (
     ungraded_block_dim,
 )
 from heckeblocks import fock, gdim
-from heckeblocks.checks import _replay, _replay_dim, oracle_engine_replay
+from heckeblocks.checks import _replay, _replay_dim, cartan_entry, oracle_engine_replay
 from heckeblocks.fock import partitions
 from heckeblocks.gdim import _fold, _read_bound, _seq_content, _unpack, _width
 
@@ -119,9 +120,9 @@ def test_level_one_double_delta_words_match_replay(ell):
 
 
 def test_engine_replay_oracle_covers_both_levels():
-    result = oracle_engine_replay()
-    assert result.passed, result.detail
-    assert "match the tableau replay" in result.detail
+    passed, detail = oracle_engine_replay()
+    assert passed, detail
+    assert "match the tableau replay" in detail
 
 
 def test_kostka_conventions_agree(ctx11, ctx21):
@@ -267,8 +268,13 @@ def _weight_blocks(max_height):
         for ctx in contexts + [FockContext(rank, 0, level=1)]:
             for coeffs in itertools.product(range(max_height + 1), repeat=rank.e):
                 beta = RootVec(rank, coeffs)
-                if beta.height <= max_height and is_weight(ctx, beta):
-                    yield ctx, beta
+                if beta.height > max_height:
+                    continue
+                try:
+                    canonical_rep(ctx, beta)
+                except NotAWeightError:
+                    continue
+                yield ctx, beta
 
 
 def test_classify_block_matches_the_bounds_of_the_class_matrix():
@@ -400,13 +406,40 @@ def test_quiver_verdict_of_folds_that_pass(monkeypatch):
 
 
 def test_every_weight_block_has_a_class():
-    """A block that is_weight accepts has at least one idempotent class, so
+    """A block that canonical_rep labels has at least one idempotent class, so
     classify_block always has a matrix to read quiver bounds from."""
     count = 0
     for ctx, beta in _weight_blocks(6):
         assert nonzero_idempotents(ctx, beta), (ctx, beta)
         count += 1
     assert count == 292
+
+
+def _defect(ctx, beta):
+    """def(beta) = sum over the charges c of beta_(c mod e), minus half of
+    sum_ij a_ij beta_i beta_j; the quadratic form is even, as a_ii = 2."""
+    rank, b = ctx.rank, beta.coeffs
+    pairs = itertools.product(rank.vertices, repeat=2)
+    form = sum(cartan_entry(rank, i, j) * b[i] * b[j] for i, j in pairs)
+    return sum(b[c % rank.e] for c in ctx.charges) - form // 2
+
+
+def test_every_class_matrix_entry_is_palindromic_about_the_defect():
+    """Each nonzero entry of the class matrix, off the diagonal too, has the
+    coefficient of q^d equal to that of q^(2 def(beta) - d).  DimMatrix
+    checks only that each diagonal is palindromic about its own centre."""
+    blocks = entries = 0
+    for ctx, beta in _weight_blocks(6):
+        twice = 2 * _defect(ctx, beta)
+        for row in class_matrix(ctx, beta).entries:
+            for poly in row:
+                if poly:
+                    assert all(poly.coeff(twice - d) == c for d, c in poly.items()), (
+                        ctx, beta, poly
+                    )
+                    entries += 1
+        blocks += 1
+    assert (blocks, entries) == (292, 10165)
 
 
 def pairwise_dims(ctx, words):
