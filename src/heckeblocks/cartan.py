@@ -67,21 +67,14 @@ class RootVec:
         return cls(rank, tuple(1 if j == i else 0 for j in range(rank.e)))
 
     def __add__(self, other: "RootVec") -> "RootVec":
-        self._check(other)
+        if self.rank != other.rank:
+            raise ValueError("rank mismatch between root vectors")
         return RootVec(self.rank, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "RootVec") -> "RootVec":
-        self._check(other)
-        return RootVec(self.rank, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, n: int) -> "RootVec":
         return RootVec(self.rank, tuple(n * c for c in self.coeffs))
 
     __rmul__ = __mul__
-
-    def _check(self, other: "RootVec") -> None:
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch between root vectors")
 
     @property
     def height(self) -> int:
@@ -93,10 +86,6 @@ class RootVec:
 
     def to_json(self) -> list[int]:
         return list(self.coeffs)
-
-    @classmethod
-    def from_json(cls, rank: AffineRank, data: list[int]) -> "RootVec":
-        return cls(rank, tuple(data))
 
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self.coeffs) + ")"

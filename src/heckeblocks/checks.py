@@ -228,7 +228,7 @@ def check_a5() -> Outcome:
     ctx = FockContext(rank, 0, level=2)
     beta = lambda_rep(0, 1, rank) + null_root(rank)
     nu = (0, 1, 2, 3, 0)
-    dim = graded_dim(ctx, nu, nu).evaluate(1)
+    dim = graded_dim(ctx, nu, nu).evaluate()
     if dim != 8:
         return False, f"ungraded corner dimension {dim} != 8"
     return True, "corner algebra dimension is 8"
@@ -758,7 +758,7 @@ def oracle_block_tables() -> Outcome:
                 other = graded_dim(ctx, nu2, nu1)
                 if one != other:
                     return False, f"symmetry fails at {nu1} vs {nu2}"
-                total += one.evaluate(1)
+                total += one.evaluate()
             diag = graded_dim(ctx, nu1, nu1)
             if diag.coeff(0) < 1:
                 return False, f"diagonal at {nu1} has no degree-zero element"
@@ -859,28 +859,19 @@ def textbook_reduce(ctx: FockContext, beta: RootVec) -> RootVec:
     )
 
 
-def _reduction_outcome(reduce, ctx: FockContext, beta: RootVec) -> RootVec | str:
-    try:
-        return reduce(ctx, beta)
-    except ReductionCapError as exc:
-        return f"ReductionCapError({exc})"
-
-
 def oracle_reduction() -> Outcome:
     count = 0
     for ell in range(1, 5):
         for ctx in _contexts(ell):
             where = f"level {ctx.level}, ell={ell}, s={ctx.s}"
             for beta in _weight_vectors(ell, 5):
-                plus = _reduction_outcome(dominant_reduce, ctx, beta)
-                want = _reduction_outcome(textbook_reduce, ctx, beta)
+                plus = dominant_reduce(ctx, beta)
+                want = textbook_reduce(ctx, beta)
                 if plus != want:
                     return (
                         False,
                         f"{where}: reduction of {beta} is {plus}, textbook gives {want}",
                     )
-                if isinstance(plus, str):
-                    return False, f"{where}: reduction of {beta} failed: {plus}"
                 if dominant_reduce(ctx, plus) != plus:
                     return False, f"{where}: reduction of {beta} is not idempotent"
                 if any(pair_coroot(ctx.charges, i, plus) < 0 for i in ctx.rank.vertices):

@@ -52,13 +52,6 @@ class ClassifierConfig:
         if self.char2 and self.char_odd:
             raise ValueError("char2 and char_odd cannot both hold")
 
-    def to_json(self) -> dict:
-        return {
-            "char2": self.char2,
-            "char_odd": self.char_odd,
-            "lambda_is_sign": self.lambda_is_sign,
-        }
-
 
 @dataclass(frozen=True)
 class BrauerData:

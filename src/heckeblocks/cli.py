@@ -190,9 +190,9 @@ def cmd_blocks(args: argparse.Namespace) -> int:
 
 
 def cmd_tableaux(args: argparse.Namespace) -> int:
-    """The JSON form is one document, so it is built whole; the human form
-    prints each line as its tableau is read, so a large shape starts at
-    once."""
+    """Both forms print each tableau as it is read, so a large shape starts
+    at once: the human form a line, the JSON form one element of the list,
+    with the bytes of ``json.dumps(list, indent=2, sort_keys=True)``."""
     if args.limit is not None and args.limit < 0:
         raise _UsageError(f"--limit must be nonnegative, got {args.limit}")
     ctx = _context(args)
@@ -205,7 +205,12 @@ def cmd_tableaux(args: argparse.Namespace) -> int:
             yield {"growth": growth, "residues": list(residues), "degree": degree}
 
     if args.json:
-        print(json.dumps(list(rows()), indent=2, sort_keys=True))
+        sep = "["
+        for row in rows():
+            text = json.dumps(row, indent=2, sort_keys=True).replace("\n", "\n  ")
+            sys.stdout.write(f"{sep}\n  {text}")
+            sep = ","
+        print("[]" if sep == "[" else "\n]")
         return EXIT_OK
     count = 0
     for count, row in enumerate(rows(), 1):

@@ -216,13 +216,6 @@ class Bitableau:
             "growth": [[n.component, n.row, n.col] for n in self.growth],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Bitableau":
-        return cls(
-            Bipartition.from_json(data["shape"]),
-            tuple(Node(c, r, col) for c, r, col in data["growth"]),
-        )
-
 
 def enumerate_standard(ctx: FockContext, shape: Bipartition) -> Iterator[Bitableau]:
     """Lazily yield the standard bitableaux of the shape.

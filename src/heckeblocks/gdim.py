@@ -381,15 +381,6 @@ class DimMatrix:
             "entries": [[p.to_json() for p in row] for row in self.entries],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "DimMatrix":
-        return cls(
-            tuple(_int_tuple(nu, "idempotents") for nu in data["idempotents"]),
-            tuple(
-                tuple(QPoly.from_json(p) for p in row) for row in data["entries"]
-            ),
-        )
-
     def __str__(self) -> str:
         labels = ["e(" + ",".join(str(v) for v in nu) + ")" for nu in self.idempotents]
         cells = [[str(p) for p in row] for row in self.entries]

@@ -61,10 +61,6 @@ class CanonicalRep:
     def to_json(self) -> dict:
         return {"family": self.family, "s": self.s, "i": self.i, "k": self.k}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "CanonicalRep":
-        return cls(data["family"], data["s"], data["i"], data["k"])
-
     def __str__(self) -> str:
         return f"{self.family}(s={self.s}, i={self.i}) + {self.k}*delta"
 

@@ -7,8 +7,7 @@ hashable; all arithmetic is exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 class QPoly:
@@ -16,19 +15,11 @@ class QPoly:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        acc: dict[int, int] = {}
-        for exp, val in items:
+    def __init__(self, coeffs: Mapping[int, int] = {}):
+        for exp, val in coeffs.items():
             if type(exp) is not int or type(val) is not int:
                 raise ValueError(f"terms must be integers, got {exp!r}: {val!r}")
-            if val:
-                new = acc.get(exp, 0) + val
-                if new:
-                    acc[exp] = new
-                else:
-                    del acc[exp]
-        self._coeffs = acc
+        self._coeffs = {exp: val for exp, val in coeffs.items() if val}
 
     @classmethod
     def zero(cls) -> "QPoly":
@@ -39,8 +30,8 @@ class QPoly:
         return cls({0: 1})
 
     @classmethod
-    def monomial(cls, exp: int, coeff: int = 1) -> "QPoly":
-        return cls({exp: coeff})
+    def monomial(cls, exp: int) -> "QPoly":
+        return cls({exp: 1})
 
     def items(self) -> list[tuple[int, int]]:
         """Sorted (exponent, coefficient) pairs."""
@@ -98,9 +89,6 @@ class QPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other: "QPoly | int") -> "QPoly":
-        return (-self) + other
-
     def __mul__(self, other: "QPoly | int") -> "QPoly":
         if isinstance(other, int):
             return _from_coeffs({e: v * other for e, v in self._coeffs.items()} if other else {})
@@ -119,22 +107,9 @@ class QPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "QPoly":
-        if n < 0:
-            raise ValueError("negative powers are not defined for QPoly")
-        out = QPoly.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def evaluate(self, x: int = 1) -> int | Fraction:
-        """Evaluate at an integer point; x=1 gives the ungraded dimension."""
-        if all(e >= 0 for e in self._coeffs):
-            return sum(v * x**e for e, v in self._coeffs.items())
-        if x == 0:
-            raise ValueError("cannot evaluate a Laurent polynomial at 0")
-        total = sum(Fraction(v) * Fraction(x) ** e for e, v in self._coeffs.items())
-        return int(total) if total.denominator == 1 else total
+    def evaluate(self) -> int:
+        """The value at q = 1: the ungraded dimension."""
+        return sum(self._coeffs.values())
 
     def is_nonnegative(self) -> bool:
         return all(v >= 0 for v in self._coeffs.values())

@@ -46,7 +46,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ClassifierConfig(char2=True, char_odd=True)
     cfg = ClassifierConfig(char2=True)
-    assert cfg.to_json()["char2"] is True
+    assert cfg.char2 is True
 
 
 def test_rep_type_structure_only_on_small_types():

@@ -350,9 +350,21 @@ def test_tableaux_listing_stops_at_the_limit(capsys):
     ]
 
 
-def test_tableaux_prints_each_line_as_it_reads_the_tableau(capsys, monkeypatch):
-    """The human listing prints a tableau's line before it reads the next
-    tableau, so a shape with millions of them starts at once."""
+FIRST_TABLEAU = {"degree": 2, "growth": [[1, 1, 1], [1, 1, 2], [2, 1, 1]], "residues": [0, 1, 1]}
+
+
+@pytest.mark.parametrize(
+    "flags, first",
+    [
+        ([], "T0: degree=2 residues=(0,1,1) growth=(1,1,1) (1,1,2) (2,1,1)\n"),
+        # the whole document's text up to the first element's end
+        (["--json"], json.dumps([FIRST_TABLEAU], indent=2, sort_keys=True).removesuffix("\n]")),
+    ],
+    ids=["human", "json"],
+)
+def test_tableaux_prints_each_line_as_it_reads_the_tableau(capsys, monkeypatch, flags, first):
+    """Both forms print a tableau before they read the next tableau, so a
+    shape with millions of them starts at once."""
     from heckeblocks import cli
 
     real = cli.enumerate_standard
@@ -362,10 +374,10 @@ def test_tableaux_prints_each_line_as_it_reads_the_tableau(capsys, monkeypatch):
         raise RuntimeError("read past the first tableau")
 
     monkeypatch.setattr(cli, "enumerate_standard", one_then_fail)
-    code = main(["tableaux", "--ell", "1", "--s", "1", "--shape", "[[2],[1]]"])
+    code = main(["tableaux", "--ell", "1", "--s", "1", "--shape", "[[2],[1]]", *flags])
     captured = capsys.readouterr()
     assert code == EXIT_INTERNAL
-    assert captured.out == "T0: degree=2 residues=(0,1,1) growth=(1,1,1) (1,1,2) (2,1,1)\n"
+    assert captured.out == first
     assert captured.err == "internal error: read past the first tableau\n"
 
 
@@ -473,14 +485,25 @@ def test_a_check_that_raises_fails_alone(capsys, monkeypatch):
     assert sum(" PASS " in line for line in lines) == 7
 
 
-def test_package_import_leaves_the_suites_unloaded():
-    code = "import sys, heckeblocks; print('heckeblocks.checks' in sys.modules)"
+def _loaded_by_import(*modules):
+    """Those of the modules that ``import heckeblocks`` loads in a fresh
+    interpreter."""
+    code = f"import sys, heckeblocks; print(sorted(set({modules!r}) & set(sys.modules)))"
     src = os.path.dirname(os.path.dirname(heckeblocks.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip()
+
+
+def test_package_import_leaves_the_suites_unloaded():
+    assert _loaded_by_import("heckeblocks.checks") == "[]"
+
+
+def test_package_import_loads_no_rational_arithmetic():
+    """Graded dimensions are read only at q = 1, so nothing needs fractions."""
+    assert _loaded_by_import("fractions", "decimal") == "[]"
 
 
 @pytest.mark.parametrize(

@@ -269,11 +269,3 @@ def test_commutator_matches_the_pairing_at_level_one(data):
     fe = apply_f(ctx, apply_e(ctx, vec, i), i)
     pairing = pair_coroot(ctx.charges, i, content(ctx, shape))
     assert ef == fock_sum([*fe.items(), (shape, quantum_int(pairing))])
-
-
-def test_bitableau_json_round_trip(ctx11):
-    shape = Bipartition((2,), (1,))
-    tab = next(enumerate_standard(ctx11, shape))
-    data = tab.to_json()
-    assert Bitableau.from_json(data) == tab
-    assert "growth" in data

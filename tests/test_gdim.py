@@ -112,7 +112,7 @@ def test_level_one_double_delta_words_match_replay(ell):
         assert diag == sum((k * k for k in column), QPoly.zero())
         assert diag.coeff(0) >= 1 and diag.is_palindromic()
     idems = nonzero_idempotents(ctx, beta)
-    total = sum(graded_dim(ctx, a, b).evaluate(1) for a in words for b in words)
+    total = sum(graded_dim(ctx, a, b).evaluate() for a in words for b in words)
     assert total == ungraded_block_dim(ctx, beta)
     assert dim_matrix(ctx, beta, idems).entries == tuple(
         tuple(graded_dim(ctx, a, b) for b in idems) for a in idems
@@ -517,7 +517,7 @@ def test_graded_dim_double_cyclic_block_regression(ctx11, delta1):
     assert ungraded_block_dim(ctx11, beta) == 256
     words = residue_sequences(ctx11, beta)
     total = sum(
-        graded_dim(ctx11, x, y).evaluate(1) for x in words for y in words
+        graded_dim(ctx11, x, y).evaluate() for x in words for y in words
     )
     assert total == 256
 
@@ -541,7 +541,8 @@ def test_dim_matrix_structure(ctx11, delta1):
     m = dim_matrix(ctx11, delta1, idems)
     assert m.size == 2
     assert m.entry(0, 1) == m.entry(1, 0)
-    assert DimMatrix.from_json(m.to_json()) == m
+    diag, off = {"min_deg": 0, "coeffs": [1, 0, 1, 0, 1]}, {"min_deg": 2, "coeffs": [1]}
+    assert m.to_json() == {"idempotents": [[0, 1], [1, 0]], "entries": [[diag, off], [off, diag]]}
     text = str(m)
     assert "1+q^2+q^4" in text and "q^2" in text
     with pytest.raises(ValueError):
@@ -560,12 +561,6 @@ def test_dim_matrix_rejects_asymmetric_or_negative_entries(ctx11, delta1):
     ]:
         with pytest.raises(ValueError, match=message):
             DimMatrix(idems, entries)
-        data = {
-            "idempotents": [list(nu) for nu in idems],
-            "entries": [[p.to_json() for p in row] for row in entries],
-        }
-        with pytest.raises(ValueError, match=message):
-            DimMatrix.from_json(data)
 
 
 @pytest.mark.parametrize(
@@ -575,9 +570,6 @@ def test_dim_matrix_rejects_asymmetric_or_negative_entries(ctx11, delta1):
         lambda ctx: graded_dim(ctx, (0, 1), (True, 0)),
         lambda ctx: kostka_q(ctx, Bipartition((2,), (1,)), (0.2, 1.9, 1)),
         lambda ctx: dim_matrix(ctx, null_root(ctx.rank), [(0, 1.0)]),
-        lambda ctx: DimMatrix.from_json(
-            {"idempotents": [["0", 1.5]], "entries": [[{"min_deg": 0, "coeffs": [1]}]]}
-        ),
     ],
 )
 def test_words_that_are_not_ints_are_rejected_not_truncated(ctx11, build):

@@ -19,7 +19,6 @@ from heckeblocks import (
     rep_root,
 )
 from heckeblocks.checks import (
-    _reduction_outcome,
     pair_coroot,
     propagation_check_1,
     propagation_check_2,
@@ -32,7 +31,7 @@ from heckeblocks.orbits import LAMBDA, MU
 
 def test_canonical_rep_validation_and_round_trip():
     rep = CanonicalRep(LAMBDA, 1, 0, 2)
-    assert CanonicalRep.from_json(rep.to_json()) == rep
+    assert rep.to_json() == {"family": LAMBDA, "s": 1, "i": 0, "k": 2}
     assert str(rep) == "lambda(s=1, i=0) + 2*delta"
     with pytest.raises(ValueError):
         CanonicalRep("rho", 1, 0, 0)
@@ -46,7 +45,6 @@ def test_canonical_rep_validation_and_round_trip():
         lambda: CanonicalRep(LAMBDA, 0, 0, True),
         lambda: CanonicalRep(LAMBDA, 0, 0, 1.5),
         lambda: CanonicalRep(LAMBDA, 1.0, 0, 0),
-        lambda: CanonicalRep.from_json({"family": LAMBDA, "s": 0, "i": "1", "k": 0}),
     ],
 )
 def test_canonical_rep_rejects_values_that_are_not_ints(make):
@@ -84,8 +82,7 @@ def test_dominant_reduce_matches_textbook_reduction(data):
     ctx = FockContext(rank, s, level=level)
     beta = RootVec(rank, tuple(coeffs))
     got = dominant_reduce(ctx, beta)
-    # A textbook loop that hits its cap returns a message, not a RootVec.
-    assert got == _reduction_outcome(textbook_reduce, ctx, beta)
+    assert got == textbook_reduce(ctx, beta)
     assert all(pair_coroot(ctx.charges, i, got) >= 0 for i in rank.vertices)
     assert dominant_reduce(ctx, got) == got
 

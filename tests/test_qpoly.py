@@ -1,7 +1,5 @@
 """Laurent polynomial arithmetic and formatting."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,24 +43,19 @@ def test_arithmetic_identities():
 def test_product_and_power():
     one_plus_q2 = QPoly({0: 1, 2: 1})
     assert one_plus_q2 * one_plus_q2 == QPoly({0: 1, 2: 2, 4: 1})
-    assert one_plus_q2 ** 3 == QPoly({0: 1, 2: 3, 4: 3, 6: 1})
-    assert one_plus_q2 ** 0 == QPoly.one()
+    assert one_plus_q2 * one_plus_q2 * one_plus_q2 == QPoly({0: 1, 2: 3, 4: 3, 6: 1})
 
 
 def test_evaluate_plain_polynomial():
     p = QPoly({0: 1, 2: 3, 4: 4, 6: 3, 8: 1})
-    assert p.evaluate(1) == 12
-    assert p.evaluate(2) == 1 + 3 * 4 + 4 * 16 + 3 * 64 + 256
-    assert isinstance(p.evaluate(1), int)
+    assert p.evaluate() == 12
+    assert isinstance(p.evaluate(), int)
 
 
 def test_evaluate_laurent_is_exact():
     p = QPoly({-2: 1, 0: 2, 2: 1})
-    assert p.evaluate(1) == 4
-    assert isinstance(p.evaluate(1), int)
-    assert p.evaluate(2) == Fraction(1, 4) + 2 + 4
-    with pytest.raises(ValueError):
-        p.evaluate(0)
+    assert p.evaluate() == 4
+    assert isinstance(p.evaluate(), int)
 
 
 def test_quantum_integers():
@@ -75,7 +68,7 @@ def test_quantum_integers():
 
 def test_quantum_integer_evaluates_to_integer():
     for m in range(-4, 5):
-        assert quantum_int(m).evaluate(1) == m
+        assert quantum_int(m).evaluate() == m
 
 
 def test_bar_involution():
@@ -133,7 +126,6 @@ def test_json_round_trip():
     [
         lambda: QPoly({0.5: 1.7}),
         lambda: QPoly({0: True}),
-        lambda: QPoly([(1, 2.0)]),
         lambda: QPoly.from_json({"min_deg": "0", "coeffs": [1]}),
         lambda: QPoly.from_json({"min_deg": 0, "coeffs": [1.5]}),
     ],
@@ -160,7 +152,7 @@ def test_bar_is_a_ring_map(a, b):
 
 
 @settings(max_examples=40, deadline=None)
-@given(poly_strategy(), st.integers(min_value=1, max_value=3))
-def test_evaluation_is_multiplicative(a, x):
+@given(poly_strategy())
+def test_evaluation_is_multiplicative(a):
     b = QPoly({0: 1, 1: 1})
-    assert (a * b).evaluate(x) == a.evaluate(x) * b.evaluate(x)
+    assert (a * b).evaluate() == a.evaluate() * b.evaluate()

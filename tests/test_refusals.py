@@ -101,13 +101,6 @@ LEVEL_ONE = FockContext(RANK, 0, level=1)
             ValueError,
             "diagonal graded dimension at e(0, 1) is not palindromic: 1+2q^2",
         ),
-        (
-            lambda: DimMatrix.from_json(
-                {"idempotents": [[0, 1]], "entries": [[{"min_deg": 0, "coeffs": [1, 0, 2]}]]}
-            ),
-            ValueError,
-            "diagonal graded dimension at e(0, 1) is not palindromic: 1+2q^2",
-        ),
     ],
 )
 def test_refused_with_its_text(call, error, text):
