@@ -7,12 +7,55 @@ no weight type: a context's highest weight is the sum of the fundamental
 weights Lambda_c over its charges c, and ``FockContext.charges`` is the
 one form of it.  The Cartan pairing and the simple reflections that read
 it live in ``heckeblocks.checks``, beside the oracles that use them.
+
+Every public value type of the package derives from ``_Value``, defined
+here because this module is imported first.  A type lists its ``__slots__``
+and ``_fields``, the slots its ``__init__`` takes in order; its instances
+are equal when their classes and fields are, hash as the tuple of their
+fields, print as ``Type(field=value, ...)``, refuse assignment and deletion
+with ``AttributeError``, and copy and pickle through their constructor.
+A slot left out of ``_fields`` is derived, so ``__init__`` sets it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from operator import attrgetter
+from typing import Callable, Iterable
+
+
+class _Value:
+    """Base of the frozen value types; see the module docstring."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _get: Callable[[_Value], tuple]
+
+    def __init_subclass__(cls) -> None:
+        # a tuple of the fields for a type of two or more; a one-field type
+        # writes its own __eq__ and __hash__
+        cls._get = attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        get = self._get
+        return get(self) == get(other)
+
+    def __hash__(self) -> int:
+        return hash(self._get(self))
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, n) for n in self._fields)
 
 
 def _int_tuple(values: Iterable[int], what: str) -> tuple[int, ...]:
@@ -24,15 +67,31 @@ def _int_tuple(values: Iterable[int], what: str) -> tuple[int, ...]:
     return values
 
 
-@dataclass(frozen=True)
-class AffineRank:
+def _check_rank(rank: AffineRank) -> None:
+    if not isinstance(rank, AffineRank):
+        raise ValueError(f"rank must be an AffineRank, got {rank!r}")
+
+
+class AffineRank(_Value):
     """The rank datum: ell >= 1, quantum characteristic e = ell + 1."""
 
+    __slots__ = _fields = ("ell",)
     ell: int
 
-    def __post_init__(self) -> None:
-        if type(self.ell) is not int or self.ell < 1:
-            raise ValueError(f"ell must be an integer at least 1, got {self.ell!r}")
+    def __init__(self, ell: int) -> None:
+        if type(ell) is not int or ell < 1:
+            raise ValueError(f"ell must be an integer at least 1, got {ell!r}")
+        object.__setattr__(self, "ell", ell)
+
+    # one field, and the fold cache compares and hashes a rank on every
+    # lookup, so these are written out
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ell == other.ell
+
+    def __hash__(self) -> int:
+        return hash((self.ell,))
 
     @property
     def e(self) -> int:
@@ -47,19 +106,19 @@ class AffineRank:
         return range(self.e)
 
 
-@dataclass(frozen=True)
-class RootVec:
+class RootVec(_Value):
     """An element of the root lattice, coefficients over the simple roots."""
 
+    __slots__ = _fields = ("rank", "coeffs")
     rank: AffineRank
     coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != self.rank.e:
-            raise ValueError(
-                f"expected {self.rank.e} coefficients, got {len(self.coeffs)}"
-            )
-        object.__setattr__(self, "coeffs", _int_tuple(self.coeffs, "root coefficients"))
+    def __init__(self, rank: AffineRank, coeffs: tuple[int, ...]) -> None:
+        _check_rank(rank)
+        if len(coeffs) != rank.e:
+            raise ValueError(f"expected {rank.e} coefficients, got {len(coeffs)}")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "coeffs", _int_tuple(coeffs, "root coefficients"))
 
     @classmethod
     def simple(cls, rank: AffineRank, i: int) -> "RootVec":

@@ -14,10 +14,9 @@ shared by the reports of every pair of blocks with those types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Optional
 
-from .cartan import AffineRank, RootVec, _int_tuple
+from .cartan import AffineRank, RootVec, _int_tuple, _Value
 from .fock import FockContext
 from .gdim import QuiverBound, QuiverShapeError, _class_verdict
 from .orbits import LAMBDA, MU, CanonicalRep, _check_label, _grow_blocks, canonical_rep
@@ -35,8 +34,7 @@ class UnsupportedConfigError(ValueError):
     """The ground-field configuration is outside the supported range."""
 
 
-@dataclass(frozen=True)
-class ClassifierConfig:
+class ClassifierConfig(_Value):
     """Ground-field assumptions.
 
     char2/char_odd record what is known about the characteristic;
@@ -44,29 +42,50 @@ class ClassifierConfig:
     the double-charge-zero tame candidate equals the critical sign.
     """
 
-    char2: bool = False
-    char_odd: bool = False
-    lambda_is_sign: bool = True
+    __slots__ = _fields = ("char2", "char_odd", "lambda_is_sign")
+    char2: bool
+    char_odd: bool
+    lambda_is_sign: bool
 
-    def __post_init__(self) -> None:
-        if self.char2 and self.char_odd:
+    def __init__(
+        self, char2: bool = False, char_odd: bool = False, lambda_is_sign: bool = True
+    ) -> None:
+        for name, flag in zip(self._fields, (char2, char_odd, lambda_is_sign)):
+            if type(flag) is not bool:
+                raise ValueError(f"{name} must be True or False, got {flag!r}")
+        if char2 and char_odd:
             raise ValueError("char2 and char_odd cannot both hold")
+        object.__setattr__(self, "char2", char2)
+        object.__setattr__(self, "char_odd", char_odd)
+        object.__setattr__(self, "lambda_is_sign", lambda_is_sign)
 
 
-@dataclass(frozen=True)
-class BrauerData:
+class BrauerData(_Value):
     """Shape of the basic algebra when it is special biserial."""
 
+    __slots__ = _fields = ("kind", "edges", "exceptional", "description")
     kind: str  # "line" or "graph"
     edges: int
-    exceptional: tuple[tuple[int, int], ...] = ()
-    description: str = ""
+    exceptional: tuple[tuple[int, int], ...]
+    description: str
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("line", "graph"):
-            raise ValueError(f"kind must be 'line' or 'graph', got {self.kind}")
-        if self.edges < 0:
+    def __init__(
+        self,
+        kind: str,
+        edges: int,
+        exceptional: tuple[tuple[int, int], ...] = (),
+        description: str = "",
+    ) -> None:
+        if kind not in ("line", "graph"):
+            raise ValueError(f"kind must be 'line' or 'graph', got {kind}")
+        if type(edges) is not int:
+            raise ValueError(f"edges must be an integer, got {edges!r}")
+        if edges < 0:
             raise ValueError("edges must be nonnegative")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "exceptional", exceptional)
+        object.__setattr__(self, "description", description)
 
     def to_json(self) -> dict:
         return {
@@ -77,32 +96,48 @@ class BrauerData:
         }
 
 
-@dataclass(frozen=True)
-class RepType:
+class RepType(_Value):
     """A representation-type verdict, with structure when one is known."""
 
+    __slots__ = _fields = ("tag", "structure")
     tag: str
-    structure: Optional[BrauerData] = None
+    structure: Optional[BrauerData]
 
-    def __post_init__(self) -> None:
-        if self.tag not in (SIMPLE, FINITE, TAME, WILD):
-            raise ValueError(f"unknown tag {self.tag}")
-        if self.structure is not None and self.tag in (SIMPLE, WILD):
+    def __init__(self, tag: str, structure: Optional[BrauerData] = None) -> None:
+        if tag not in (SIMPLE, FINITE, TAME, WILD):
+            raise ValueError(f"unknown tag {tag}")
+        if structure is not None and tag in (SIMPLE, WILD):
             raise ValueError("structure data only applies to finite/tame blocks")
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "structure", structure)
 
     def __str__(self) -> str:
         return self.tag
 
 
-@dataclass(frozen=True)
-class BlockReport:
+class BlockReport(_Value):
     """Everything the classifier can say about one block."""
 
+    __slots__ = _fields = ("input", "canonical", "rep_type", "quiver", "notes")
     input: dict
     canonical: Optional[CanonicalRep]
     rep_type: RepType
-    quiver: Optional[QuiverBound] = None
-    notes: tuple[str, ...] = ()
+    quiver: Optional[QuiverBound]
+    notes: tuple[str, ...]
+
+    def __init__(
+        self,
+        input: dict,
+        canonical: Optional[CanonicalRep],
+        rep_type: RepType,
+        quiver: Optional[QuiverBound] = None,
+        notes: tuple[str, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "input", input)
+        object.__setattr__(self, "canonical", canonical)
+        object.__setattr__(self, "rep_type", rep_type)
+        object.__setattr__(self, "quiver", quiver)
+        object.__setattr__(self, "notes", notes)
 
     def to_json(self) -> dict:
         return {
@@ -284,16 +319,8 @@ def classify_level_two(
     notes = report.notes
     if t != 0:
         notes = notes + (f"quiver rotated by {t} to move a charge to vertex 0",)
-    return replace(
-        report,
-        input={
-            "ell": rank.ell,
-            "charges": [a % e, b % e],
-            "level": 2,
-            "beta": beta.to_json(),
-        },
-        notes=notes,
-    )
+    block = {"ell": rank.ell, "charges": [a % e, b % e], "level": 2, "beta": beta.to_json()}
+    return BlockReport(block, report.canonical, report.rep_type, report.quiver, notes)
 
 
 def classify_heckeB(

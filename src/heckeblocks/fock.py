@@ -10,10 +10,9 @@ read at level one has an empty second component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
-from .cartan import AffineRank, RootVec
+from .cartan import AffineRank, RootVec, _check_rank, _Value
 
 
 def partitions(total: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -56,18 +55,19 @@ def _check_parts(parts: tuple[int, ...], label: str) -> None:
             raise ValueError(f"{label} must be weakly decreasing, got {parts}")
 
 
-@dataclass(frozen=True)
-class Bipartition:
+class Bipartition(_Value):
     """A pair of partitions, stored as weakly decreasing positive tuples."""
 
-    comp1: tuple[int, ...] = ()
-    comp2: tuple[int, ...] = ()
+    __slots__ = _fields = ("comp1", "comp2")
+    comp1: tuple[int, ...]
+    comp2: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "comp1", tuple(self.comp1))
-        object.__setattr__(self, "comp2", tuple(self.comp2))
-        _check_parts(self.comp1, "component 1")
-        _check_parts(self.comp2, "component 2")
+    def __init__(self, comp1: tuple[int, ...] = (), comp2: tuple[int, ...] = ()) -> None:
+        comp1, comp2 = tuple(comp1), tuple(comp2)
+        _check_parts(comp1, "component 1")
+        _check_parts(comp2, "component 2")
+        object.__setattr__(self, "comp1", comp1)
+        object.__setattr__(self, "comp2", comp2)
 
     @property
     def parts(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -79,8 +79,8 @@ class Bipartition:
         return sum(map(sum, self.parts))
 
     def component(self, c: int) -> tuple[int, ...]:
-        if c not in (1, 2):
-            raise ValueError(f"component must be 1 or 2, got {c}")
+        if type(c) is not int or c not in (1, 2):
+            raise ValueError(f"component must be 1 or 2, got {c!r}")
         return self.parts[c - 1]
 
     def cells(self) -> Iterator[Node]:
@@ -109,26 +109,41 @@ class Bipartition:
         return "(" + "|".join(map(one, self.parts)) + ")"
 
 
-@dataclass(frozen=True)
-class FockContext:
+class FockContext(_Value):
     """Rank, charge s and level; fixes residues and the highest weight,
     the sum of the fundamental weights Lambda_c over the charges c."""
 
+    __slots__ = ("rank", "s", "level", "charges")
+    _fields = ("rank", "s", "level")
     rank: AffineRank
-    s: int = 0
-    level: int = 2
+    s: int
+    level: int
     #: one charge per component, (0, s) or (0,) at level one; set once, so
     #: every read is the same tuple, and left out of equality and hashing
-    charges: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    charges: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if type(self.level) is not int or self.level not in (1, 2):
-            raise ValueError(f"level must be the integer 1 or 2, got {self.level!r}")
-        if type(self.s) is not int or not 0 <= self.s <= self.rank.ell:
-            raise ValueError(f"s must be an integer in 0..{self.rank.ell}, got {self.s!r}")
-        if self.level == 1 and self.s != 0:
+    def __init__(self, rank: AffineRank, s: int = 0, level: int = 2) -> None:
+        _check_rank(rank)
+        if type(level) is not int or level not in (1, 2):
+            raise ValueError(f"level must be the integer 1 or 2, got {level!r}")
+        if type(s) is not int or not 0 <= s <= rank.ell:
+            raise ValueError(f"s must be an integer in 0..{rank.ell}, got {s!r}")
+        if level == 1 and s != 0:
             raise ValueError("a level-one context has charge 0")
-        object.__setattr__(self, "charges", (0, self.s)[: self.level])
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "charges", (0, s)[:level])
+
+    # written out rather than read through _get: the fold cache compares
+    # and hashes its context on every lookup
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rank, self.s, self.level) == (other.rank, other.s, other.level)
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.s, self.level))
 
     def charge(self, component: int) -> int:
         if type(component) is not int or not 1 <= component <= self.level:
@@ -203,12 +218,16 @@ def content(ctx: FockContext, bp: Bipartition) -> RootVec:
     return RootVec(ctx.rank, tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class Bitableau:
+class Bitableau(_Value):
     """A standard bitableau recorded as its growth sequence of nodes."""
 
+    __slots__ = _fields = ("shape", "growth")
     shape: Bipartition
     growth: tuple[Node, ...]
+
+    def __init__(self, shape: Bipartition, growth: tuple[Node, ...]) -> None:
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "growth", growth)
 
     def to_json(self) -> dict:
         return {

@@ -70,10 +70,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .cartan import RootVec, _int_tuple
+from .cartan import RootVec, _int_tuple, _Value
 from .fock import Bipartition, FockContext, bipartitions, content
 from .qpoly import QPoly, _from_coeffs
 
@@ -342,31 +341,35 @@ def graded_dim(ctx: FockContext, nu_prime: Sequence[int], nu: Sequence[int]) -> 
     return _dot(_fold(ctx, a), _fold(ctx, b), _width(ctx.level, len(a)))
 
 
-@dataclass(frozen=True)
-class DimMatrix:
+class DimMatrix(_Value):
     """A matrix of graded dimensions over chosen residue words.  The
     constructor enforces its three rules: the matrix is symmetric, its
     coefficients are nonnegative and its diagonal entries are palindromic."""
 
+    __slots__ = _fields = ("idempotents", "entries")
     idempotents: tuple[ResidueSeq, ...]
     entries: tuple[tuple[QPoly, ...], ...]
 
-    def __post_init__(self) -> None:
-        m = len(self.idempotents)
-        if len(self.entries) != m or any(len(row) != m for row in self.entries):
+    def __init__(
+        self, idempotents: tuple[ResidueSeq, ...], entries: tuple[tuple[QPoly, ...], ...]
+    ) -> None:
+        m = len(idempotents)
+        if len(entries) != m or any(len(row) != m for row in entries):
             raise ValueError("entry matrix shape does not match idempotent count")
         for i in range(m):
             for j in range(i, m):
-                if self.entries[i][j] != self.entries[j][i]:
+                if entries[i][j] != entries[j][i]:
                     raise ValueError("dimension matrix must be symmetric")
-                if not self.entries[i][j].is_nonnegative():
+                if not entries[i][j].is_nonnegative():
                     raise ValueError("graded dimensions must have nonnegative coefficients")
-            diag = self.entries[i][i]
+            diag = entries[i][i]
             if not diag.is_palindromic():
                 raise ValueError(
-                    f"diagonal graded dimension at e{self.idempotents[i]} "
+                    f"diagonal graded dimension at e{idempotents[i]} "
                     f"is not palindromic: {diag}"
                 )
+        object.__setattr__(self, "idempotents", idempotents)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def size(self) -> int:
@@ -487,13 +490,20 @@ def ungraded_block_dim(ctx: FockContext, beta: RootVec) -> int:
     return sum(count_standard(shape) ** 2 for shape in block_bipartitions(ctx, beta))
 
 
-@dataclass(frozen=True)
-class QuiverBound:
+class QuiverBound(_Value):
     """Loop counts and arrow lower bounds read off a dimension matrix."""
 
+    __slots__ = _fields = ("loops", "arrows", "wild")
     loops: tuple[int, ...]
     arrows: tuple[tuple[int, ...], ...]
     wild: bool
+
+    def __init__(
+        self, loops: tuple[int, ...], arrows: tuple[tuple[int, ...], ...], wild: bool
+    ) -> None:
+        object.__setattr__(self, "loops", loops)
+        object.__setattr__(self, "arrows", arrows)
+        object.__setattr__(self, "wild", wild)
 
     def to_json(self) -> dict:
         return {

@@ -26,11 +26,10 @@ tuple is built only for a candidate that is a block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import sub
 
-from .cartan import RootVec, _int_tuple, lambda_rep, mu_rep, null_root
+from .cartan import RootVec, _int_tuple, _Value, lambda_rep, mu_rep, null_root
 from .fock import FockContext
 
 
@@ -42,21 +41,25 @@ LAMBDA = "lambda"
 MU = "mu"
 
 
-@dataclass(frozen=True)
-class CanonicalRep:
+class CanonicalRep(_Value):
     """Canonical orbit label: a family member plus k copies of delta."""
 
+    __slots__ = _fields = ("family", "s", "i", "k")
     family: str
     s: int
     i: int
     k: int
 
-    def __post_init__(self) -> None:
-        if self.family not in (LAMBDA, MU):
-            raise ValueError(f"family must be '{LAMBDA}' or '{MU}', got {self.family}")
-        _int_tuple((self.s, self.i, self.k), "s, i and k")
-        if self.k < 0:
-            raise ValueError(f"k must be nonnegative, got {self.k}")
+    def __init__(self, family: str, s: int, i: int, k: int) -> None:
+        if family not in (LAMBDA, MU):
+            raise ValueError(f"family must be '{LAMBDA}' or '{MU}', got {family}")
+        _int_tuple((s, i, k), "s, i and k")
+        if k < 0:
+            raise ValueError(f"k must be nonnegative, got {k}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "k", k)
 
     def to_json(self) -> dict:
         return {"family": self.family, "s": self.s, "i": self.i, "k": self.k}

@@ -485,10 +485,10 @@ def test_a_check_that_raises_fails_alone(capsys, monkeypatch):
     assert sum(" PASS " in line for line in lines) == 7
 
 
-def _loaded_by_import(*modules):
-    """Those of the modules that ``import heckeblocks`` loads in a fresh
-    interpreter."""
-    code = f"import sys, heckeblocks; print(sorted(set({modules!r}) & set(sys.modules)))"
+def _loaded_by_import(*modules, statement="import heckeblocks"):
+    """Those of the modules that are loaded after the statement runs in a
+    fresh interpreter."""
+    code = f"import sys; {statement}; print(sorted(set({modules!r}) & set(sys.modules)))"
     src = os.path.dirname(os.path.dirname(heckeblocks.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
@@ -504,6 +504,14 @@ def test_package_import_leaves_the_suites_unloaded():
 def test_package_import_loads_no_rational_arithmetic():
     """Graded dimensions are read only at q = 1, so nothing needs fractions."""
     assert _loaded_by_import("fractions", "decimal") == "[]"
+
+
+def test_package_import_loads_no_dataclass_machinery():
+    """The value types are slotted classes, so the import needs neither
+    dataclasses nor the inspect chain it pulls in; what a bare interpreter
+    already loads (a site hook, say) is not counted."""
+    modules = ("dataclasses", "inspect")
+    assert _loaded_by_import(*modules) == _loaded_by_import(*modules, statement="pass")
 
 
 @pytest.mark.parametrize(

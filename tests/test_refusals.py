@@ -62,6 +62,20 @@ LEVEL_ONE = FockContext(RANK, 0, level=1)
         ),
         (lambda: BrauerData("tree", 1), ValueError, "kind must be 'line' or 'graph', got tree"),
         (lambda: BrauerData("line", -1), ValueError, "edges must be nonnegative"),
+        (lambda: BrauerData("line", True), ValueError, "edges must be an integer, got True"),
+        (
+            lambda: classify_heckeD(4, 6, ClassifierConfig(char_odd="no")),
+            ValueError,
+            "char_odd must be True or False, got 'no'",
+        ),
+        (
+            lambda: ClassifierConfig(lambda_is_sign=1),
+            ValueError,
+            "lambda_is_sign must be True or False, got 1",
+        ),
+        (lambda: FockContext(2), ValueError, "rank must be an AffineRank, got 2"),
+        (lambda: RootVec(2, (1, 1)), ValueError, "rank must be an AffineRank, got 2"),
+        (lambda: LEVEL_TWO.charge(True), ValueError, "component must be in 1..2, got True"),
         (
             lambda: label_dominant(LEVEL_TWO, (0, 1, 0)),
             RuntimeError,
@@ -73,6 +87,11 @@ LEVEL_ONE = FockContext(RANK, 0, level=1)
             lambda: Bipartition((2,), (1,)).component(3),
             ValueError,
             "component must be 1 or 2, got 3",
+        ),
+        (
+            lambda: Bipartition((2,), (1,)).component(True),
+            ValueError,
+            "component must be 1 or 2, got True",
         ),
         (
             lambda: tableau_stats(
