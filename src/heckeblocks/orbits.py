@@ -61,6 +61,16 @@ class CanonicalRep(_Value):
         object.__setattr__(self, "i", i)
         object.__setattr__(self, "k", k)
 
+    # written out rather than read through _get: a listing of blocks looks
+    # up the label of every block it grows
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.family, self.s, self.i, self.k) == (other.family, other.s, other.i, other.k)
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.s, self.i, self.k))
+
     def to_json(self) -> dict:
         return {"family": self.family, "s": self.s, "i": self.i, "k": self.k}
 
