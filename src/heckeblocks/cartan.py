@@ -31,8 +31,9 @@ class _Value:
     _get: Callable[[_Value], tuple]
 
     def __init_subclass__(cls) -> None:
-        # a tuple of the fields for a type of two or more; a one-field type
-        # writes its own __eq__ and __hash__
+        # a tuple of the fields for a type of two or more; a one-field type,
+        # and a type that a cache or a listing hashes per lookup, writes out
+        # its own __eq__ and __hash__ with the same results
         cls._get = attrgetter(*cls._fields)
 
     def __eq__(self, other: object) -> bool:
