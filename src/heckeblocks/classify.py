@@ -55,9 +55,10 @@ class ClassifierConfig(_Value):
                 raise ValueError(f"{name} must be True or False, got {flag!r}")
         if char2 and char_odd:
             raise ValueError("char2 and char_odd cannot both hold")
-        object.__setattr__(self, "char2", char2)
-        object.__setattr__(self, "char_odd", char_odd)
-        object.__setattr__(self, "lambda_is_sign", lambda_is_sign)
+        put = self._put
+        put[0](self, char2)
+        put[1](self, char_odd)
+        put[2](self, lambda_is_sign)
 
 
 class BrauerData(_Value):
@@ -82,10 +83,11 @@ class BrauerData(_Value):
             raise ValueError(f"edges must be an integer, got {edges!r}")
         if edges < 0:
             raise ValueError("edges must be nonnegative")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "exceptional", exceptional)
-        object.__setattr__(self, "description", description)
+        put = self._put
+        put[0](self, kind)
+        put[1](self, edges)
+        put[2](self, exceptional)
+        put[3](self, description)
 
     def to_json(self) -> dict:
         return {
@@ -108,8 +110,9 @@ class RepType(_Value):
             raise ValueError(f"unknown tag {tag}")
         if structure is not None and tag in (SIMPLE, WILD):
             raise ValueError("structure data only applies to finite/tame blocks")
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "structure", structure)
+        put = self._put
+        put[0](self, tag)
+        put[1](self, structure)
 
     def __str__(self) -> str:
         return self.tag
@@ -133,15 +136,17 @@ class BlockReport(_Value):
         quiver: Optional[QuiverBound] = None,
         notes: tuple[str, ...] = (),
     ) -> None:
-        object.__setattr__(self, "input", input)
-        object.__setattr__(self, "canonical", canonical)
-        object.__setattr__(self, "rep_type", rep_type)
-        object.__setattr__(self, "quiver", quiver)
-        object.__setattr__(self, "notes", notes)
+        put = self._put
+        put[0](self, input)
+        put[1](self, canonical)
+        put[2](self, rep_type)
+        put[3](self, quiver)
+        put[4](self, notes)
 
     def to_json(self) -> dict:
         return {
-            "input": dict(self.input),
+            # copy the lists too, so that the JSON form shares nothing with the report
+            "input": {k: list(v) if type(v) is list else v for k, v in self.input.items()},
             "canonical": None if self.canonical is None else self.canonical.to_json(),
             "rep_type": self.rep_type.tag,
             "brauer": (
@@ -343,10 +348,12 @@ def _heckeB_reports(
 ) -> list[BlockReport]:
     """``classify_heckeB`` with the notes extra appended to every report.
     The labels come with the grown blocks; each distinct one is classified
-    once.  With separated parameters each level-one block carries the index
-    of its type among the distinct types, and ``classify_tensor`` and the
-    note run once per pair of indices; the reports share the immutable
-    results."""
+    once, and at level two each block reads its label's type and notes with
+    one dict lookup.  With separated parameters each level-one block carries
+    the index of its type among the distinct types, and ``classify_tensor``
+    and the note run once per pair of indices.  The reports share the
+    immutable results and are built with positional arguments, since a
+    listing builds one per block."""
     if cfg is None:
         cfg = ClassifierConfig()
     if type(e) is not int or e < 2:
@@ -356,17 +363,19 @@ def _heckeB_reports(
     if type(n) is not int or n < 0:
         raise ValueError(f"rank must be a nonnegative integer, got {n!r}")
     rank = AffineRank(e - 1)
+    ell = rank.ell
     reports = []
     if s is not None:
         ctx = FockContext(rank, s % e, level=2)
+        s = ctx.s
         kinds: dict[CanonicalRep, tuple[RepType, tuple[str, ...]]] = {}
         for c, rep in _grow_blocks(ctx, n)[n].items():
-            if rep not in kinds:
+            kind = kinds.get(rep)
+            if kind is None:
                 notes: list[str] = []
-                kinds[rep] = (_label_type(ctx, rep, cfg, notes), tuple(notes) + extra)
-            rep_type, rep_notes = kinds[rep]
-            block = {"ell": rank.ell, "s": ctx.s, "level": 2, "beta": list(c)}
-            reports.append(BlockReport(block, rep, rep_type, notes=rep_notes))
+                kind = kinds[rep] = (_label_type(ctx, rep, cfg, notes), tuple(notes) + extra)
+            block = {"ell": ell, "s": s, "level": 2, "beta": list(c)}
+            reports.append(BlockReport(block, rep, kind[0], None, kind[1]))
         return reports
     # separated parameters: pairs of level-one blocks
     ctx1 = FockContext(rank, 0, level=1)
@@ -384,7 +393,6 @@ def _heckeB_reports(
                     types.append(rep_type)
                 index[rep] = types.index(rep_type)
             typed[-1].append((c, index[rep]))
-    ell = rank.ell
     note = "separated parameters: outer tensor product of two level-one blocks"
     shared: dict[tuple[int, int], tuple[RepType, tuple[str, ...]]] = {}
     # the first blocks of all heights in order, each with the second blocks
@@ -397,7 +405,7 @@ def _heckeB_reports(
                 why = f"{note} ({t1} x {t2})"
                 result = shared[k1, k2] = (classify_tensor(t1, t2, ell), (why, *extra))
             block = {"ell": ell, "separated": True, "beta1": list(c1), "beta2": list(c2)}
-            reports.append(BlockReport(block, None, result[0], notes=result[1]))
+            reports.append(BlockReport(block, None, result[0], None, result[1]))
     return reports
 
 

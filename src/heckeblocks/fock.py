@@ -66,8 +66,9 @@ class Bipartition(_Value):
         comp1, comp2 = tuple(comp1), tuple(comp2)
         _check_parts(comp1, "component 1")
         _check_parts(comp2, "component 2")
-        object.__setattr__(self, "comp1", comp1)
-        object.__setattr__(self, "comp2", comp2)
+        put = self._put
+        put[0](self, comp1)
+        put[1](self, comp2)
 
     @property
     def parts(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -130,10 +131,11 @@ class FockContext(_Value):
             raise ValueError(f"s must be an integer in 0..{rank.ell}, got {s!r}")
         if level == 1 and s != 0:
             raise ValueError("a level-one context has charge 0")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "charges", (0, s)[:level])
+        put = self._put
+        put[0](self, rank)
+        put[1](self, s)
+        put[2](self, level)
+        put[3](self, (0, s)[:level])
 
     # written out rather than read through _get: the fold cache compares
     # and hashes its context on every lookup
@@ -226,8 +228,9 @@ class Bitableau(_Value):
     growth: tuple[Node, ...]
 
     def __init__(self, shape: Bipartition, growth: tuple[Node, ...]) -> None:
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "growth", growth)
+        put = self._put
+        put[0](self, shape)
+        put[1](self, growth)
 
     def to_json(self) -> dict:
         return {

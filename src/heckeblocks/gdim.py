@@ -368,8 +368,9 @@ class DimMatrix(_Value):
                     f"diagonal graded dimension at e{idempotents[i]} "
                     f"is not palindromic: {diag}"
                 )
-        object.__setattr__(self, "idempotents", idempotents)
-        object.__setattr__(self, "entries", entries)
+        put = self._put
+        put[0](self, idempotents)
+        put[1](self, entries)
 
     @property
     def size(self) -> int:
@@ -501,9 +502,10 @@ class QuiverBound(_Value):
     def __init__(
         self, loops: tuple[int, ...], arrows: tuple[tuple[int, ...], ...], wild: bool
     ) -> None:
-        object.__setattr__(self, "loops", loops)
-        object.__setattr__(self, "arrows", arrows)
-        object.__setattr__(self, "wild", wild)
+        put = self._put
+        put[0](self, loops)
+        put[1](self, arrows)
+        put[2](self, wild)
 
     def to_json(self) -> dict:
         return {

@@ -56,10 +56,11 @@ class CanonicalRep(_Value):
         _int_tuple((s, i, k), "s, i and k")
         if k < 0:
             raise ValueError(f"k must be nonnegative, got {k}")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "k", k)
+        put = self._put
+        put[0](self, family)
+        put[1](self, s)
+        put[2](self, i)
+        put[3](self, k)
 
     # written out rather than read through _get: a listing of blocks looks
     # up the label of every block it grows
@@ -184,7 +185,7 @@ def _grow_blocks(ctx: FockContext, n: int) -> list[dict[tuple[int, ...], Canonic
                 else:
                     grown[up] = (plus, label_dominant(ctx, plus))
         heights.append(grown)
-    return [dict(block for _, block in sorted(level.items())) for level in heights]
+    return [dict([level[code] for code in sorted(level)]) for level in heights]
 
 
 def _check_label(ctx: FockContext, rep: CanonicalRep) -> None:

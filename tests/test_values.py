@@ -22,6 +22,9 @@ from heckeblocks import (
     RepType,
     RootVec,
     classify_block,
+    classify_heckeB,
+    classify_heckeD,
+    classify_level_two,
 )
 
 RANK = AffineRank(2)
@@ -30,6 +33,10 @@ LINE = BrauerData("line", 2, (), "straight line")
 
 def _report(ctx=FockContext(RANK, 1), beta=(1, 1, 0)):
     return classify_block(ctx, RootVec(ctx.rank, beta))
+
+
+def _typeD_report():
+    return classify_heckeD(3, 4, ClassifierConfig(char_odd=True))[0]
 
 
 #: (build a value, the repr it had as a dataclass, build one that differs
@@ -107,9 +114,37 @@ VALUES = [
         "delta + c*q^2 + O(q^3)',))",
         lambda: _report(beta=(1, 0, 0)),
     ),
+    # reports as the listings build them, one per listed block
+    (
+        lambda: classify_heckeB(3, 1, 4)[0],
+        "BlockReport(input={'ell': 2, 's': 1, 'level': 2, 'beta': [1, 1, 2]}, "
+        "canonical=CanonicalRep(family='lambda', s=1, i=1, k=0), "
+        "rep_type=RepType(tag='finite', structure=BrauerData(kind='line', edges=2, "
+        "exceptional=(), description='straight line with 2 edges and no exceptional vertex')), "
+        "quiver=None, notes=())",
+        lambda: classify_heckeB(3, 1, 4)[1],
+    ),
+    (
+        lambda: classify_heckeB(3, None, 4)[0],
+        "BlockReport(input={'ell': 2, 'separated': True, 'beta1': [0, 0, 0], "
+        "'beta2': [1, 1, 2]}, canonical=None, rep_type=RepType(tag='simple', structure=None), "
+        "quiver=None, notes=('separated parameters: outer tensor product of two level-one "
+        "blocks (simple x simple)',))",
+        _typeD_report,
+    ),
+    (
+        _typeD_report,
+        "BlockReport(input={'ell': 2, 'separated': True, 'beta1': [0, 0, 0], "
+        "'beta2': [1, 1, 2]}, canonical=None, rep_type=RepType(tag='simple', structure=None), "
+        "quiver=None, notes=('separated parameters: outer tensor product of two level-one "
+        "blocks (simple x simple)', 'type-D block shares the representation type of its "
+        "type-B covering block with separated parameters'))",
+        lambda: classify_heckeB(3, None, 4)[0],
+    ),
 ]
 
 IDS = [want.split("(")[0] for _, want, _ in VALUES]
+IDS[-3:] = ["BlockReport-heckeB", "BlockReport-separated", "BlockReport-heckeD"]
 
 
 @pytest.mark.parametrize("make, want, other", VALUES, ids=IDS)
@@ -159,3 +194,44 @@ def test_a_copied_context_keeps_its_charges():
     for ctx in (FockContext(RANK, 1), FockContext(RANK, 0, level=1)):
         for twin in (copy.copy(ctx), copy.deepcopy(ctx), pickle.loads(pickle.dumps(ctx))):
             assert twin.charges == ctx.charges == (0, ctx.s)[: ctx.level]
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [lambda v: v, copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+    ids=["built", "copy", "deepcopy", "pickle"],
+)
+@pytest.mark.parametrize("make, want, other", VALUES, ids=IDS)
+def test_every_slot_is_filled(make, want, other, clone):
+    # every slot, a derived one too: reading one never filled raises AttributeError
+    value = make()
+    twin = clone(value)
+    for name in type(value).__slots__:
+        assert getattr(twin, name) == getattr(value, name)
+
+
+@pytest.mark.parametrize("e", range(2, 9))
+def test_listed_reports_equal_the_reports_built_from_their_fields(e):
+    for s in (*range(e), None):
+        for n in range(11):
+            for r in classify_heckeB(e, s, n):
+                assert r == BlockReport(*(getattr(r, f) for f in BlockReport._fields))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: classify_heckeB(3, 1, 4)[0],
+        lambda: classify_heckeB(3, None, 4)[0],
+        lambda: classify_level_two(RANK, (1, 2), RootVec(RANK, (1, 1, 0))),
+    ],
+    ids=["heckeB", "separated", "level_two"],
+)
+def test_the_json_form_shares_no_list_with_the_report(make):
+    report = make()
+    before, want = repr(report), report.to_json()
+    lists = [v for v in report.to_json()["input"].values() if type(v) is list]
+    assert lists
+    for value in lists:
+        value.append(9)
+    assert repr(report) == before and report.to_json() == want
