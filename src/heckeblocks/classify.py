@@ -119,10 +119,11 @@ class RepType(_Value):
 
 
 class BlockReport(_Value):
-    """Everything the classifier can say about one block."""
+    """Everything the classifier can say about one block; ``input`` names the
+    block as (key, value) pairs, such as ``(("ell", 2), ("beta", (1, 1)))``."""
 
     __slots__ = _fields = ("input", "canonical", "rep_type", "quiver", "notes")
-    input: dict
+    input: tuple[tuple[str, object], ...]
     canonical: Optional[CanonicalRep]
     rep_type: RepType
     quiver: Optional[QuiverBound]
@@ -130,7 +131,7 @@ class BlockReport(_Value):
 
     def __init__(
         self,
-        input: dict,
+        input: tuple[tuple[str, object], ...],
         canonical: Optional[CanonicalRep],
         rep_type: RepType,
         quiver: Optional[QuiverBound] = None,
@@ -145,8 +146,7 @@ class BlockReport(_Value):
 
     def to_json(self) -> dict:
         return {
-            # copy the lists too, so that the JSON form shares nothing with the report
-            "input": {k: list(v) if type(v) is list else v for k, v in self.input.items()},
+            "input": {k: list(v) if type(v) is tuple else v for k, v in self.input},
             "canonical": None if self.canonical is None else self.canonical.to_json(),
             "rep_type": self.rep_type.tag,
             "brauer": (
@@ -289,19 +289,13 @@ def classify_block(
     if with_quiver:
         quiver, qnotes = _attach_quiver(ctx, beta)
         notes.extend(qnotes)
-    report = BlockReport(
-        input={
-            "ell": ctx.rank.ell,
-            "s": ctx.s,
-            "level": ctx.level,
-            "beta": beta.to_json(),
-        },
+    return BlockReport(
+        input=(("ell", ctx.rank.ell), ("s", ctx.s), ("level", ctx.level), ("beta", beta.coeffs)),
         canonical=rep,
         rep_type=rep_type,
         quiver=quiver,
         notes=tuple(notes),
     )
-    return report
 
 
 def classify_level_two(
@@ -324,7 +318,7 @@ def classify_level_two(
     notes = report.notes
     if t != 0:
         notes = notes + (f"quiver rotated by {t} to move a charge to vertex 0",)
-    block = {"ell": rank.ell, "charges": [a % e, b % e], "level": 2, "beta": beta.to_json()}
+    block = (("ell", rank.ell), ("charges", (a % e, b % e)), ("level", 2), ("beta", c))
     return BlockReport(block, report.canonical, report.rep_type, report.quiver, notes)
 
 
@@ -352,7 +346,8 @@ def _heckeB_reports(
     one dict lookup.  With separated parameters each level-one block carries
     the index of its type among the distinct types, and ``classify_tensor``
     and the note run once per pair of indices.  The reports share the
-    immutable results and are built with positional arguments, since a
+    immutable results and their inputs' (key, value) pairs, which hold the
+    grower's tuples, and are built with positional arguments, since a
     listing builds one per block."""
     if cfg is None:
         cfg = ClassifierConfig()
@@ -367,23 +362,24 @@ def _heckeB_reports(
     reports = []
     if s is not None:
         ctx = FockContext(rank, s % e, level=2)
-        s = ctx.s
+        ell_pair, s_pair, level_pair = ("ell", ell), ("s", ctx.s), ("level", 2)
         kinds: dict[CanonicalRep, tuple[RepType, tuple[str, ...]]] = {}
         for c, rep in _grow_blocks(ctx, n)[n].items():
             kind = kinds.get(rep)
             if kind is None:
                 notes: list[str] = []
                 kind = kinds[rep] = (_label_type(ctx, rep, cfg, notes), tuple(notes) + extra)
-            block = {"ell": ell, "s": s, "level": 2, "beta": list(c)}
+            block = (ell_pair, s_pair, level_pair, ("beta", c))
             reports.append(BlockReport(block, rep, kind[0], None, kind[1]))
         return reports
     # separated parameters: pairs of level-one blocks
     ctx1 = FockContext(rank, 0, level=1)
     ones = _grow_blocks(ctx1, n)
-    # each block's type read once, as an index into the distinct types
+    # each block's type read once, as an index into the distinct types, and
+    # its ("beta2", c) pair built once for every pair that it ends
     types: list[RepType] = []
     index: dict[CanonicalRep, int] = {}
-    typed: list[list[tuple[tuple[int, ...], int]]] = []
+    typed: list[list[tuple[tuple[str, tuple[int, ...]], int]]] = []
     for blocks in ones:
         typed.append([])
         for c, rep in blocks.items():
@@ -392,19 +388,21 @@ def _heckeB_reports(
                 if rep_type not in types:
                     types.append(rep_type)
                 index[rep] = types.index(rep_type)
-            typed[-1].append((c, index[rep]))
+            typed[-1].append((("beta2", c), index[rep]))
     note = "separated parameters: outer tensor product of two level-one blocks"
     shared: dict[tuple[int, int], tuple[RepType, tuple[str, ...]]] = {}
+    ell_pair, separated = ("ell", ell), ("separated", True)
     # the first blocks of all heights in order, each with the second blocks
     # of the complementary height in order: the pairs in order
-    for c1, k1, m in sorted((c, k, m) for m, row in enumerate(typed) for c, k in row):
-        for c2, k2 in typed[n - m]:
+    for c1, k1, m in sorted((p[1], k, m) for m, row in enumerate(typed) for p, k in row):
+        first = ("beta1", c1)
+        for second, k2 in typed[n - m]:
             result = shared.get((k1, k2))
             if result is None:
                 t1, t2 = types[k1], types[k2]
                 why = f"{note} ({t1} x {t2})"
                 result = shared[k1, k2] = (classify_tensor(t1, t2, ell), (why, *extra))
-            block = {"ell": ell, "separated": True, "beta1": list(c1), "beta2": list(c2)}
+            block = (ell_pair, separated, first, second)
             reports.append(BlockReport(block, None, result[0], None, result[1]))
     return reports
 

@@ -12,6 +12,7 @@ import json
 import re
 import signal
 import sys
+from collections.abc import Iterator
 from typing import Callable, Optional, Sequence
 
 from .cartan import AffineRank, RootVec
@@ -94,16 +95,34 @@ def _config(args: argparse.Namespace) -> ClassifierConfig:
         raise _UsageError(str(exc)) from exc
 
 
-def _emit(args: argparse.Namespace, payload: Callable, human: Callable) -> None:
-    """Print the JSON payload or the human text, each a zero-argument
-    callable, building only the form that is printed."""
-    if args.json:
-        print(json.dumps(payload(), indent=2, sort_keys=True))
-    else:
-        print(human())
+def _emit(args: argparse.Namespace, payload: Callable, lines: Callable) -> None:
+    """The one writer of output: the JSON form of ``payload()``, the bytes of
+    ``json.dumps(payload(), indent=2, sort_keys=True)`` and a newline, or each
+    of the lines ``lines()``.  Only the printed form is built, and each part is
+    written as it is made; an iterator payload is a JSON list written one
+    element at a time, so a listing starts at once and is never held whole."""
+    write = sys.stdout.write
+    if not args.json:
+        sys.stdout.writelines(line + "\n" for line in lines())
+        return
+    encode = json.JSONEncoder(indent=2, sort_keys=True).iterencode
+    data = payload()
+    if not isinstance(data, Iterator):
+        chunks = encode(data)
+        # a few thousand chunks a write: one write per chunk doubles the time
+        while text := "".join(itertools.islice(chunks, 4096)):
+            write(text)
+        write("\n")
+        return
+    sep = "["
+    for item in data:
+        # an element sits one level in: every line break of its text indents
+        write(sep + "\n  " + "".join(encode(item)).replace("\n", "\n  "))
+        sep = ","
+    write("[]\n" if sep == "[" else "\n]\n")
 
 
-def _report_lines(report) -> str:
+def _report_lines(report) -> list[str]:
     lines = [f"type: {report.rep_type.tag}"]
     if report.canonical is not None:
         lines.append(f"canonical: {report.canonical}")
@@ -117,7 +136,7 @@ def _report_lines(report) -> str:
         )
     for note in report.notes:
         lines.append(f"note: {note}")
-    return "\n".join(lines)
+    return lines
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -143,7 +162,7 @@ def cmd_dims(args: argparse.Namespace) -> int:
             except ValueError as exc:
                 raise _UsageError(f"malformed --idems entry {chunk!r}") from exc
         matrix = dim_matrix(ctx, beta, idems)
-    _emit(args, matrix.to_json, matrix.__str__)
+    _emit(args, matrix.to_json, lambda: (str(matrix),))
     return EXIT_OK
 
 
@@ -166,7 +185,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
         f"weight of the module: {rep is not None}",
         "canonical: none (empty block)" if rep is None else f"canonical: {rep}",
     ]
-    _emit(args, lambda: payload, lambda: "\n".join(lines))
+    _emit(args, lambda: payload, lambda: lines)
     return EXIT_OK
 
 
@@ -178,21 +197,18 @@ def cmd_blocks(args: argparse.Namespace) -> int:
         reports = classify_heckeB(args.e, None if args.separated else args.s, args.n, cfg)
 
     def line(report) -> str:
-        if "beta" in report.input:
-            label = f"beta={report.input['beta']}"
-        else:
-            label = f"beta1={report.input['beta1']} beta2={report.input['beta2']}"
+        # the block's coefficients: beta, or beta1 and beta2 of a pair
+        label = " ".join(f"{k}={list(v)}" for k, v in report.input if type(v) is tuple)
         canon = f" canonical={report.canonical}" if report.canonical else ""
         return f"{label} type={report.rep_type.tag}{canon}"
 
-    _emit(args, lambda: [r.to_json() for r in reports], lambda: "\n".join(map(line, reports)))
+    _emit(args, lambda: (r.to_json() for r in reports), lambda: map(line, reports))
     return EXIT_OK
 
 
 def cmd_tableaux(args: argparse.Namespace) -> int:
     """Both forms print each tableau as it is read, so a large shape starts
-    at once: the human form a line, the JSON form one element of the list,
-    with the bytes of ``json.dumps(list, indent=2, sort_keys=True)``."""
+    at once: the human form a line, the JSON form one element of the list."""
     if args.limit is not None and args.limit < 0:
         raise _UsageError(f"--limit must be nonnegative, got {args.limit}")
     ctx = _context(args)
@@ -204,20 +220,15 @@ def cmd_tableaux(args: argparse.Namespace) -> int:
             growth = tab.to_json()["growth"]
             yield {"growth": growth, "residues": list(residues), "degree": degree}
 
-    if args.json:
-        sep = "["
-        for row in rows():
-            text = json.dumps(row, indent=2, sort_keys=True).replace("\n", "\n  ")
-            sys.stdout.write(f"{sep}\n  {text}")
-            sep = ","
-        print("[]" if sep == "[" else "\n]")
-        return EXIT_OK
-    count = 0
-    for count, row in enumerate(rows(), 1):
-        growth = " ".join(f"({c},{r},{col})" for c, r, col in row["growth"])
-        residues = ",".join(str(x) for x in row["residues"])
-        print(f"T{count - 1}: degree={row['degree']} residues=({residues}) growth={growth}")
-    print(f"total: {count}")
+    def lines():
+        count = 0
+        for count, row in enumerate(rows(), 1):
+            growth = " ".join(f"({c},{r},{col})" for c, r, col in row["growth"])
+            residues = ",".join(str(x) for x in row["residues"])
+            yield f"T{count - 1}: degree={row['degree']} residues=({residues}) growth={growth}"
+        yield f"total: {count}"
+
+    _emit(args, rows, lines)
     return EXIT_OK
 
 

@@ -281,9 +281,9 @@ def test_heckeB_block_enumeration():
     reports = classify_heckeB(2, 1, 2)
     assert len(reports) == 1
     assert reports[0].rep_type.tag == TAME
-    assert reports[0].input["beta"] == [1, 1]
+    assert dict(reports[0].input)["beta"] == (1, 1)
     two = classify_heckeB(3, 1, 1)
-    assert [r.input["beta"] for r in two] == [[0, 1, 0], [1, 0, 0]]
+    assert [dict(r.input)["beta"] for r in two] == [(0, 1, 0), (1, 0, 0)]
     assert all(r.rep_type.tag == SIMPLE for r in two)
     # past the reach of the brute-force comparison below
     assert len(classify_heckeB(3, 1, 40)) == 32
@@ -304,8 +304,8 @@ def test_heckeD_delegation_and_refusal():
     with pytest.raises(UnsupportedConfigError):
         classify_heckeD(4, 2, ClassifierConfig())
     even = classify_heckeD(4, 2, cfg)
-    assert [r.input["beta"] for r in even] == [
-        r.input["beta"] for r in classify_heckeB(4, 2, 2, cfg)
+    assert [dict(r.input)["beta"] for r in even] == [
+        dict(r.input)["beta"] for r in classify_heckeB(4, 2, 2, cfg)
     ]
     assert all(
         any("type-B covering block" in n for n in r.notes) for r in even
@@ -314,12 +314,14 @@ def test_heckeD_delegation_and_refusal():
     assert all(any("separated" in n for n in r.notes) for r in odd)
     # the covering note comes last, after the notes of the type-B report
     cover = "type-D block shares the representation type of its type-B covering block with "
-    [mu] = [r for r in classify_heckeD(6, 4, cfg) if r.input["beta"] == [1, 0, 0, 1, 1, 1]]
+    [mu] = [r for r in classify_heckeD(6, 4, cfg) if dict(r.input)["beta"] == (1, 0, 0, 1, 1, 1)]
     assert mu.notes == (
         "mu label rewritten as lambda label with charge 3",
         cover + "charge 3",
     )
-    assert odd[0].input == {"ell": 2, "separated": True, "beta1": [0, 0, 0], "beta2": [1, 0, 1]}
+    assert dict(odd[0].input) == {
+        "ell": 2, "separated": True, "beta1": (0, 0, 0), "beta2": (1, 0, 1)
+    }
     assert odd[0].notes == (
         "separated parameters: outer tensor product of two level-one blocks (simple x simple)",
         cover + "separated parameters",
@@ -439,7 +441,8 @@ def _obeys_defect_rules(tag, defect):
 
 def _separated_defect(rank, report):
     one = [1] + [0] * (rank.e - 1)
-    return _defect(rank, one, report.input["beta1"]) + _defect(rank, one, report.input["beta2"])
+    block = dict(report.input)
+    return _defect(rank, one, block["beta1"]) + _defect(rank, one, block["beta2"])
 
 
 @pytest.mark.parametrize("e", range(2, 8))
@@ -454,7 +457,8 @@ def test_decision_table_follows_the_defect(e):
             fund[0] += 1
             fund[s] += 1
             for r in classify_heckeB(e, s, n):
-                assert _obeys_defect_rules(r.rep_type.tag, _defect(rank, fund, r.input["beta"])), r
+                defect = _defect(rank, fund, dict(r.input)["beta"])
+                assert _obeys_defect_rules(r.rep_type.tag, defect), r
         separated = classify_heckeB(e, None, n)
         if e % 2:
             separated += classify_heckeD(e, n, odd)
@@ -520,7 +524,7 @@ def test_heckeB_separated_matches_per_combo_recompute(e):
             for p2 in partitions(n - m)
         }
     )
-    assert [(tuple(r.input["beta1"]), tuple(r.input["beta2"])) for r in reports] == pairs
+    assert [(dict(r.input)["beta1"], dict(r.input)["beta2"]) for r in reports] == pairs
     for report, (c1, c2) in zip(reports, pairs):
         t1 = _block_type(one, RootVec(rank, c1))
         t2 = _block_type(one, RootVec(rank, c2))

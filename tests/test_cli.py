@@ -381,6 +381,109 @@ def test_tableaux_prints_each_line_as_it_reads_the_tableau(capsys, monkeypatch, 
     assert captured.err == "internal error: read past the first tableau\n"
 
 
+def _orbit_json(ctx, beta):
+    try:
+        rep = heckeblocks.canonical_rep(ctx, beta).to_json()
+    except heckeblocks.NotAWeightError:
+        rep = None
+    return {
+        "beta": beta.to_json(),
+        "dominant_reduction": heckeblocks.dominant_reduce(ctx, beta).to_json(),
+        "is_weight": rep is not None,
+        "canonical": rep,
+    }
+
+
+def _tableau_rows(ctx, shape, limit=None):
+    tabs = heckeblocks.enumerate_standard(ctx, heckeblocks.Bipartition(*shape))
+    rows = []
+    for tab in tabs if limit is None else list(tabs)[:limit]:
+        degree, residues = heckeblocks.tableau_stats(ctx, tab)
+        growth = tab.to_json()["growth"]
+        rows.append({"growth": growth, "residues": list(residues), "degree": degree})
+    return rows
+
+
+CTX = heckeblocks.FockContext(heckeblocks.AffineRank(1), 1)
+ODD = heckeblocks.ClassifierConfig(char_odd=True)
+
+
+def _root(*coeffs):
+    return heckeblocks.RootVec(CTX.rank, coeffs)
+
+
+#: (a command, the library value its --json form prints)
+JSON_COMMANDS = [
+    (
+        "classify --ell 1 --s 1 --beta 2,2",
+        lambda: heckeblocks.classify_block(CTX, _root(2, 2)).to_json(),
+    ),
+    ("orbit --ell 1 --s 1 --beta 3,1", lambda: _orbit_json(CTX, _root(3, 1))),
+    ("orbit --ell 1 --s 1 --beta 2,0", lambda: _orbit_json(CTX, _root(2, 0))),
+    (
+        "dims --ell 1 --s 1 --beta 2,2 --all",
+        lambda: heckeblocks.class_matrix(CTX, _root(2, 2)).to_json(),
+    ),
+    (
+        "dims --ell 1 --s 1 --beta 2,2 --idems 0,1,0,1;1,0,1,0",
+        lambda: heckeblocks.dim_matrix(CTX, _root(2, 2), [(0, 1, 0, 1), (1, 0, 1, 0)]).to_json(),
+    ),
+    (
+        "blocks --e 3 --s 1 --n 6",
+        lambda: [r.to_json() for r in heckeblocks.classify_heckeB(3, 1, 6)],
+    ),
+    (
+        "blocks --e 3 --separated --n 4",
+        lambda: [r.to_json() for r in heckeblocks.classify_heckeB(3, None, 4)],
+    ),
+    (
+        "blocks --e 3 --typeD --n 4 --char-odd",
+        lambda: [r.to_json() for r in heckeblocks.classify_heckeD(3, 4, ODD)],
+    ),
+    (
+        "tableaux --ell 1 --s 1 --shape [[2,1],[1]]",
+        lambda: _tableau_rows(CTX, ((2, 1), (1,))),
+    ),
+    (
+        "tableaux --ell 1 --s 1 --shape [[2,1],[1]] --limit 2",
+        lambda: _tableau_rows(CTX, ((2, 1), (1,)), 2),
+    ),
+    ("tableaux --ell 1 --s 1 --shape [[2,1],[1]] --limit 0", lambda: []),
+]
+
+
+@pytest.mark.parametrize("argv, want", JSON_COMMANDS, ids=[argv for argv, _ in JSON_COMMANDS])
+def test_json_output_is_the_dump_of_the_library_value(capsys, argv, want):
+    """Every command's --json output, a streamed listing too, has the bytes
+    of the library's JSON form dumped at once."""
+    code, out = run(capsys, *argv.split(), "--json")
+    assert code == EXIT_OK
+    assert out == json.dumps(want(), indent=2, sort_keys=True) + "\n"
+
+
+def test_blocks_prints_each_report_before_it_renders_the_next(capsys, monkeypatch):
+    """The JSON listing writes a report's element before the next report's
+    to_json runs, so the listing is never held whole as text or as dicts."""
+    from heckeblocks import classify
+
+    real = classify.BlockReport.to_json
+    calls = []
+
+    def once_then_fail(self):
+        calls.append(self)
+        if len(calls) > 1:
+            raise RuntimeError("rendered past the first report")
+        return real(self)
+
+    monkeypatch.setattr(classify.BlockReport, "to_json", once_then_fail)
+    code = main(["blocks", "--e", "2", "--separated", "--n", "2", "--json"])
+    captured = capsys.readouterr()
+    first = real(heckeblocks.classify_heckeB(2, None, 2)[0])
+    assert code == EXIT_INTERNAL
+    assert captured.out == json.dumps([first], indent=2, sort_keys=True).removesuffix("\n]")
+    assert captured.err == "internal error: rendered past the first report\n"
+
+
 def test_tableaux_listing_at_level_one(capsys):
     code, out = run(
         capsys, "tableaux", "--ell", "2", "--level", "1", "--shape", "[[2,1],[]]"

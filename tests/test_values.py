@@ -39,8 +39,8 @@ def _typeD_report():
     return classify_heckeD(3, 4, ClassifierConfig(char_odd=True))[0]
 
 
-#: (build a value, the repr it had as a dataclass, build one that differs
-#: from it in one field)
+#: (build a value, the repr a dataclass of its fields prints, build one that
+#: differs from it in one field)
 VALUES = [
     (lambda: AffineRank(2), "AffineRank(ell=2)", lambda: AffineRank(3)),
     (
@@ -106,7 +106,7 @@ VALUES = [
     (lambda: RepType("wild"), "RepType(tag='wild', structure=None)", lambda: RepType("simple")),
     (
         _report,
-        "BlockReport(input={'ell': 2, 's': 1, 'level': 2, 'beta': [1, 1, 0]}, "
+        "BlockReport(input=(('ell', 2), ('s', 1), ('level', 2), ('beta', (1, 1, 0))), "
         "canonical=CanonicalRep(family='lambda', s=1, i=1, k=0), "
         "rep_type=RepType(tag='finite', structure=BrauerData(kind='line', edges=2, "
         "exceptional=(), description='straight line with 2 edges and no exceptional vertex')), "
@@ -117,7 +117,7 @@ VALUES = [
     # reports as the listings build them, one per listed block
     (
         lambda: classify_heckeB(3, 1, 4)[0],
-        "BlockReport(input={'ell': 2, 's': 1, 'level': 2, 'beta': [1, 1, 2]}, "
+        "BlockReport(input=(('ell', 2), ('s', 1), ('level', 2), ('beta', (1, 1, 2))), "
         "canonical=CanonicalRep(family='lambda', s=1, i=1, k=0), "
         "rep_type=RepType(tag='finite', structure=BrauerData(kind='line', edges=2, "
         "exceptional=(), description='straight line with 2 edges and no exceptional vertex')), "
@@ -126,16 +126,16 @@ VALUES = [
     ),
     (
         lambda: classify_heckeB(3, None, 4)[0],
-        "BlockReport(input={'ell': 2, 'separated': True, 'beta1': [0, 0, 0], "
-        "'beta2': [1, 1, 2]}, canonical=None, rep_type=RepType(tag='simple', structure=None), "
+        "BlockReport(input=(('ell', 2), ('separated', True), ('beta1', (0, 0, 0)), "
+        "('beta2', (1, 1, 2))), canonical=None, rep_type=RepType(tag='simple', structure=None), "
         "quiver=None, notes=('separated parameters: outer tensor product of two level-one "
         "blocks (simple x simple)',))",
         _typeD_report,
     ),
     (
         _typeD_report,
-        "BlockReport(input={'ell': 2, 'separated': True, 'beta1': [0, 0, 0], "
-        "'beta2': [1, 1, 2]}, canonical=None, rep_type=RepType(tag='simple', structure=None), "
+        "BlockReport(input=(('ell', 2), ('separated', True), ('beta1', (0, 0, 0)), "
+        "('beta2', (1, 1, 2))), canonical=None, rep_type=RepType(tag='simple', structure=None), "
         "quiver=None, notes=('separated parameters: outer tensor product of two level-one "
         "blocks (simple x simple)', 'type-D block shares the representation type of its "
         "type-B covering block with separated parameters'))",
@@ -159,12 +159,8 @@ def test_equal_by_class_and_fields(make, want, other):
     assert value is not twin and value == twin and not value != twin
     assert value != other()
     assert value.__eq__(fields) is NotImplemented
-    if isinstance(value, BlockReport):  # its input is a dict
-        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
-            hash(value)
-    else:
-        assert hash(value) == hash(twin) == hash(fields)
-        assert len({value, twin, other()}) == 2
+    assert hash(value) == hash(twin) == hash(fields)
+    assert len({value, twin, other()}) == 2
 
 
 @pytest.mark.parametrize("make, want, other", VALUES, ids=IDS)
@@ -218,15 +214,19 @@ def test_listed_reports_equal_the_reports_built_from_their_fields(e):
                 assert r == BlockReport(*(getattr(r, f) for f in BlockReport._fields))
 
 
-@pytest.mark.parametrize(
+REPORTS = pytest.mark.parametrize(
     "make",
     [
         lambda: classify_heckeB(3, 1, 4)[0],
         lambda: classify_heckeB(3, None, 4)[0],
         lambda: classify_level_two(RANK, (1, 2), RootVec(RANK, (1, 1, 0))),
+        _report,
     ],
-    ids=["heckeB", "separated", "level_two"],
+    ids=["heckeB", "separated", "level_two", "block"],
 )
+
+
+@REPORTS
 def test_the_json_form_shares_no_list_with_the_report(make):
     report = make()
     before, want = repr(report), report.to_json()
@@ -235,3 +235,22 @@ def test_the_json_form_shares_no_list_with_the_report(make):
     for value in lists:
         value.append(9)
     assert repr(report) == before and report.to_json() == want
+
+
+@REPORTS
+def test_a_report_input_cannot_be_mutated(make):
+    """The input is (key, value) pairs whose coefficients are tuples, so
+    neither the pairs nor a coefficient can be changed in place."""
+    report = make()
+    before = repr(report)
+    assert type(report.input) is tuple and {type(pair) for pair in report.input} == {tuple}
+    with pytest.raises(TypeError):
+        report.input[0] = ("ell", 99)
+    with pytest.raises(TypeError):
+        report.input[0][1] = 99
+    coeffs = [v for _, v in report.input if type(v) is not int and type(v) is not bool]
+    assert coeffs and {type(v) for v in coeffs} == {tuple}
+    for value in coeffs:
+        with pytest.raises(TypeError):
+            value[0] = 9
+    assert repr(report) == before and hash(report) == hash(make())
