@@ -17,12 +17,16 @@ with ``AttributeError``, and copy and pickle through their constructor.
 A slot left out of ``_fields`` is derived, so ``__init__`` sets it.
 
 ``__init_subclass__`` binds two things once per class: ``_get``, which reads
-the fields, and ``_put``, the ``__set__`` of each slot's member descriptor in
-``__slots__`` order.  ``__init__`` fills slot k with ``_put[k](self, value)``.
-Like ``object.__setattr__`` this bypasses the refusing ``__setattr__``, but
-it skips the lookup of the descriptor by name that ``object.__setattr__``
-makes on every call; a listing of blocks builds one report per block, and
-filling its five slots this way takes about half the time.
+the fields as a tuple, a one-field type's too, and ``_put``, the ``__set__``
+of each slot's member descriptor in ``__slots__`` order.  ``__init__`` fills
+slot k with ``_put[k](self, value)``.  Like ``object.__setattr__`` this
+bypasses the refusing ``__setattr__``, but it skips the lookup of the
+descriptor by name that ``object.__setattr__`` makes on every call; a
+listing of blocks builds one report per block, and filling its five slots
+this way takes about half the time.  No type writes its own equality or
+hash: a cache or a listing that looks values up per call keys on plain data
+instead (``gdim._fold`` on e and the charges, ``classify._heckeB_reports``
+on a label's fields).
 """
 
 from __future__ import annotations
@@ -40,10 +44,10 @@ class _Value:
     _put: tuple[Callable[[_Value, object], None], ...]
 
     def __init_subclass__(cls) -> None:
-        # a tuple of the fields for a type of two or more; a one-field type,
-        # and a type that a cache or a listing hashes per lookup, writes out
-        # its own __eq__ and __hash__ with the same results
-        cls._get = attrgetter(*cls._fields)
+        # attrgetter of one name returns the bare field, so a one-field type
+        # wraps it: every type reads, compares and hashes as its field tuple
+        get = attrgetter(*cls._fields)
+        cls._get = staticmethod(lambda v: (get(v),)) if len(cls._fields) == 1 else get
         cls._put = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def __eq__(self, other: object) -> bool:
@@ -93,16 +97,6 @@ class AffineRank(_Value):
         if type(ell) is not int or ell < 1:
             raise ValueError(f"ell must be an integer at least 1, got {ell!r}")
         self._put[0](self, ell)
-
-    # one field, and the fold cache compares and hashes a rank on every
-    # lookup, so these are written out
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.ell == other.ell
-
-    def __hash__(self) -> int:
-        return hash((self.ell,))
 
     @property
     def e(self) -> int:

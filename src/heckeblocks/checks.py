@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 
-from .cartan import AffineRank, RootVec, lambda_rep, mu_rep, null_root
+from .cartan import AffineRank, RootVec, _Value, lambda_rep, mu_rep, null_root
 from .classify import FINITE, SIMPLE, TAME, WILD, ClassifierConfig, classify_canonical
 from .fock import (
     Bipartition,
@@ -71,11 +70,19 @@ from .orbits import (
 from .qpoly import QPoly, quantum_int
 
 
-@dataclass
-class CheckResult:
+class CheckResult(_Value):
+    """A check's name, whether it passed, and the detail its line prints."""
+
+    __slots__ = _fields = ("name", "passed", "detail")
     name: str
     passed: bool
-    detail: str = ""
+    detail: str
+
+    def __init__(self, name: str, passed: bool, detail: str = "") -> None:
+        put = self._put
+        put[0](self, name)
+        put[1](self, passed)
+        put[2](self, detail)
 
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"

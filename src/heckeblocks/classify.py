@@ -345,10 +345,11 @@ def _heckeB_reports(
     once, and at level two each block reads its label's type and notes with
     one dict lookup.  With separated parameters each level-one block carries
     the index of its type among the distinct types, and ``classify_tensor``
-    and the note run once per pair of indices.  The reports share the
-    immutable results and their inputs' (key, value) pairs, which hold the
-    grower's tuples, and are built with positional arguments, since a
-    listing builds one per block."""
+    and the note run once per pair of indices.  Both lookups key on the
+    label's plain (family, i, k), as the charge is fixed within a listing.
+    The reports share the immutable results and their inputs' (key, value)
+    pairs, which hold the grower's tuples, and are built with positional
+    arguments, since a listing builds one per block."""
     if cfg is None:
         cfg = ClassifierConfig()
     if type(e) is not int or e < 2:
@@ -363,12 +364,13 @@ def _heckeB_reports(
     if s is not None:
         ctx = FockContext(rank, s % e, level=2)
         ell_pair, s_pair, level_pair = ("ell", ell), ("s", ctx.s), ("level", 2)
-        kinds: dict[CanonicalRep, tuple[RepType, tuple[str, ...]]] = {}
+        kinds: dict[tuple[str, int, int], tuple[RepType, tuple[str, ...]]] = {}
         for c, rep in _grow_blocks(ctx, n)[n].items():
-            kind = kinds.get(rep)
+            key = (rep.family, rep.i, rep.k)
+            kind = kinds.get(key)
             if kind is None:
                 notes: list[str] = []
-                kind = kinds[rep] = (_label_type(ctx, rep, cfg, notes), tuple(notes) + extra)
+                kind = kinds[key] = (_label_type(ctx, rep, cfg, notes), tuple(notes) + extra)
             block = (ell_pair, s_pair, level_pair, ("beta", c))
             reports.append(BlockReport(block, rep, kind[0], None, kind[1]))
         return reports
@@ -378,17 +380,19 @@ def _heckeB_reports(
     # each block's type read once, as an index into the distinct types, and
     # its ("beta2", c) pair built once for every pair that it ends
     types: list[RepType] = []
-    index: dict[CanonicalRep, int] = {}
+    index: dict[tuple[str, int, int], int] = {}
     typed: list[list[tuple[tuple[str, tuple[int, ...]], int]]] = []
     for blocks in ones:
         typed.append([])
         for c, rep in blocks.items():
-            if rep not in index:
+            key = (rep.family, rep.i, rep.k)
+            k = index.get(key)
+            if k is None:
                 rep_type = _label_type(ctx1, rep, cfg, [])
                 if rep_type not in types:
                     types.append(rep_type)
-                index[rep] = types.index(rep_type)
-            typed[-1].append((("beta2", c), index[rep]))
+                k = index[key] = types.index(rep_type)
+            typed[-1].append((("beta2", c), k))
     note = "separated parameters: outer tensor product of two level-one blocks"
     shared: dict[tuple[int, int], tuple[RepType, tuple[str, ...]]] = {}
     ell_pair, separated = ("ell", ell), ("separated", True)

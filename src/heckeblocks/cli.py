@@ -33,8 +33,8 @@ EXIT_EMPTY = 2
 EXIT_INTERNAL = 3
 
 
-class _UsageError(Exception):
-    pass
+class _UsageError(ValueError):
+    """A malformed command line; ``main`` prints it as every other ValueError."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,14 +85,9 @@ def _beta_from_args(args: argparse.Namespace, ctx: FockContext) -> RootVec:
 
 
 def _config(args: argparse.Namespace) -> ClassifierConfig:
-    try:
-        return ClassifierConfig(
-            char2=args.char2,
-            char_odd=args.char_odd,
-            lambda_is_sign=args.lambda_sign == "true",
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    return ClassifierConfig(
+        char2=args.char2, char_odd=args.char_odd, lambda_is_sign=args.lambda_sign == "true"
+    )
 
 
 def _emit(args: argparse.Namespace, payload: Callable, lines: Callable) -> None:
@@ -336,9 +331,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except NotAWeightError as exc:
         print(f"empty block: {exc}", file=sys.stderr)
         return EXIT_EMPTY

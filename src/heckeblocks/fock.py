@@ -137,16 +137,6 @@ class FockContext(_Value):
         put[2](self, level)
         put[3](self, (0, s)[:level])
 
-    # written out rather than read through _get: the fold cache compares
-    # and hashes its context on every lookup
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.rank, self.s, self.level) == (other.rank, other.s, other.level)
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.s, self.level))
-
     def charge(self, component: int) -> int:
         if type(component) is not int or not 1 <= component <= self.level:
             raise ValueError(f"component must be in 1..{self.level}, got {component!r}")

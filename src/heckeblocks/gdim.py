@@ -15,11 +15,11 @@ shapes of size n sum to level^n * n!, which bounds every coefficient of a
 histogram and of a sum over shapes of products of two histograms, so no
 chunk carries.  lo is the true least degree and every count is positive, so
 the packed form is canonical and equal histograms compare equal.
-``_step(ctx, state, i, w)`` adds one i-node to every shape in every addable
-way, shifting the histogram by the node's below-statistic, which only moves
-lo.  Folding the step along a word gives K_q(shape, word) for every shape at
-once, which is the Fock-space form of the graded dimension formula (e_i read
-along the word; Brundan-Kleshchev, with the degrees of
+``_step(e, charges, state, i, w)`` adds one i-node to every shape in every
+addable way, shifting the histogram by the node's below-statistic, which
+only moves lo.  Folding the step along a word gives K_q(shape, word) for
+every shape at once, which is the Fock-space form of the graded dimension
+formula (e_i read along the word; Brundan-Kleshchev, with the degrees of
 Brundan-Kleshchev-Wang):
 
 - ``_step`` reads each shape's ``_moves`` (grown shapes and shifts) from a
@@ -28,8 +28,9 @@ Brundan-Kleshchev-Wang):
   words of length n leave at most e entries per context and (bi)partition of
   size < n, so 3 x 434 on (2,1,3delta);
 - ``_fold`` reads the step along one word in one loop, stopping at the
-  first empty state, under a ``functools.lru_cache`` keyed by the context
-  and the word, so a repeated point lookup folds nothing.  The cache holds
+  first empty state, under a ``functools.lru_cache`` keyed, as ``_moves``
+  is, on plain data: (e, charges, word), since e and the charges fix the
+  context.  A repeated point lookup folds nothing.  The cache holds
   ``_CACHE_STATES`` = 1024 folds, least recently used dropped first.  It
   bounds states, not shapes: a fold is a prefix state of its own word, so
   1024 folds of the block (1,1,6delta), height 12, hold at most the 251 014
@@ -166,12 +167,11 @@ def _moves(
     return tuple(out)
 
 
-def _step(ctx: FockContext, state: State, i: int, width: int) -> State:
+def _step(e: int, charges: tuple[int, ...], state: State, i: int, width: int) -> State:
     """Add one i-node to every shape of the state in every addable way: each
-    of the shape's cached ``_moves`` under the context's e and charges moves
-    its histogram's least degree by the node's degree onto the grown shape,
+    of the shape's cached ``_moves`` under e and the charges moves its
+    histogram's least degree by the node's degree onto the grown shape,
     where two histograms are aligned by one shift and added."""
-    e, charges = ctx.rank.e, ctx.charges
     out: State = {}
     for shape, (lo, packed) in state.items():
         for new, shift in _moves(e, charges, shape, i):
@@ -186,8 +186,8 @@ def _step(ctx: FockContext, state: State, i: int, width: int) -> State:
     return out
 
 
-def _start(ctx: FockContext) -> State:
-    return {((),) * ctx.level: (0, 1)}
+def _start(charges: tuple[int, ...]) -> State:
+    return {((),) * len(charges): (0, 1)}
 
 
 #: Most word folds the cache of ``_fold`` holds.
@@ -195,19 +195,19 @@ _CACHE_STATES = 1024
 
 
 @functools.lru_cache(maxsize=_CACHE_STATES)
-def _fold(ctx: FockContext, word: ResidueSeq) -> State:
-    """The state of one word: the step read along it from the empty shape,
-    stopping at the first empty state, so a word that no standard
-    (bi)tableau reads folds to ``{}``.
+def _fold(e: int, charges: tuple[int, ...], word: ResidueSeq) -> State:
+    """The state of one word under e and the charges, which fix the context:
+    the step read along it from the empty shape, stopping at the first empty
+    state, so a word that no standard (bi)tableau reads folds to ``{}``.
 
-    Folds are cached by context and word, which ``graded_dim``, ``kostka_q``
+    Folds are cached on that plain data, which ``graded_dim``, ``kostka_q``
     and ``dim_matrix`` share across calls; a cached fold is shared and never
     mutated.  The cache holds ``_CACHE_STATES`` folds and drops the least
     recently used first; the module docstring bounds what they hold."""
-    width = _width(ctx.level, len(word))
-    state = _start(ctx)
+    width = _width(len(charges), len(word))
+    state = _start(charges)
     for i in word:
-        state = _step(ctx, state, i, width)
+        state = _step(e, charges, state, i, width)
         if not state:
             break
     return state
@@ -228,18 +228,15 @@ def _walk(ctx: FockContext, beta: RootVec, merge: bool) -> Iterator[tuple[Residu
     Words come out as they are reached, so a caller that stops early steps
     only as far as the last word it took."""
     _check_block(ctx, beta)
-    yield from _extend(
-        ctx,
-        _start(ctx),
-        list(beta.coeffs),
-        [],
-        _width(ctx.level, beta.height),
-        {} if merge else None,
-    )
+    e, charges = ctx.rank.e, ctx.charges
+    width = _width(len(charges), beta.height)
+    seen = {} if merge else None
+    yield from _extend(e, charges, _start(charges), list(beta.coeffs), [], width, seen)
 
 
 def _extend(
-    ctx: FockContext,
+    e: int,
+    charges: tuple[int, ...],
     state: State,
     budget: list[int],
     word: list[int],
@@ -256,7 +253,7 @@ def _extend(
         return
     for i, left in enumerate(budget):
         if left:
-            grown = _step(ctx, state, i, width)
+            grown = _step(e, charges, state, i, width)
             if not grown:
                 continue
             budget[i] -= 1
@@ -267,7 +264,7 @@ def _extend(
                     continue
                 earlier.append(grown)
             word.append(i)
-            yield from _extend(ctx, grown, budget, word, width, seen)
+            yield from _extend(e, charges, grown, budget, word, width, seen)
             word.pop()
             budget[i] += 1
 
@@ -301,8 +298,9 @@ def kostka_q(ctx: FockContext, shape: Bipartition, nu: Sequence[int]) -> QPoly:
         raise ValueError(
             f"residue word has length {len(seq)}, shape has {shape.size} nodes"
         )
-    hit = _fold(ctx, seq).get(shape.parts[: ctx.level])
-    return _from_coeffs(_unpack(*hit, _width(ctx.level, len(seq))) if hit else {})
+    e, charges = ctx.rank.e, ctx.charges
+    hit = _fold(e, charges, seq).get(shape.parts[: len(charges)])
+    return _from_coeffs(_unpack(*hit, _width(len(charges), len(seq))) if hit else {})
 
 
 def block_bipartitions(ctx: FockContext, beta: RootVec) -> list[Bipartition]:
@@ -338,7 +336,8 @@ def graded_dim(ctx: FockContext, nu_prime: Sequence[int], nu: Sequence[int]) -> 
     b = _as_residue_seq(ctx, nu)
     if len(a) != len(b):
         raise ValueError(f"residue words differ in length: {len(a)} vs {len(b)}")
-    return _dot(_fold(ctx, a), _fold(ctx, b), _width(ctx.level, len(a)))
+    e, charges = ctx.rank.e, ctx.charges
+    return _dot(_fold(e, charges, a), _fold(e, charges, b), _width(len(charges), len(a)))
 
 
 class DimMatrix(_Value):
@@ -417,8 +416,9 @@ def dim_matrix(
     for nu in seqs:
         if _seq_content(ctx, nu) != target:
             raise ValueError(f"residue word {nu} does not have content {beta}")
-    folds = [_fold(ctx, nu) for nu in seqs]
-    return DimMatrix(tuple(seqs), _matrix(folds, _width(ctx.level, beta.height)))
+    e, charges = ctx.rank.e, ctx.charges
+    folds = [_fold(e, charges, nu) for nu in seqs]
+    return DimMatrix(tuple(seqs), _matrix(folds, _width(len(charges), beta.height)))
 
 
 def class_matrix(ctx: FockContext, beta: RootVec) -> DimMatrix:

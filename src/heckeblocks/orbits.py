@@ -62,16 +62,6 @@ class CanonicalRep(_Value):
         put[2](self, i)
         put[3](self, k)
 
-    # written out rather than read through _get: a listing of blocks looks
-    # up the label of every block it grows
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.family, self.s, self.i, self.k) == (other.family, other.s, other.i, other.k)
-
-    def __hash__(self) -> int:
-        return hash((self.family, self.s, self.i, self.k))
-
     def to_json(self) -> dict:
         return {"family": self.family, "s": self.s, "i": self.i, "k": self.k}
 
@@ -101,26 +91,29 @@ def _reduce(ctx: FockContext, beta: RootVec) -> tuple[int, ...]:
     At level L, W acts on the finite part of a weight as S_e permuting its
     epsilon-coordinates and translating them by L times the integer vectors
     of sum zero, and it keeps |weight|^2 = |finite part|^2 + 2L * (multiple
-    of delta) (Kac, Infinite dimensional Lie algebras, 6.5-6.6).  With
-    indices mod e and s = 0 at level one, Lambda - beta has the coordinates
-    x_t = [t < s] + c_t - c_{t+1}, which sum to s; its pairing at vertex
-    t + 1 is x_t - x_{t+1}, at vertex 0 it is L + x_ell - x_0, and its
-    multiple of delta is -c_0.  So the orbit keeps the multiset of the x_t
-    mod L and sum x_t^2 - 2L c_0, and its dominant point y is the decreasing
-    vector with those residues, sum s and y_0 - y_ell <= L: the k smallest
-    residues r become L(q + 1) + r and the others Lq + r, for
-    (q, k) = divmod((s - sum r) / L, e).  The reduction b then has
-    b_0 = c_0 + (sum y_t^2 - sum x_t^2) / 2L and b_{t+1} = b_t + [t < s] - y_t.
+    of delta) (Kac, Infinite dimensional Lie algebras, 6.5-6.6).  Only the
+    charges are read: L is their number, and with indices mod e,
+    Lambda - beta has the coordinates x_t = lam_t + c_t - c_{t+1}, where
+    lam_t counts the charges above t, so x sums to |lam| = sum lam_t.  Its
+    pairing at vertex t + 1 is x_t - x_{t+1}, at vertex 0 it is
+    L + x_ell - x_0, and its multiple of delta is -c_0.  So the orbit keeps
+    the multiset of the x_t mod L and sum x_t^2 - 2L c_0, and its dominant
+    point y is the decreasing vector with those residues, sum |lam| and
+    y_0 - y_ell <= L: the k smallest residues r become L(q + 1) + r and the
+    others Lq + r, for (q, k) = divmod((|lam| - sum r) / L, e).  The
+    reduction b then has b_0 = c_0 + (sum y_t^2 - sum x_t^2) / 2L and
+    b_{t+1} = b_t + lam_t - y_t.
     """
     if beta.rank != ctx.rank:
         raise ValueError("rank mismatch between context and root vector")
-    s, level = ctx.s, ctx.level
+    charges = ctx.charges
+    level = len(charges)
     c = beta.coeffs
     e = len(c)
-    lam = [1] * s + [0] * (e - s)
+    lam = [sum([t < a for a in charges]) for t in range(e)]
     x = [u + a - b for u, a, b in zip(lam, c, c[1:] + c[:1])]
     rs = sorted([v % level for v in x], reverse=True)
-    q, k = divmod((s - sum(rs)) // level, e)
+    q, k = divmod((sum(lam) - sum(rs)) // level, e)
     low = level * q
     y = [low + level + r for r in rs[e - k :]] + [low + r for r in rs[: e - k]]
     top = c[0] + (sum([v * v for v in y]) - sum([v * v for v in x])) // (2 * level)

@@ -62,14 +62,9 @@ def test_classify_exit_codes(capsys):
     assert run(capsys, "classify", "--ell", "2", "--s", "1", "--beta", "1,1")[0] == EXIT_USAGE
     assert run(capsys, "classify", "--ell", "2", "--s", "1")[0] == EXIT_USAGE
     assert run(capsys, "classify", "--ell", "2", "--s", "5", "--beta", "0,0,0")[0] == EXIT_USAGE
-    assert (
-        run(
-            capsys,
-            "classify", "--ell", "1", "--s", "1", "--beta", "1,1",
-            "--char2", "--char-odd",
-        )[0]
-        == EXIT_USAGE
-    )
+    argv = ["classify", "--ell", "1", "--s", "1", "--beta", "1,1", "--char2", "--char-odd"]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == "usage error: char2 and char_odd cannot both hold\n"
 
 
 def test_dims_table_and_polynomials(capsys):
@@ -610,11 +605,13 @@ def test_package_import_loads_no_rational_arithmetic():
 
 
 def test_package_import_loads_no_dataclass_machinery():
-    """The value types are slotted classes, so the import needs neither
-    dataclasses nor the inspect chain it pulls in; what a bare interpreter
-    already loads (a site hook, say) is not counted."""
+    """The value types are slotted classes, so neither the package nor its
+    suites need dataclasses or the inspect chain it pulls in; what a bare
+    interpreter already loads (a site hook, say) is not counted."""
     modules = ("dataclasses", "inspect")
-    assert _loaded_by_import(*modules) == _loaded_by_import(*modules, statement="pass")
+    bare = _loaded_by_import(*modules, statement="pass")
+    assert _loaded_by_import(*modules) == bare
+    assert _loaded_by_import(*modules, statement="import heckeblocks.checks") == bare
 
 
 @pytest.mark.parametrize(

@@ -163,7 +163,7 @@ def classes_by_definition(ctx, beta):
     classes = {}
     width = _width(ctx.level, beta.height)
     for word in residue_sequences(ctx, beta):
-        fold = _fold(ctx, word)
+        fold = _fold(ctx.rank.e, ctx.charges, word)
         key = frozenset(
             (shape, frozenset(_unpack(*entry, width).items())) for shape, entry in fold.items()
         )
@@ -704,9 +704,9 @@ def test_memoised_answers_equal_cold_answers(fresh_cache, monkeypatch):
     heads = set()
     step = gdim._step
 
-    def spy(ctx, state, i, w):
-        heads.add((ctx.rank.e, ctx.s, ctx.level, w))
-        return step(ctx, state, i, w)
+    def spy(e, charges, state, i, w):
+        heads.add((e, charges, w))
+        return step(e, charges, state, i, w)
 
     monkeypatch.setattr(gdim, "_step", spy)
     warm = [call() for call in calls]
@@ -785,7 +785,7 @@ def test_moves_memo_keeps_charges_and_levels_apart(fresh_cache):
     cases.append((FockContext(rank, 0, level=1), ((2, 1),)))
 
     def step(ctx, shape, i):
-        return list(gdim._step(ctx, {shape: (0, 1)}, i, 8).items())
+        return list(gdim._step(ctx.rank.e, ctx.charges, {shape: (0, 1)}, i, 8).items())
 
     cold = {(ctx, i): _cold(lambda: step(ctx, shape, i)) for ctx, shape in cases for i in range(3)}
     # the charge moves the second component's residues, so it changes answers
@@ -897,7 +897,7 @@ def test_step_matches_the_corner_count_on_shapes_up_to_fourteen_nodes(data):
             for d, c in hist.items():
                 acc[d + below] = acc.get(d + below, 0) + c
     gdim._moves.cache_clear()
-    got = gdim._step(ctx, state, i, width)
-    assert list(gdim._step(ctx, state, i, width).items()) == list(got.items())
+    got = gdim._step(ctx.rank.e, ctx.charges, state, i, width)
+    assert list(gdim._step(ctx.rank.e, ctx.charges, state, i, width).items()) == list(got.items())
     assert list(got) == list(want)
     assert {shape: _unpack(lo, packed, width) for shape, (lo, packed) in got.items()} == want

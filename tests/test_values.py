@@ -26,6 +26,7 @@ from heckeblocks import (
     classify_heckeD,
     classify_level_two,
 )
+from heckeblocks.cartan import _Value
 
 RANK = AffineRank(2)
 LINE = BrauerData("line", 2, (), "straight line")
@@ -161,6 +162,12 @@ def test_equal_by_class_and_fields(make, want, other):
     assert value.__eq__(fields) is NotImplemented
     assert hash(value) == hash(twin) == hash(fields)
     assert len({value, twin, other()}) == 2
+
+
+@pytest.mark.parametrize("make, want, other", VALUES, ids=IDS)
+def test_equality_and_hashing_are_the_base_class_own(make, want, other):
+    cls = type(make())
+    assert cls.__eq__ is _Value.__eq__ and cls.__hash__ is _Value.__hash__
 
 
 @pytest.mark.parametrize("make, want, other", VALUES, ids=IDS)
