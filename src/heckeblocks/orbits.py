@@ -92,17 +92,16 @@ def _reduce(ctx: FockContext, beta: RootVec) -> tuple[int, ...]:
     epsilon-coordinates and translating them by L times the integer vectors
     of sum zero, and it keeps |weight|^2 = |finite part|^2 + 2L * (multiple
     of delta) (Kac, Infinite dimensional Lie algebras, 6.5-6.6).  Only the
-    charges are read: L is their number, and with indices mod e,
-    Lambda - beta has the coordinates x_t = lam_t + c_t - c_{t+1}, where
-    lam_t counts the charges above t, so x sums to |lam| = sum lam_t.  Its
-    pairing at vertex t + 1 is x_t - x_{t+1}, at vertex 0 it is
-    L + x_ell - x_0, and its multiple of delta is -c_0.  So the orbit keeps
-    the multiset of the x_t mod L and sum x_t^2 - 2L c_0, and its dominant
-    point y is the decreasing vector with those residues, sum |lam| and
-    y_0 - y_ell <= L: the k smallest residues r become L(q + 1) + r and the
-    others Lq + r, for (q, k) = divmod((|lam| - sum r) / L, e).  The
-    reduction b then has b_0 = c_0 + (sum y_t^2 - sum x_t^2) / 2L and
-    b_{t+1} = b_t + lam_t - y_t.
+    charges are read: L is their number and, with indices mod e and lam_t
+    the number of charges above t, Lambda - beta has the coordinates
+    x_t = lam_t + c_t - c_{t+1}, which sum to |lam|; its pairing at vertex
+    t + 1 is x_t - x_{t+1}, at vertex 0 it is L + x_ell - x_0, and its
+    multiple of delta is -c_0.  So the orbit keeps the multiset of the x_t
+    mod L and sum x_t^2 - 2L c_0, and its dominant point y is the decreasing
+    vector with those residues, sum |lam| and y_0 - y_ell <= L: the k
+    smallest residues r become L(q + 1) + r and the others Lq + r, for
+    (q, k) = divmod((|lam| - sum r) / L, e).  The reduction b then has
+    b_0 = c_0 + (sum y_t^2 - sum x_t^2) / 2L and b_{t+1} = b_t + lam_t - y_t.
     """
     if beta.rank != ctx.rank:
         raise ValueError("rank mismatch between context and root vector")
@@ -110,7 +109,10 @@ def _reduce(ctx: FockContext, beta: RootVec) -> tuple[int, ...]:
     level = len(charges)
     c = beta.coeffs
     e = len(c)
-    lam = [sum([t < a for a in charges]) for t in range(e)]
+    lam = [0] * e
+    for charge in charges:
+        for t in range(charge):
+            lam[t] += 1
     x = [u + a - b for u, a, b in zip(lam, c, c[1:] + c[:1])]
     rs = sorted([v % level for v in x], reverse=True)
     q, k = divmod((sum(lam) - sum(rs)) // level, e)
