@@ -24,9 +24,7 @@ bypasses the refusing ``__setattr__``, but it skips the lookup of the
 descriptor by name that ``object.__setattr__`` makes on every call; a
 listing of blocks builds one report per block, and filling its five slots
 this way takes about half the time.  No type writes its own equality or
-hash: a cache or a listing that looks values up per call keys on plain data
-instead (``gdim._fold`` on e and the charges, ``classify._heckeB_reports``
-on a label's fields).
+hash; the caches hit on every call key on plain data instead.
 """
 
 from __future__ import annotations
@@ -44,13 +42,14 @@ class _Value:
     _put: tuple[Callable[[_Value, object], None], ...]
 
     def __init_subclass__(cls) -> None:
-        # attrgetter of one name returns the bare field, so a one-field type
-        # wraps it: every type reads, compares and hashes as its field tuple
+        # one name's attrgetter returns the bare field: wrap it in a 1-tuple
         get = attrgetter(*cls._fields)
         cls._get = staticmethod(lambda v: (get(v),)) if len(cls._fields) == 1 else get
         cls._put = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def __eq__(self, other: object) -> bool:
+        if other is self:  # as a rank compared with its context's, say
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         get = self._get

@@ -94,12 +94,12 @@ def _reduce(ctx: FockContext, beta: RootVec) -> tuple[int, ...]:
     of delta) (Kac, Infinite dimensional Lie algebras, 6.5-6.6).  Only the
     charges are read: L is their number and, with indices mod e and lam_t
     the number of charges above t, Lambda - beta has the coordinates
-    x_t = lam_t + c_t - c_{t+1}, which sum to |lam|; its pairing at vertex
-    t + 1 is x_t - x_{t+1}, at vertex 0 it is L + x_ell - x_0, and its
-    multiple of delta is -c_0.  So the orbit keeps the multiset of the x_t
-    mod L and sum x_t^2 - 2L c_0, and its dominant point y is the decreasing
-    vector with those residues, sum |lam| and y_0 - y_ell <= L: the k
-    smallest residues r become L(q + 1) + r and the others Lq + r, for
+    x_t = lam_t + c_t - c_{t+1}, which sum to |lam|, the sum of the charges.
+    Its pairing at vertex t + 1 is x_t - x_{t+1}, at vertex 0 L + x_ell - x_0,
+    and its multiple of delta is -c_0.  So the orbit keeps the multiset of the
+    x_t mod L and sum x_t^2 - 2L c_0, and its dominant point y is the
+    decreasing vector with those residues, sum |lam| and y_0 - y_ell <= L:
+    the k smallest residues r become L(q + 1) + r and the others Lq + r, for
     (q, k) = divmod((|lam| - sum r) / L, e).  The reduction b then has
     b_0 = c_0 + (sum y_t^2 - sum x_t^2) / 2L and b_{t+1} = b_t + lam_t - y_t.
     """
@@ -115,7 +115,7 @@ def _reduce(ctx: FockContext, beta: RootVec) -> tuple[int, ...]:
             lam[t] += 1
     x = [u + a - b for u, a, b in zip(lam, c, c[1:] + c[:1])]
     rs = sorted([v % level for v in x], reverse=True)
-    q, k = divmod((sum(lam) - sum(rs)) // level, e)
+    q, k = divmod((sum(charges) - sum(rs)) // level, e)
     low = level * q
     y = [low + level + r for r in rs[e - k :]] + [low + r for r in rs[: e - k]]
     top = c[0] + (sum([v * v for v in y]) - sum([v * v for v in x])) // (2 * level)
