@@ -5,11 +5,12 @@ reduces its input to a canonical label (or a pair of level-one labels in
 the separated-parameter case) and dispatches.  :func:`classify_heckeB` and
 :func:`classify_heckeD` take their blocks with their labels from
 ``orbits._grow_blocks``, so they reduce no block and classify each distinct
-label once: at level two the blocks of height n, with separated parameters
-the level-one blocks of every height up to n, paired so that the heights
-sum to n.  With separated parameters each level-one block's type is read
-once, and the tensor type and note of each pair of types are built once and
-shared by the reports of every pair of blocks with those types.
+label once: at level two the blocks of height n, the one height the grower
+decodes, and with separated parameters the level-one blocks of every height
+up to n, paired so that the heights sum to n.  With separated parameters
+each level-one block's type is read once, and the tensor type and note of
+each pair of types are built once and shared by the reports of every pair
+of blocks with those types.
 """
 
 from __future__ import annotations
@@ -365,7 +366,7 @@ def _heckeB_reports(
         ctx = FockContext(rank, s % e, level=2)
         ell_pair, s_pair, level_pair = ("ell", ell), ("s", ctx.s), ("level", 2)
         kinds: dict[tuple[str, int, int], tuple[RepType, tuple[str, ...]]] = {}
-        for c, rep in _grow_blocks(ctx, n)[n].items():
+        for c, rep in _grow_blocks(ctx, n, n)[0].items():
             key = (rep.family, rep.i, rep.k)
             kind = kinds.get(key)
             if kind is None:

@@ -13,15 +13,12 @@ makes this test: a caller that needs to know whether a block is zero asks
 it for the label and catches ``NotAWeightError``.
 
 The pairings <h_i, Lambda - beta> list every nonzero block of a given
-height without listing partitions: ``_grow_blocks`` grows the blocks of
-height m + 1 from those of height m by the weight rule stated in its
-docstring, and labels each as it finds it: W fixes the label, so a block
-takes that of its reflection's image, and only a dominant one is read by
-``label_dominant``.  It keys the blocks of each height by an integer code,
-their coefficients as digits in base n + 1: no coefficient of a block of
-height at most n exceeds n, so a step or a reflection is one addition with
-no carry or borrow, and the codes sort as the coefficient tuples do.  A
-tuple is built only for a candidate that is a block.
+height without listing partitions: ``_grow_blocks`` pushes each block up
+from its dominant one, labelled by ``label_dominant``, by the reflections
+that raise its height, keeping a push only at the pushed block's first
+negative pairing, so that every block is reached once and takes its
+parent's label (W fixes it), and it decodes coefficient tuples only for the
+heights a caller reads.
 """
 
 from __future__ import annotations
@@ -124,63 +121,65 @@ def _reduce(ctx: FockContext, beta: RootVec) -> tuple[int, ...]:
     return tuple(list(accumulate(map(sub, lam[:-1], y), initial=top)))
 
 
-def _grow_blocks(ctx: FockContext, n: int) -> list[dict[tuple[int, ...], CanonicalRep]]:
-    """The nonzero blocks of heights 0..n with their canonical labels: per
+def _grow_blocks(
+    ctx: FockContext, n: int, low: int = 0
+) -> list[dict[tuple[int, ...], CanonicalRep]]:
+    """The nonzero blocks of heights low..n with their canonical labels: per
     height, a dict from coefficients to label, sorted by coefficients.
 
-    c is a block exactly when Lambda - c is a weight; the weights have
-    unbroken i-strings and, with their labels, are W-invariant (Kac, Infinite
-    dimensional Lie algebras, ch. 3 and Prop. 12.5).  A block of height m + 1
-    is c' = c + alpha_i for a block c of height m (it has a removable node).
-    With q_j = <h_j, Lambda - c'>: if every q_j >= 0, c' is a dominant block,
-    labelled by ``label_dominant``; else, for the first j with q_j < 0, r_j
-    maps Lambda - c' to Lambda - (c' + q_j alpha_j), of height m + 1 + q_j,
-    and c' is a block exactly when that is one, with its label.  As
-    q_i = <h_i, Lambda - c> - 2, j = i is tried first.  When q_i >= 0 the
-    i-string through Lambda - c reaches Lambda - c', so c' is a block, and
-    only then are the other q_j read.
-
-    Each height's dict is keyed by the integer code sum_t c_t (n + 1)^(e-1-t)
-    of c, so that c + alpha_i and c' + q alpha_j are one addition each.  The
-    coefficients of a block are nonnegative and sum to its height, so none
-    of a block of height at most n exceeds n.  So no digit carries; none
-    borrows, as c' + q_j alpha_j is looked up only once its digit c'_j + q_j
-    is known to be nonnegative (by a test for j = i, and for j != i because
-    c' is a block and so is its image); and the codes order as the tuples do.
-    The tuple of a candidate is built only once it is known to be a block,
-    and it is kept beside the block's label."""
+    c is a block exactly when Lambda - c is a weight; the weights and their
+    labels are W-invariant, and the dominant ones are Lambda minus a family
+    member plus k delta (Kac, Infinite dimensional Lie algebras, Prop. 12.5).
+    With p_j = <h_j, Lambda - c> > 0, r_j maps c to c + p_j alpha_j, of
+    height p_j more, with pairings -p_j at j and p_(j-/+1) + p_j beside it.
+    A block is kept only from the reflection at its first negative vertex,
+    so from one parent: when the parent has no negative pairing before j - 1
+    and p_(j-1) + p_j >= 0, or at the wrap vertex j = e - 1, whose push moves
+    vertex 0 too, when the pushed pairings have none before j.  A block is
+    (code, label, pairings, first negative vertex), its code sum_t c_t
+    (n + 1)^(e-1-t): no coefficient exceeds n, so a push is one addition and
+    the codes sort as the tuples do.  Each height is pushed once, decoded
+    only from low on, and dropped."""
     e = ctx.rank.e
     fund = [0] * e
-    for c in ctx.charges:
-        fund[c] += 1
+    for charge in ctx.charges:
+        fund[charge] += 1
     unit = [(n + 1) ** (e - 1 - t) for t in range(e)]
-    zero = (0,) * e
-    heights = [{0: (zero, label_dominant(ctx, zero))}]
-    for m in range(n):
-        grown: dict[int, tuple[tuple[int, ...], CanonicalRep]] = {}
-        for code, (c, _) in heights[m].items():
-            for i in range(e):
-                up = code + unit[i]
-                if up in grown:
+    members = [lambda_rep(ctx.s, i, ctx.rank) for i in _lambda_range(ctx)]
+    members += [mu_rep(ctx.s, i, ctx.rank) for i in _mu_range(ctx)]
+    todo: list = [[] for _ in range(n + 1)]
+    for c in [member.coeffs for member in members]:
+        p = [f - 2 * x + y + z for f, x, y, z in zip(fund, c, c[-1:] + c[:-1], c[1:] + c[:1])]
+        code = sum([x * u for x, u in zip(c, unit)])
+        for k, height in enumerate(range(sum(c), n + 1, e)):
+            label = label_dominant(ctx, tuple([x + k for x in c]))
+            todo[height].append((code + k * sum(unit), label, p, e))
+    last = e - 1
+    # the pushes a block with first negative vertex f can keep: j <= f + 1, or the wrap
+    reach = [range(min(f + 2, e)) for f in range(e + 1)]
+    reach[0] = sorted({0, 1, last})
+    heights = []
+    for height in range(n + 1):
+        blocks, todo[height] = todo[height], None
+        room = n - height
+        for code, label, p, first in blocks:
+            for j in reach[first]:
+                pj = p[j]
+                if pj <= 0 or pj > room or first < j < last and p[first] + pj < 0:
                     continue
-                q = fund[i] - 2 * c[i] + c[i - 1] + c[(i + 1) % e] - 2
-                if q < 0:
-                    if c[i] + 1 + q >= 0:
-                        low = heights[m + 1 + q].get(up + q * unit[i])
-                        if low is not None:
-                            grown[up] = (c[:i] + (c[i] + 1,) + c[i + 1 :], low[1])
+                q = p.copy()
+                q[j] = -pj
+                q[j - 1] += pj
+                q[j + 1 - e] += pj
+                if first < j == last and min(q[:j]) < 0:
                     continue
-                # <h_i, Lambda - c> >= 2, so the i-string makes c' a block
-                plus = c[:i] + (c[i] + 1,) + c[i + 1 :]
-                for j in range(e):
-                    q = fund[j] - 2 * plus[j] + plus[j - 1] + plus[(j + 1) % e]
-                    if q < 0:
-                        grown[up] = (plus, heights[m + 1 + q][up + q * unit[j]][1])
-                        break
-                else:
-                    grown[up] = (plus, label_dominant(ctx, plus))
-        heights.append(grown)
-    return [dict([level[code] for code in sorted(level)]) for level in heights]
+                todo[height + pj].append((code + pj * unit[j], label, q, j))
+        if height >= low:
+            level = {tuple([b[0] // u % (n + 1) for u in unit]): b[1] for b in sorted(blocks)}
+            if len(level) < len(blocks):
+                raise RuntimeError(f"a block of height {height} was reached twice")
+            heights.append(level)
+    return heights
 
 
 def _check_label(ctx: FockContext, rep: CanonicalRep) -> None:

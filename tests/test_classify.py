@@ -425,6 +425,43 @@ def test_a_coefficient_equal_to_the_height_is_a_digit(e, s, level, top):
     assert blocks[top] == canonical_rep(ctx, RootVec(ctx.rank, top))
 
 
+def _first_negative(ctx, beta):
+    """The first vertex j with <h_j, Lambda - beta> < 0, or e if none."""
+    pairs = [pair_coroot(ctx.charges, j, beta) for j in ctx.rank.vertices]
+    return next((j for j, p in enumerate(pairs) if p < 0), ctx.rank.e), pairs
+
+
+@pytest.mark.parametrize("e, wrapped", [(2, 5), (3, 10), (8, 39)])
+def test_one_parent_rule_at_its_edge_vertices(e, wrapped):
+    """Heights 11 and 12, past the brute-force tests above, where the grower's
+    one-parent rule has its edge cases: at e = 2 the vertices j - 1 and j + 1
+    coincide, and at the wrap vertex j = e - 1 a push moves vertex 0 too.  The
+    grown blocks are the bipartition contents with canonical_rep's labels, and
+    the grid holds the blocks whose first negative vertex is e - 1 and whose
+    parent, their r_(e-1)-image, has its first negative vertex at 0: the
+    pushes that only the wrap vertex's reading of the pushed pairings keeps."""
+    rank = AffineRank(e - 1)
+    contexts = [FockContext(rank, 0, level=1)]
+    contexts += [FockContext(rank, s, level=2) for s in range(e)]
+    wrap = RootVec.simple(rank, e - 1)
+    kept_at_wrap = 0
+    for ctx in contexts:
+        grown = _grow_blocks(ctx, 12)
+        top = [list(blocks.items()) for blocks in _grow_blocks(ctx, 12, 11)]
+        assert top == [list(blocks.items()) for blocks in grown[11:]]
+        for n in (11, 12):
+            want = {content(ctx, bp).coeffs for bp in bipartitions(ctx, n)}
+            assert list(grown[n]) == sorted(want), (ctx, n)
+            for c, label in grown[n].items():
+                beta = RootVec(rank, c)
+                assert label == canonical_rep(ctx, beta), (ctx, c)
+                j, pairs = _first_negative(ctx, beta)
+                if j == e - 1:
+                    parent = beta + wrap * pairs[j]
+                    kept_at_wrap += _first_negative(ctx, parent)[0] == 0
+    assert kept_at_wrap == wrapped
+
+
 def _defect(rank, fund, c):
     """def(beta) = (Lambda|beta) - (beta|beta)/2 from the Cartan matrix."""
     e = rank.e
