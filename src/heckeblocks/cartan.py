@@ -16,10 +16,12 @@ fields, print as ``Type(field=value, ...)``, refuse assignment and deletion
 with ``AttributeError``, and copy and pickle through their constructor.
 A slot left out of ``_fields`` is derived, so ``__init__`` sets it.
 
-``__init_subclass__`` binds two things once per class: ``_get``, which reads
-the fields as a tuple, a one-field type's too, and ``_put``, the ``__set__``
-of each slot's member descriptor in ``__slots__`` order.  ``__init__`` fills
-slot k with ``_put[k](self, value)``.  Like ``object.__setattr__`` this
+``__init_subclass__`` binds three things once per class: ``_get``, which
+reads the fields for equality as a tuple, a one-field type's as the bare
+field; ``_key``, which reads them for the hash as a tuple, a one-field
+type's too; and ``_put``, the ``__set__`` of each slot's member descriptor
+in ``__slots__`` order.  ``__init__`` fills slot k with
+``_put[k](self, value)``.  Like ``object.__setattr__`` this
 bypasses the refusing ``__setattr__``, but it skips the lookup of the
 descriptor by name that ``object.__setattr__`` makes on every call; a
 listing of blocks builds one report per block, and filling its five slots
@@ -38,13 +40,14 @@ class _Value:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    _get: Callable[[_Value], tuple]
+    _get: Callable[[_Value], object]
+    _key: Callable[[_Value], tuple]
     _put: tuple[Callable[[_Value, object], None], ...]
 
     def __init_subclass__(cls) -> None:
-        # one name's attrgetter returns the bare field: wrap it in a 1-tuple
-        get = attrgetter(*cls._fields)
-        cls._get = staticmethod(lambda v: (get(v),)) if len(cls._fields) == 1 else get
+        get = cls._get = attrgetter(*cls._fields)
+        # one name's attrgetter returns the bare field: hash it as a 1-tuple
+        cls._key = staticmethod(lambda v: (get(v),)) if len(cls._fields) == 1 else get
         cls._put = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def __eq__(self, other: object) -> bool:
@@ -56,7 +59,7 @@ class _Value:
         return get(self) == get(other)
 
     def __hash__(self) -> int:
-        return hash(self._get(self))
+        return hash(self._key(self))
 
     def __repr__(self) -> str:
         args = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)

@@ -37,8 +37,9 @@ Brundan-Kleshchev-Wang):
   shapes, about 40 MB, of its 1024 largest prefix states; the shapes are the
   memo's.  Cached states are shared and never mutated;
 - ``kostka_q`` looks the shape up in the fold of the word and decodes it;
-- ``graded_dim`` is the dot product of the folds of its two words: one
-  product of packed ints per shared shape, decoded once;
+- ``graded_dim`` is the dot product of the folds of its two words in one
+  pass: each shared shape's packed product is added above the least degree
+  so far, and the sum is decoded once;
 - ``dim_matrix`` builds the matrix shape by shape.  Each shape lists the
   classes whose fold it is in, with their histograms packed as the folds
   hold them, and row i sums the products of packed histograms only over
@@ -87,8 +88,8 @@ class QuiverShapeError(ValueError):
 
 
 def _as_residue_seq(ctx: FockContext, nu: Sequence[int]) -> ResidueSeq:
-    e = ctx.rank.e
-    return tuple(v % e for v in _int_tuple(nu, "residue words"))
+    e, seq = ctx.rank.e, _int_tuple(nu, "residue words")
+    return tuple(v % e for v in seq) if seq and (min(seq) < 0 or max(seq) >= e) else seq
 
 
 def _seq_content(ctx: FockContext, nu: ResidueSeq) -> tuple[int, ...]:
@@ -145,15 +146,18 @@ def _moves(
     least = 0
     for k in reversed(range(len(shape))):
         parts = shape[k]
+        head, tail = shape[:k], shape[k + 1 :]
         c = charges[k] - i
+        r = len(parts)
         # Row r ends in a node of residue i + d - 1, d = (p - r + c) % e, so
         # it has an addable i-node if d is 0, a removable one if d is 1 (as
         # e >= 2, not both).  The empty row below the last is addable.
-        if (c - len(parts)) % e == 0:
-            out.append((shape[:k] + (parts + (1,),) + shape[k + 1 :], least))
+        if (c - r) % e == 0:
+            out.append((head + (parts + (1,),) + tail, least))
             least += 1
         below = 0
-        for r in range(len(parts) - 1, -1, -1):
+        while r:
+            r -= 1
             p = parts[r]
             d = (p - r + c) % e
             if d == 1:
@@ -161,7 +165,7 @@ def _moves(
                     least -= 1
             elif d == 0 and (r == 0 or parts[r - 1] > p):
                 grown = parts[:r] + (p + 1,) + parts[r + 1 :]
-                out.append((shape[:k] + (grown,) + shape[k + 1 :], least))
+                out.append((head + (grown,) + tail, least))
                 least += 1
             below = p
     return tuple(out)
@@ -173,10 +177,11 @@ def _step(e: int, charges: tuple[int, ...], state: State, i: int, width: int) ->
     histogram's least degree by the node's degree onto the grown shape,
     where two histograms are aligned by one shift and added."""
     out: State = {}
+    get = out.get
     for shape, (lo, packed) in state.items():
         for new, shift in _moves(e, charges, shape, i):
             least = lo + shift
-            acc = out.get(new)
+            acc = get(new)
             if acc is None:
                 out[new] = (least, packed)
             elif acc[0] <= least:
@@ -270,21 +275,24 @@ def _extend(
 
 
 def _dot(one: State, other: State, width: int) -> QPoly:
-    """Sum over shared shapes of the product of the two histograms: one
-    product of packed ints per shape, aligned and decoded once."""
+    """Sum over shared shapes of the product of the two histograms in one
+    pass: each packed product is added above the least degree so far."""
     if len(other) < len(one):
         one, other = other, one
-    terms = []
+    get = other.get
+    least = total = 0
     for shape, (lo, packed) in one.items():
-        hit = other.get(shape)
-        if hit:
-            terms.append((lo + hit[0], packed * hit[1]))
-    if not terms:
-        return _from_coeffs({})
-    least = min(lo for lo, _ in terms)
-    total = 0
-    for lo, x in terms:
-        total += x << width * (lo - least)
+        hit = get(shape)
+        if hit is not None:
+            lo += hit[0]
+            packed *= hit[1]
+            if not total:
+                least, total = lo, packed
+            elif least <= lo:
+                total += packed << width * (lo - least)
+            else:
+                total = packed + (total << width * (least - lo))
+                least = lo
     return _from_coeffs(_unpack(least, total, width))
 
 

@@ -361,6 +361,48 @@ def test_matrix_shifts_each_product_by_its_two_least_degrees():
     assert gdim._matrix([_packed(fold) for fold in folds], WIDTH) == want
 
 
+# The least degrees of the products over shared shapes, in the order the
+# iterated fold meets them; an unshared shape comes first and one sits between.
+DOT_ORDERS = {
+    "rising": [-4, -1, 3],
+    "falling": [6, 2, -5],
+    "equal": [2, 2, 2],
+    "mixed": [1, 1, -3, 4, -3, -7],
+}
+
+
+@pytest.mark.parametrize("leasts", DOT_ORDERS.values(), ids=DOT_ORDERS)
+def test_dot_adds_each_product_at_the_least_degree_so_far(leasts):
+    """Hand-built folds of equal size, so ``_dot`` walks the first in its
+    order: the products of the shared shapes' histograms arrive with least
+    degrees rising, falling, equal or mixed, and the one-pass sum shifts the
+    accumulator whenever a lower one arrives.  It equals the decoded sum of
+    the products, either way round."""
+    rng = random.Random(len(leasts) + leasts[0])
+    one = {("only one",): {rng.randint(-9, 9): 2}}
+    other = {("only other",): {rng.randint(-9, 9): 3}}
+    for k, least in enumerate(leasts):
+        here = rng.randint(-6, 6)
+        one[(k,)] = {here + d: rng.randint(1, 3) for d in range(rng.randint(1, 3))}
+        other[(k,)] = {least - here + d: rng.randint(1, 3) for d in range(rng.randint(1, 3))}
+        if k == 1:
+            one[("between",)] = {0: 1}
+            other[("elsewhere",)] = {0: 1}
+    shared = [shape for shape in one if shape in other]
+    assert [min(one[s]) + min(other[s]) for s in shared] == leasts
+    want = sum((QPoly(one[s]) * QPoly(other[s]) for s in shared), QPoly())
+    assert want != QPoly()
+    assert gdim._dot(_packed(one), _packed(other), WIDTH) == want
+    assert gdim._dot(_packed(other), _packed(one), WIDTH) == want
+
+
+def test_dot_of_folds_sharing_no_shape_is_zero():
+    one = _packed({("a",): {-2: 1, 0: 3}, ("b",): {5: 2}})
+    other = _packed({("c",): {-2: 1}, ("d",): {1: 1, 2: 1}, ("e",): {0: 4}})
+    assert gdim._dot(one, other, WIDTH) == gdim._dot(other, one, WIDTH) == QPoly.zero()
+    assert gdim._dot({}, other, WIDTH) == QPoly.zero()
+
+
 def test_quiver_verdict_checks_the_later_rows_after_the_walk(monkeypatch):
     """Row 0 passes and entry (1,2) = q fails: the rows after the first are
     read once every fold is in, and the error matches the matrix's."""
@@ -577,6 +619,33 @@ def test_dim_matrix_rejects_asymmetric_or_negative_entries(ctx11, delta1):
 def test_words_that_are_not_ints_are_rejected_not_truncated(ctx11, build):
     with pytest.raises(ValueError, match="integers"):
         build(ctx11)
+
+
+def test_letters_outside_the_residues_are_reduced_mod_e():
+    """Letters -1 and e + 1 name the residues e - 1 and 1: graded_dim,
+    kostka_q and dim_matrix answer for words holding either or both as for
+    the words reduced, and dim_matrix stores the reduced words as its
+    idempotents."""
+    ctx = FockContext(AffineRank(2), 1, level=2)
+    e, beta = ctx.rank.e, 2 * null_root(ctx.rank)
+    words = nonzero_idempotents(ctx, beta)[:4]
+    shapes = block_bipartitions(ctx, beta)
+    wants = dim_matrix(ctx, beta, words).entries
+    assert wants == pairwise_dims(ctx, words)
+    hits = 0
+    for low, high in [(-1, 1), (e - 1, e + 1), (-1, e + 1)]:
+        raw = [[low if v == e - 1 else high if v == 1 else v for v in nu] for nu in words]
+        assert all(min(r) < 0 or max(r) >= e for r in raw)
+        for i, (a, ra) in enumerate(zip(words, raw)):
+            for j, rb in enumerate(raw):
+                assert graded_dim(ctx, ra, rb) == graded_dim(ctx, a, rb) == wants[i][j]
+            for shape in shapes:
+                want = kostka_q(ctx, shape, a)
+                assert kostka_q(ctx, shape, ra) == want
+                hits += want != QPoly.zero()
+        m = dim_matrix(ctx, beta, raw)
+        assert m.idempotents == tuple(words) and m.entries == wants
+    assert hits and all(wants[i][i] != QPoly.zero() for i in range(len(words)))
 
 
 def test_quiver_bounds_flags_the_doubled_loop():
