@@ -1,7 +1,7 @@
 """Command-line front-end.
 
 Exit codes: 0 success, 1 usage error, 2 empty/invalid block, 3 internal
-failure or failed check suite.
+failure, out of memory or failed check suite.
 """
 
 from __future__ import annotations
@@ -326,8 +326,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _task(args: Optional[argparse.Namespace]) -> str:
+    """The command and the flags that name its block, as given."""
+    if args is None:
+        return "heckeblocks"
+    words = [args.command]
+    for flag in ("e", "ell", "s", "level", "n", "beta", "from_bipartition", "shape"):
+        value = getattr(args, flag, None)
+        if value is not None:
+            words.append(f"--{flag.replace('_', '-')} {value}")
+    return " ".join(words)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
@@ -340,6 +353,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        # it carries no text, so say what ran out and what to shrink
+        hint = ", or --idems in place of --all" if getattr(args, "all", False) else ""
+        print(f"out of memory: {_task(args)}; use a smaller block{hint}", file=sys.stderr)
+        return EXIT_INTERNAL
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

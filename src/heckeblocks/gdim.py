@@ -6,52 +6,50 @@ Graded dimensions between two idempotents are sums of K_q products over the
 bipartitions sharing the idempotents' content.
 
 Everything is computed by one step, read along residue words.  A state maps
-each (bi)partition -- a plain tuple of parts tuples, one component at level
-one and two at level two -- to its degree histogram, packed: a pair
-(lo, packed) with lo the least degree present and packed the sum of
-count * 2^(w * (degree - lo)).  The width w = ``_width(level, n)`` depends
-only on the level and the word length n: the squared tableau counts of the
-shapes of size n sum to level^n * n!, which bounds every coefficient of a
-histogram and of a sum over shapes of products of two histograms, so no
-chunk carries.  lo is the true least degree and every count is positive, so
-the packed form is canonical and equal histograms compare equal.
-``_step(e, charges, state, i, w)`` adds one i-node to every shape in every
-addable way, shifting the histogram by the node's below-statistic, which
-only moves lo.  Folding the step along a word gives K_q(shape, word) for
-every shape at once, which is the Fock-space form of the graded dimension
-formula (e_i read along the word; Brundan-Kleshchev, with the degrees of
+each (bi)partition, as its abacus code at the word length n (``_code``: a
+field of 2n + 2 bits a component, component 0 highest, with a bead at
+lambda_r - r + n for each row r = 0..n), to its degree histogram packed as
+(lo, packed): lo the least degree present, packed the sum of
+count * 2^(w * (degree - lo)).  The width w = ``_width(level, n)`` bounds
+every coefficient of a histogram and of a sum over shapes of products of two
+(the squared tableau counts of size n sum to level^n * n!), so no chunk
+carries; lo is the true least degree and every count is positive, so equal
+histograms pack equal.  ``_step(state, mask, w)`` adds one i-node, a bead
+moved up into a gap on a bit of ``mask`` (``_masks``), to every shape in
+every addable way, shifting the histogram by the node's below-statistic,
+which only moves lo.  Folding the step along a word gives K_q(shape, word)
+for every shape at once, the Fock-space form of the graded dimension formula
+(e_i read along the word; Brundan-Kleshchev, with the degrees of
 Brundan-Kleshchev-Wang):
 
-- ``_step`` reads each shape's ``_moves`` (grown shapes and shifts) from a
-  ``functools.cache`` keyed by (e, charges, shape, i), so states share their
-  grown shapes.  The cache is bounded by the Fock space, not the traffic:
-  words of length n leave at most e entries per context and (bi)partition of
-  size < n, so 3 x 434 on (2,1,3delta);
+- ``_step`` reads each code's ``_moves`` (grown codes and shifts) from a
+  ``functools.cache`` keyed by (code, mask), which fix e, the charges, n and
+  i, so states share their grown codes.  The cache is bounded by the Fock
+  space, not the traffic: words of length n leave at most e entries per
+  (bi)partition of size < n, so 767 of 3 x 434 after the class walk of
+  (2,1,3delta); each word length has its own entries;
 - ``_fold`` reads the step along one word in one loop, stopping at the
-  first empty state, under a ``functools.lru_cache`` keyed, as ``_moves``
-  is, on plain data: (e, charges, word), since e and the charges fix the
-  context.  A repeated point lookup folds nothing.  The cache holds
-  ``_CACHE_STATES`` = 1024 folds, least recently used dropped first.  It
-  bounds states, not shapes: a fold is a prefix state of its own word, so
-  1024 folds of the block (1,1,6delta), height 12, hold at most the 251 014
-  shapes, about 40 MB, of its 1024 largest prefix states; the shapes are the
-  memo's.  Cached states are shared and never mutated;
-- ``kostka_q`` looks the shape up in the fold of the word and decodes it;
+  first empty state, under a ``functools.lru_cache`` keyed on plain data,
+  (e, charges, word).  A repeated point lookup folds nothing.  The cache
+  holds ``_CACHE_STATES`` = 1024 folds, least recently used dropped first.
+  It bounds states, not shapes: a fold is a prefix state of its own word, so
+  1024 folds of (1,1,6delta), height 12, hold at most the 251 014 shapes,
+  about 40 MB, of its 1024 largest prefix states; the codes are the memo's.
+  Cached states are shared and never mutated;
+- ``kostka_q`` codes the shape, looks it up in the word's fold, decodes it;
 - ``graded_dim`` is the dot product of the folds of its two words in one
   pass: each shared shape's packed product is added above the least degree
   so far, and the sum is decoded once;
 - ``dim_matrix`` builds the matrix shape by shape.  Each shape lists the
-  classes whose fold it is in, with their histograms packed as the folds
-  hold them, and row i sums the products of packed histograms only over
-  the classes j >= i sharing a shape with i, each shifted by its two least
-  degrees above the least of any fold; no sum carries at the fold width, so
-  each entry is decoded once;
+  classes whose fold holds it, with their packed histograms, and row i sums
+  the products only over the classes j >= i sharing a shape with i, each
+  shifted by its two least degrees above the least of any fold; no sum
+  carries at the fold width, so each entry is decoded once;
 - ``_walk`` walks the prefix trie of the block's words depth first, within
   the per-residue budget of beta, so words share their prefixes' states; a
-  word ends when its budget is spent.  It is a generator: each word comes
-  out with its fold, in lexicographic order, as soon as it is reached, so a
-  caller can stop the walk early;
-- ``residue_sequences`` takes every word of that walk;
+  word ends when its budget is spent.  Each word comes out with its fold,
+  in lexicographic order, as soon as it is reached, so a caller can stop
+  the walk early.  ``residue_sequences`` takes every word of it;
 - ``nonzero_idempotents`` walks the same trie but expands each distinct
   state once: a prefix whose state an earlier prefix of the same content
   reached is skipped, since the two subtrees fold alike and the earlier one
@@ -59,13 +57,12 @@ Brundan-Kleshchev-Wang):
 - ``class_matrix`` hands those final states straight to the matrix
   assembly, so each class is folded once, by the walk that finds it;
 - ``quiver_bounds`` reads loops and arrows off a matrix through
-  ``_read_bound``, the one reader of the bound: it reads entries over
-  j >= i in row order and stops at the first that rules the bound out.  The
-  classify path does not build the matrix: ``_class_verdict`` pulls the
-  classes one at a time, checks entry (0, j) as class j arrives, and hands
-  ``_read_bound`` the row-0 entries it kept and the ``_dot`` of two folds
-  for the rest.  On most large blocks the failing entry is (0, 0) or
-  (0, 1), a few classes into the walk.
+  ``_read_bound``, the one reader of the bound: it reads entries over j >= i
+  in row order and stops at the first that rules the bound out.  The classify
+  path does not build the matrix: ``_class_verdict`` pulls the classes one at
+  a time, checks entry (0, j) as class j arrives, and hands ``_read_bound``
+  the row-0 entries it kept and the ``_dot`` of two folds for the rest.  On
+  most large blocks the failing entry is (0, 0) or (0, 1), a few classes in.
 """
 
 from __future__ import annotations
@@ -80,7 +77,7 @@ from .qpoly import QPoly, _from_coeffs
 
 ResidueSeq = tuple[int, ...]
 Shape = tuple[tuple[int, ...], ...]
-State = dict[Shape, tuple[int, int]]  # shape -> (least degree, packed histogram)
+State = dict[int, tuple[int, int]]  # abacus code -> (least degree, packed histogram)
 
 
 class QuiverShapeError(ValueError):
@@ -130,56 +127,63 @@ def _unpack(lo: int, packed: int, width: int) -> dict[int, int]:
     return hist
 
 
-@functools.cache
-def _moves(
-    e: int, charges: tuple[int, ...], shape: Shape, i: int
-) -> tuple[tuple[Shape, int], ...]:
-    """Each way to add an i-node to the shape, from the bottom up: the grown
-    shape and the node's degree, the number of addable minus removable
-    i-nodes strictly below it (later components, then larger rows), read in
-    the grown shape.  Apart from the new node itself, adding an i-node
-    toggles only corners of the neighbouring residues, so the i-corners of
-    the smaller shape are counted: a removable one lowers the running
-    degree, an addable one is added at it and then raises it.  Cached on
-    plain data; racing threads store equal moves, so it needs no lock."""
+def _code(shape: Shape, n: int) -> int:
+    """The abacus code at word length n of a (bi)partition of at most n
+    nodes: a field of 2n + 2 bits a component, component 0 highest, with a
+    bead at lambda_r - r + n for each row r = 0..n."""
+    code = 0
+    for parts in shape:
+        beads = sum(1 << p - r + n for r, p in enumerate(parts))
+        code = code << 2 * n + 2 | beads | (1 << n + 1 - len(parts)) - 1
+    return code
+
+
+def _masks(e: int, charges: tuple[int, ...], n: int) -> list[int]:
+    """The bits of each residue i in the codes at word length n: the bead at
+    bit b of the field of charge c moves up by adding a node of residue
+    (b + c - n) mod e.  A field's top bit, which no bead reaches, is left out,
+    or a gap there under the next field's bead would read removable."""
+    field = 2 * n + 2
+    ones = ((1 << e * (field // e + 1)) - 1) // ((1 << e) - 1)  # a bit every e places
+    low = (1 << field - 1) - 1
     out = []
-    least = 0
-    for k in reversed(range(len(shape))):
-        parts = shape[k]
-        head, tail = shape[:k], shape[k + 1 :]
-        c = charges[k] - i
-        r = len(parts)
-        # Row r ends in a node of residue i + d - 1, d = (p - r + c) % e, so
-        # it has an addable i-node if d is 0, a removable one if d is 1 (as
-        # e >= 2, not both).  The empty row below the last is addable.
-        if (c - r) % e == 0:
-            out.append((head + (parts + (1,),) + tail, least))
-            least += 1
-        below = 0
-        while r:
-            r -= 1
-            p = parts[r]
-            d = (p - r + c) % e
-            if d == 1:
-                if below < p:
-                    least -= 1
-            elif d == 0 and (r == 0 or parts[r - 1] > p):
-                grown = parts[:r] + (p + 1,) + parts[r + 1 :]
-                out.append((head + (grown,) + tail, least))
-                least += 1
-            below = p
+    for i in range(e):
+        mask = 0
+        for c in charges:
+            mask = mask << field | (ones << (i + n - c) % e) & low
+        out.append(mask)
+    return out
+
+
+@functools.cache
+def _moves(code: int, mask: int) -> tuple[tuple[int, int], ...]:
+    """Each way to add a node of the mask's residue to the coded shape, from
+    the bottom up: the grown code and the node's degree, the addable minus
+    the removable nodes of that residue strictly below it (lower bits: larger
+    rows, then later components), bits of ``add`` (a bead under a gap) and
+    ``rem`` (a gap under a bead), counted in the smaller shape, as adding the
+    node toggles only other residues' corners.  Cached on plain data; racing
+    threads store equal moves, so it needs no lock."""
+    add = code & ~code >> 1 & mask
+    rem = ~code & code >> 1 & mask
+    out = []
+    bits = add
+    while bits:
+        low = bits & -bits
+        out.append((code ^ 3 * low, (add & low - 1).bit_count() - (rem & low - 1).bit_count()))
+        bits ^= low
     return tuple(out)
 
 
-def _step(e: int, charges: tuple[int, ...], state: State, i: int, width: int) -> State:
-    """Add one i-node to every shape of the state in every addable way: each
-    of the shape's cached ``_moves`` under e and the charges moves its
-    histogram's least degree by the node's degree onto the grown shape,
-    where two histograms are aligned by one shift and added."""
+def _step(state: State, mask: int, width: int) -> State:
+    """Add one node of the mask's residue to every shape of the state in every
+    addable way: each of the code's cached ``_moves`` moves its histogram's
+    least degree by the node's degree onto the grown code, where two
+    histograms are aligned by one shift and added."""
     out: State = {}
     get = out.get
-    for shape, (lo, packed) in state.items():
-        for new, shift in _moves(e, charges, shape, i):
+    for code, (lo, packed) in state.items():
+        for new, shift in _moves(code, mask):
             least = lo + shift
             acc = get(new)
             if acc is None:
@@ -189,10 +193,6 @@ def _step(e: int, charges: tuple[int, ...], state: State, i: int, width: int) ->
             else:
                 out[new] = (least, packed + (acc[1] << width * (acc[0] - least)))
     return out
-
-
-def _start(charges: tuple[int, ...]) -> State:
-    return {((),) * len(charges): (0, 1)}
 
 
 #: Most word folds the cache of ``_fold`` holds.
@@ -209,10 +209,11 @@ def _fold(e: int, charges: tuple[int, ...], word: ResidueSeq) -> State:
     and ``dim_matrix`` share across calls; a cached fold is shared and never
     mutated.  The cache holds ``_CACHE_STATES`` folds and drops the least
     recently used first; the module docstring bounds what they hold."""
-    width = _width(len(charges), len(word))
-    state = _start(charges)
+    n = len(word)
+    width, masks = _width(len(charges), n), _masks(e, charges, n)
+    state = {_code(((),) * len(charges), n): (0, 1)}
     for i in word:
-        state = _step(e, charges, state, i, width)
+        state = _step(state, masks[i], width)
         if not state:
             break
     return state
@@ -233,18 +234,17 @@ def _walk(ctx: FockContext, beta: RootVec, merge: bool) -> Iterator[tuple[Residu
     Words come out as they are reached, so a caller that stops early steps
     only as far as the last word it took."""
     _check_block(ctx, beta)
-    e, charges = ctx.rank.e, ctx.charges
-    width = _width(len(charges), beta.height)
+    e, charges, n = ctx.rank.e, ctx.charges, beta.height
     seen = {} if merge else None
-    yield from _extend(e, charges, _start(charges), list(beta.coeffs), [], width, seen)
+    start, masks = {_code(((),) * len(charges), n): (0, 1)}, _masks(e, charges, n)
+    yield from _extend(start, list(beta.coeffs), [], masks, _width(len(charges), n), seen)
 
 
 def _extend(
-    e: int,
-    charges: tuple[int, ...],
     state: State,
     budget: list[int],
     word: list[int],
+    masks: list[int],
     width: int,
     seen: dict[tuple[int, ...], list[State]] | None,
 ) -> Iterator[tuple[ResidueSeq, State]]:
@@ -258,7 +258,7 @@ def _extend(
         return
     for i, left in enumerate(budget):
         if left:
-            grown = _step(e, charges, state, i, width)
+            grown = _step(state, masks[i], width)
             if not grown:
                 continue
             budget[i] -= 1
@@ -269,7 +269,7 @@ def _extend(
                     continue
                 earlier.append(grown)
             word.append(i)
-            yield from _extend(e, charges, grown, budget, word, width, seen)
+            yield from _extend(grown, budget, word, masks, width, seen)
             word.pop()
             budget[i] += 1
 
@@ -281,8 +281,8 @@ def _dot(one: State, other: State, width: int) -> QPoly:
         one, other = other, one
     get = other.get
     least = total = 0
-    for shape, (lo, packed) in one.items():
-        hit = get(shape)
+    for code, (lo, packed) in one.items():
+        hit = get(code)
         if hit is not None:
             lo += hit[0]
             packed *= hit[1]
@@ -307,7 +307,7 @@ def kostka_q(ctx: FockContext, shape: Bipartition, nu: Sequence[int]) -> QPoly:
             f"residue word has length {len(seq)}, shape has {shape.size} nodes"
         )
     e, charges = ctx.rank.e, ctx.charges
-    hit = _fold(e, charges, seq).get(shape.parts[: len(charges)])
+    hit = _fold(e, charges, seq).get(_code(shape.parts[: len(charges)], len(seq)))
     return _from_coeffs(_unpack(*hit, _width(len(charges), len(seq))) if hit else {})
 
 
@@ -449,17 +449,17 @@ def _matrix(folds: list[State], width: int) -> tuple[tuple[QPoly, ...], ...]:
     lo = min((least for fold in folds for least, _ in fold.values()), default=0)
     zero = _from_coeffs({})
     entries = [[zero] * m for _ in range(m)]
-    by_shape: dict[Shape, list[tuple[int, int, int]]] = {}
+    by_code: dict[int, list[tuple[int, int, int]]] = {}
     for i in reversed(range(m)):
-        # by_shape holds the classes j >= i, so row i is summed over j >= i
+        # by_code holds the classes j >= i, so row i is summed over j >= i
         # sharing a shape with i only.  A bucket keeps each histogram as its
         # fold packs it, with its least degree above lo in bits, so a product
         # is shifted once to its place above 2 * lo; at the fold width no sum
         # of products carries.
         acc: dict[int, int] = {}
-        for shape, (least, packed) in folds[i].items():
+        for code, (least, packed) in folds[i].items():
             here = width * (least - lo)
-            bucket = by_shape.setdefault(shape, [])
+            bucket = by_code.setdefault(code, [])
             bucket.append((i, here, packed))
             for j, there, other in bucket:
                 acc[j] = acc.get(j, 0) + ((packed * other) << (here + there))

@@ -127,6 +127,38 @@ def test_dims_on_a_cone_label_that_is_no_weight_is_an_empty_block(capsys, words)
     )
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (
+            ["dims", "--ell", "1", "--s", "1", "--beta", "9,9", "--all"],
+            "dims --ell 1 --s 1 --level 2 --beta 9,9; use a smaller block,"
+            " or --idems in place of --all",
+        ),
+        (
+            ["classify", "--ell", "2", "--level", "1", "--from-bipartition", "[[4,4],[]]"],
+            "classify --ell 2 --s 0 --level 1 --from-bipartition [[4,4],[]];"
+            " use a smaller block",
+        ),
+    ],
+)
+def test_running_out_of_memory_names_the_command_and_the_block(capsys, monkeypatch, argv, err):
+    """A MemoryError has no text; the message names what ran out and what to
+    shrink, in place of a bare "internal error: "."""
+    from heckeblocks import gdim
+
+    def walk(ctx, beta, merge):
+        raise MemoryError
+        yield
+
+    monkeypatch.setattr(gdim, "_walk", walk)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL
+    assert captured.out == ""
+    assert captured.err == f"out of memory: {err}\n"
+
+
 def test_dims_json_matrix(capsys):
     code, out = run(
         capsys, "dims", "--ell", "1", "--s", "1", "--beta", "1,1", "--all", "--json"

@@ -773,9 +773,9 @@ def test_memoised_answers_equal_cold_answers(fresh_cache, monkeypatch):
     heads = set()
     step = gdim._step
 
-    def spy(e, charges, state, i, w):
-        heads.add((e, charges, w))
-        return step(e, charges, state, i, w)
+    def spy(state, mask, w):
+        heads.add((mask, w))
+        return step(state, mask, w)
 
     monkeypatch.setattr(gdim, "_step", spy)
     warm = [call() for call in calls]
@@ -854,7 +854,8 @@ def test_moves_memo_keeps_charges_and_levels_apart(fresh_cache):
     cases.append((FockContext(rank, 0, level=1), ((2, 1),)))
 
     def step(ctx, shape, i):
-        return list(gdim._step(ctx.rank.e, ctx.charges, {shape: (0, 1)}, i, 8).items())
+        mask = gdim._masks(ctx.rank.e, ctx.charges, 5)[i]
+        return list(gdim._step({gdim._code(shape, 5): (0, 1)}, mask, 8).items())
 
     cold = {(ctx, i): _cold(lambda: step(ctx, shape, i)) for ctx, shape in cases for i in range(3)}
     # the charge moves the second component's residues, so it changes answers
@@ -933,14 +934,17 @@ def test_step_matches_the_corner_count_on_shapes_up_to_fourteen_nodes(data):
     from ``fock``'s corners: every addable i-node adds the histogram shifted
     by its below-statistic in the larger shape, and the new shapes come in
     the order the state's shapes and, within each, its nodes from the bottom
-    up first reach them.  The state is stepped with the memo of moves empty,
-    then again with it warm, to the same shapes in the same order."""
+    up first reach them.  Shapes are keyed by their codes at a random word
+    length longer than the state's size.  The state is stepped with the memo
+    of moves empty, then again with it warm, to the same shapes in the same
+    order."""
     ell = data.draw(st.integers(min_value=1, max_value=4), label="ell")
     level = data.draw(st.sampled_from([1, 2]), label="level")
     s = data.draw(st.integers(min_value=0, max_value=ell), label="s") if level == 2 else 0
     ctx = FockContext(AffineRank(ell), s, level=level)
     n = data.draw(st.integers(min_value=0, max_value=14), label="size")
     i = data.draw(st.integers(min_value=0, max_value=ell), label="i")
+    length = data.draw(st.integers(min_value=n + 1, max_value=16), label="word length")
     width = 8  # no sum of at most six counts of at most 9 carries
     hists = {}
     for _ in range(data.draw(st.integers(min_value=1, max_value=6), label="shapes")):
@@ -956,17 +960,55 @@ def test_step_matches_the_corner_count_on_shapes_up_to_fourteen_nodes(data):
     state = {}
     for bp, hist in hists.items():
         packed = sum(c << width * (d - min(hist)) for d, c in hist.items())
-        state[(bp.comp1, bp.comp2)[:level]] = (min(hist), packed)
+        state[gdim._code(bp.parts[:level], length)] = (min(hist), packed)
     want = {}
     for bp, hist in hists.items():
         for node in reversed(fock.addable_nodes(ctx, bp, i)):
             grown = fock.add_node(bp, node)
             below = fock._stat_below(ctx, grown, node, i)
-            acc = want.setdefault((grown.comp1, grown.comp2)[:level], {})
+            acc = want.setdefault(gdim._code(grown.parts[:level], length), {})
             for d, c in hist.items():
                 acc[d + below] = acc.get(d + below, 0) + c
+    mask = gdim._masks(ctx.rank.e, ctx.charges, length)[i]
     gdim._moves.cache_clear()
-    got = gdim._step(ctx.rank.e, ctx.charges, state, i, width)
-    assert list(gdim._step(ctx.rank.e, ctx.charges, state, i, width).items()) == list(got.items())
+    got = gdim._step(state, mask, width)
+    assert list(gdim._step(state, mask, width).items()) == list(got.items())
     assert list(got) == list(want)
     assert {shape: _unpack(lo, packed, width) for shape, (lo, packed) in got.items()} == want
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_codes_tell_every_shape_of_at_most_eight_nodes_apart(level):
+    """At word length 8, every (bi)partition of size at most 8 of each
+    context with ell <= 3 has its own code, and each field of 18 bits holds
+    9 beads below its top bit."""
+    for ell in (1, 2, 3):
+        for s in range(ell + 1) if level == 2 else (0,):
+            ctx = FockContext(AffineRank(ell), s, level=level)
+            shapes = [bp.parts[:level] for m in range(9) for bp in fock.bipartitions(ctx, m)]
+            codes = {gdim._code(shape, 8) for shape in shapes}
+            assert len(codes) == len(shapes)
+            for code in codes:
+                fields = [code >> 18 * k & (1 << 18) - 1 for k in range(level)]
+                assert code >> 18 * level == 0
+                assert all(f.bit_count() == 9 and f < 1 << 17 for f in fields)
+
+
+def test_masks_hold_each_residue_below_the_top_bit_of_every_field():
+    """Bit b of field k (component 0 highest) is in the mask of residue i
+    exactly when b is below the field's top bit and b + c_k - n = i mod e:
+    no mask holds bit 2n + 1 of a field, so no pattern crosses two fields."""
+    for e in (2, 3, 4, 5):
+        for charges in [(0,), (3,)] + [(0, s) for s in range(e)]:
+            for n in range(13):
+                field, top = 2 * n + 2, 2 * n + 1
+                masks = gdim._masks(e, charges, n)
+                assert len(masks) == e
+                for i, mask in enumerate(masks):
+                    want = 0
+                    for c in charges:
+                        want <<= field
+                        want |= sum(1 << b for b in range(top) if (b + c - n) % e == i)
+                    assert mask == want
+                    for k in range(len(charges)):
+                        assert not mask >> field * k + top & 1
