@@ -10,6 +10,7 @@ import argparse
 import itertools
 import json
 import re
+import shlex
 import signal
 import sys
 from collections.abc import Iterator
@@ -326,18 +327,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _task(args: Optional[argparse.Namespace]) -> str:
-    """The command and the flags that name its block, as given."""
-    if args is None:
-        return "heckeblocks"
-    words = [args.command]
-    for flag in ("e", "ell", "s", "level", "n", "beta", "from_bipartition", "shape"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            words.append(f"--{flag.replace('_', '-')} {value}")
-    return " ".join(words)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = None
@@ -354,9 +343,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError:
-        # it carries no text, so say what ran out and what to shrink
+        # it carries no text, so repeat the command as typed and say what to shrink
+        typed = shlex.join(sys.argv[1:] if argv is None else argv)
         hint = ", or --idems in place of --all" if getattr(args, "all", False) else ""
-        print(f"out of memory: {_task(args)}; use a smaller block{hint}", file=sys.stderr)
+        print(f"out of memory: {typed}; use a smaller block{hint}", file=sys.stderr)
         return EXIT_INTERNAL
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)

@@ -24,18 +24,18 @@ Brundan-Kleshchev-Wang):
 
 - ``_step`` reads each code's ``_moves`` (grown codes and shifts) from a
   ``functools.cache`` keyed by (code, mask), which fix e, the charges, n and
-  i, so states share their grown codes.  The cache is bounded by the Fock
-  space, not the traffic: words of length n leave at most e entries per
-  (bi)partition of size < n, so 767 of 3 x 434 after the class walk of
-  (2,1,3delta); each word length has its own entries;
+  i, so states share them.  It is bounded by the Fock space, not the
+  traffic: words of length n leave at most e entries per (bi)partition of
+  size < n, so 767 of 3 x 434 after the class walk of (2,1,3delta).  Each
+  length has its own codes, so mixed lengths add up: 908 after every prefix
+  of the words of (1,1,4delta);
 - ``_fold`` reads the step along one word in one loop, stopping at the
-  first empty state, under a ``functools.lru_cache`` keyed on plain data,
-  (e, charges, word).  A repeated point lookup folds nothing.  The cache
-  holds ``_CACHE_STATES`` = 1024 folds, least recently used dropped first.
-  It bounds states, not shapes: a fold is a prefix state of its own word, so
-  1024 folds of (1,1,6delta), height 12, hold at most the 251 014 shapes,
-  about 40 MB, of its 1024 largest prefix states; the codes are the memo's.
-  Cached states are shared and never mutated;
+  first empty state, under a ``functools.lru_cache`` of ``_CACHE_STATES`` =
+  1024 folds keyed on plain data, (e, charges, word), least recently used
+  dropped first; a repeated point lookup folds nothing.  It bounds states,
+  not shapes: 1024 folds of (1,1,6delta), height 12, hold at most the
+  251 014 shapes, about 40 MB, of its 1024 largest prefix states.  Cached
+  states are shared and never mutated;
 - ``kostka_q`` codes the shape, looks it up in the word's fold, decodes it;
 - ``graded_dim`` is the dot product of the folds of its two words in one
   pass: each shared shape's packed product is added above the least degree
@@ -166,8 +166,7 @@ def _moves(code: int, mask: int) -> tuple[tuple[int, int], ...]:
     threads store equal moves, so it needs no lock."""
     add = code & ~code >> 1 & mask
     rem = ~code & code >> 1 & mask
-    out = []
-    bits = add
+    out, bits = [], add
     while bits:
         low = bits & -bits
         out.append((code ^ 3 * low, (add & low - 1).bit_count() - (rem & low - 1).bit_count()))
@@ -195,6 +194,10 @@ def _step(state: State, mask: int, width: int) -> State:
     return out
 
 
+def _start(charges: tuple[int, ...], n: int) -> State:
+    return {_code(((),) * len(charges), n): (0, 1)}
+
+
 #: Most word folds the cache of ``_fold`` holds.
 _CACHE_STATES = 1024
 
@@ -204,14 +207,11 @@ def _fold(e: int, charges: tuple[int, ...], word: ResidueSeq) -> State:
     """The state of one word under e and the charges, which fix the context:
     the step read along it from the empty shape, stopping at the first empty
     state, so a word that no standard (bi)tableau reads folds to ``{}``.
-
-    Folds are cached on that plain data, which ``graded_dim``, ``kostka_q``
-    and ``dim_matrix`` share across calls; a cached fold is shared and never
-    mutated.  The cache holds ``_CACHE_STATES`` folds and drops the least
-    recently used first; the module docstring bounds what they hold."""
+    ``graded_dim``, ``kostka_q`` and ``dim_matrix`` share the cached folds,
+    which are never mutated; the module docstring bounds what they hold."""
     n = len(word)
     width, masks = _width(len(charges), n), _masks(e, charges, n)
-    state = {_code(((),) * len(charges), n): (0, 1)}
+    state = _start(charges, n)
     for i in word:
         state = _step(state, masks[i], width)
         if not state:
@@ -236,7 +236,7 @@ def _walk(ctx: FockContext, beta: RootVec, merge: bool) -> Iterator[tuple[Residu
     _check_block(ctx, beta)
     e, charges, n = ctx.rank.e, ctx.charges, beta.height
     seen = {} if merge else None
-    start, masks = {_code(((),) * len(charges), n): (0, 1)}, _masks(e, charges, n)
+    start, masks = _start(charges, n), _masks(e, charges, n)
     yield from _extend(start, list(beta.coeffs), [], masks, _width(len(charges), n), seen)
 
 

@@ -132,26 +132,29 @@ def test_dims_on_a_cone_label_that_is_no_weight_is_an_empty_block(capsys, words)
     [
         (
             ["dims", "--ell", "1", "--s", "1", "--beta", "9,9", "--all"],
-            "dims --ell 1 --s 1 --level 2 --beta 9,9; use a smaller block,"
-            " or --idems in place of --all",
+            "dims --ell 1 --s 1 --beta 9,9 --all; use a smaller block, or --idems in place of --all",
         ),
         (
             ["classify", "--ell", "2", "--level", "1", "--from-bipartition", "[[4,4],[]]"],
-            "classify --ell 2 --s 0 --level 1 --from-bipartition [[4,4],[]];"
-            " use a smaller block",
+            "classify --ell 2 --level 1 --from-bipartition '[[4,4],[]]'; use a smaller block",
+        ),
+        (
+            ["blocks", "--e", "3", "--n", "6", "--separated", "--char2"],
+            "blocks --e 3 --n 6 --separated --char2; use a smaller block",
         ),
     ],
 )
 def test_running_out_of_memory_names_the_command_and_the_block(capsys, monkeypatch, argv, err):
-    """A MemoryError has no text; the message names what ran out and what to
+    """A MemoryError has no text; the message repeats the command as typed,
+    flags that pick the block family or the field included, and says what to
     shrink, in place of a bare "internal error: "."""
-    from heckeblocks import gdim
+    from heckeblocks import classify, gdim
 
-    def walk(ctx, beta, merge):
+    def exhausted(*args, **kwargs):
         raise MemoryError
-        yield
 
-    monkeypatch.setattr(gdim, "_walk", walk)
+    monkeypatch.setattr(gdim, "_walk", exhausted)  # the class walk of dims and classify
+    monkeypatch.setattr(classify, "_grow_blocks", exhausted)  # the block listing
     code = main(argv)
     captured = capsys.readouterr()
     assert code == EXIT_INTERNAL

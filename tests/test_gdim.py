@@ -771,13 +771,13 @@ def test_memoised_answers_equal_cold_answers(fresh_cache, monkeypatch):
     calls = _query_stream(1, 160)
     cold = [_cold(call) for call in calls]
     heads = set()
-    step = gdim._step
+    masks = gdim._masks
 
-    def spy(state, mask, w):
-        heads.add((mask, w))
-        return step(state, mask, w)
+    def spy(e, charges, n):  # called once by each fold or walk that steps
+        heads.add((e, charges, gdim._width(len(charges), n)))
+        return masks(e, charges, n)
 
-    monkeypatch.setattr(gdim, "_step", spy)
+    monkeypatch.setattr(gdim, "_masks", spy)
     warm = [call() for call in calls]
     assert warm == cold
     assert any(answer for answer in cold)
@@ -876,6 +876,23 @@ def test_moves_memo_is_bounded_by_the_fock_space(fresh_cache):
     assert shapes == 434
     entries = gdim._moves.cache_info().currsize
     assert 0 < entries <= ctx.rank.e * shapes
+
+
+def test_moves_memo_after_folds_of_mixed_lengths(fresh_cache):
+    """A shape's code depends on the word length, so folding words of lengths
+    1 to 8 keeps one memo entry per shape, residue and length: every prefix
+    of the words of (1,1,4delta) leaves at most 908, under the e entries per
+    bipartition of size < n summed over the lengths n."""
+    ctx = FockContext(AffineRank(1), 1, level=2)
+    words = residue_sequences(ctx, 4 * null_root(ctx.rank))
+    prefixes = {w[:k] for w in words for k in range(1, 9)}
+    assert len(prefixes) == 124
+    gdim._moves.cache_clear()
+    for word in prefixes:
+        gdim._fold(ctx.rank.e, ctx.charges, word)
+    below = [sum(1 for m in range(n) for _ in fock.bipartitions(ctx, m)) for n in range(1, 9)]
+    entries = gdim._moves.cache_info().currsize
+    assert 0 < entries <= 908 < ctx.rank.e * sum(below)
 
 
 @pytest.mark.parametrize("word", [(0,) * 2000, (0, 0) + (0, 1) * 600])
