@@ -29,13 +29,19 @@ Brundan-Kleshchev-Wang):
   size < n, so 767 of 3 x 434 after the class walk of (2,1,3delta).  Each
   length has its own codes, so mixed lengths add up: 908 after every prefix
   of the words of (1,1,4delta);
-- ``_fold`` reads the step along one word in one loop, stopping at the
-  first empty state, under a ``functools.lru_cache`` of ``_CACHE_STATES`` =
-  1024 folds keyed on plain data, (e, charges, word), least recently used
-  dropped first; a repeated point lookup folds nothing.  It bounds states,
-  not shapes: 1024 folds of (1,1,6delta), height 12, hold at most the
-  251 014 shapes, about 40 MB, of its 1024 largest prefix states.  Cached
-  states are shared and never mutated;
+- ``_layout`` builds what a word length n starts from once, under a
+  ``functools.cache`` keyed by (e, charges, n): the width, the e residue
+  masks as a tuple and the start state of the empty shape, which is shared
+  and never mutated.  It holds one small entry per triple a process meets,
+  one after the class walk of a block;
+- ``_fold`` reads the step along one word in one loop, from its length's
+  ``_layout``, stopping at the first empty state, under a
+  ``functools.lru_cache`` of ``_CACHE_STATES`` = 1024 folds keyed on plain
+  data, (e, charges, word), least recently used dropped first; a repeated
+  point lookup folds nothing, and a cold one rebuilds no layout.  It
+  bounds states, not shapes: 1024 folds of (1,1,6delta), height 12, hold
+  at most the 251 014 shapes, about 40 MB, of its 1024 largest prefix
+  states.  Cached states are shared and never mutated;
 - ``kostka_q`` codes the shape, looks it up in the word's fold, decodes it;
 - ``graded_dim`` is the dot product of the folds of its two words in one
   pass: each shared shape's packed product is added above the least degree
@@ -47,9 +53,10 @@ Brundan-Kleshchev-Wang):
   carries at the fold width, so each entry is decoded once;
 - ``_walk`` walks the prefix trie of the block's words depth first, within
   the per-residue budget of beta, so words share their prefixes' states; a
-  word ends when its budget is spent.  Each word comes out with its fold,
-  in lexicographic order, as soon as it is reached, so a caller can stop
-  the walk early.  ``residue_sequences`` takes every word of it;
+  word ends when its budget is spent.  It starts from the ``_layout`` of
+  the block's height, which ``_fold`` shares.  Each word comes out with its
+  fold, in lexicographic order, as soon as it is reached, so a caller can
+  stop the walk early.  ``residue_sequences`` takes every word of it;
 - ``nonzero_idempotents`` walks the same trie but expands each distinct
   state once: a prefix whose state an earlier prefix of the same content
   reached is skipped, since the two subtrees fold alike and the earlier one
@@ -138,11 +145,12 @@ def _code(shape: Shape, n: int) -> int:
     return code
 
 
-def _masks(e: int, charges: tuple[int, ...], n: int) -> list[int]:
-    """The bits of each residue i in the codes at word length n: the bead at
-    bit b of the field of charge c moves up by adding a node of residue
-    (b + c - n) mod e.  A field's top bit, which no bead reaches, is left out,
-    or a gap there under the next field's bead would read removable."""
+def _masks(e: int, charges: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The bits of each residue i in the codes at word length n, mask i at
+    index i: the bead at bit b of the field of charge c moves up by adding a
+    node of residue (b + c - n) mod e.  A field's top bit, which no bead
+    reaches, is left out, or a gap there under the next field's bead would
+    read removable.  Built once a length, by ``_layout``."""
     field = 2 * n + 2
     ones = ((1 << e * (field // e + 1)) - 1) // ((1 << e) - 1)  # a bit every e places
     low = (1 << field - 1) - 1
@@ -152,7 +160,7 @@ def _masks(e: int, charges: tuple[int, ...], n: int) -> list[int]:
         for c in charges:
             mask = mask << field | (ones << (i + n - c) % e) & low
         out.append(mask)
-    return out
+    return tuple(out)
 
 
 @functools.cache
@@ -194,8 +202,15 @@ def _step(state: State, mask: int, width: int) -> State:
     return out
 
 
-def _start(charges: tuple[int, ...], n: int) -> State:
-    return {_code(((),) * len(charges), n): (0, 1)}
+@functools.cache
+def _layout(e: int, charges: tuple[int, ...], n: int) -> tuple[int, tuple[int, ...], State]:
+    """The packed width, the residue masks and the state of the empty shape
+    that every fold and walk of words of length n under e and the charges
+    starts from, built once a triple.  The start state is shared (it is also
+    the fold of the empty word) and never mutated: a step builds a new state.
+    Racing threads store equal layouts, so it needs no lock."""
+    start = {_code(((),) * len(charges), n): (0, 1)}
+    return _width(len(charges), n), _masks(e, charges, n), start
 
 
 #: Most word folds the cache of ``_fold`` holds.
@@ -206,12 +221,11 @@ _CACHE_STATES = 1024
 def _fold(e: int, charges: tuple[int, ...], word: ResidueSeq) -> State:
     """The state of one word under e and the charges, which fix the context:
     the step read along it from the empty shape, stopping at the first empty
-    state, so a word that no standard (bi)tableau reads folds to ``{}``.
+    state, so a word that no standard (bi)tableau reads folds to ``{}``.  The
+    width, masks and start state are the word length's ``_layout``.
     ``graded_dim``, ``kostka_q`` and ``dim_matrix`` share the cached folds,
     which are never mutated; the module docstring bounds what they hold."""
-    n = len(word)
-    width, masks = _width(len(charges), n), _masks(e, charges, n)
-    state = _start(charges, n)
+    width, masks, state = _layout(e, charges, len(word))
     for i in word:
         state = _step(state, masks[i], width)
         if not state:
@@ -232,19 +246,19 @@ def _walk(ctx: FockContext, beta: RootVec, merge: bool) -> Iterator[tuple[Residu
     only with the earlier states of its budget.
 
     Words come out as they are reached, so a caller that stops early steps
-    only as far as the last word it took."""
+    only as far as the last word it took.  The walk starts from the
+    ``_layout`` of the block's height, the one ``_fold`` reads."""
     _check_block(ctx, beta)
-    e, charges, n = ctx.rank.e, ctx.charges, beta.height
+    width, masks, start = _layout(ctx.rank.e, ctx.charges, beta.height)
     seen = {} if merge else None
-    start, masks = _start(charges, n), _masks(e, charges, n)
-    yield from _extend(start, list(beta.coeffs), [], masks, _width(len(charges), n), seen)
+    yield from _extend(start, list(beta.coeffs), [], masks, width, seen)
 
 
 def _extend(
     state: State,
     budget: list[int],
     word: list[int],
-    masks: list[int],
+    masks: tuple[int, ...],
     width: int,
     seen: dict[tuple[int, ...], list[State]] | None,
 ) -> Iterator[tuple[ResidueSeq, State]]:
@@ -306,9 +320,9 @@ def kostka_q(ctx: FockContext, shape: Bipartition, nu: Sequence[int]) -> QPoly:
         raise ValueError(
             f"residue word has length {len(seq)}, shape has {shape.size} nodes"
         )
-    e, charges = ctx.rank.e, ctx.charges
-    hit = _fold(e, charges, seq).get(_code(shape.parts[: len(charges)], len(seq)))
-    return _from_coeffs(_unpack(*hit, _width(len(charges), len(seq))) if hit else {})
+    e, charges, n = ctx.rank.e, ctx.charges, len(seq)
+    hit = _fold(e, charges, seq).get(_code(shape.parts[: len(charges)], n))
+    return _from_coeffs(_unpack(*hit, _layout(e, charges, n)[0]) if hit else {})
 
 
 def block_bipartitions(ctx: FockContext, beta: RootVec) -> list[Bipartition]:
@@ -345,7 +359,7 @@ def graded_dim(ctx: FockContext, nu_prime: Sequence[int], nu: Sequence[int]) -> 
     if len(a) != len(b):
         raise ValueError(f"residue words differ in length: {len(a)} vs {len(b)}")
     e, charges = ctx.rank.e, ctx.charges
-    return _dot(_fold(e, charges, a), _fold(e, charges, b), _width(len(charges), len(a)))
+    return _dot(_fold(e, charges, a), _fold(e, charges, b), _layout(e, charges, len(a))[0])
 
 
 class DimMatrix(_Value):
@@ -426,7 +440,7 @@ def dim_matrix(
             raise ValueError(f"residue word {nu} does not have content {beta}")
     e, charges = ctx.rank.e, ctx.charges
     folds = [_fold(e, charges, nu) for nu in seqs]
-    return DimMatrix(tuple(seqs), _matrix(folds, _width(len(charges), beta.height)))
+    return DimMatrix(tuple(seqs), _matrix(folds, _layout(e, charges, beta.height)[0]))
 
 
 def class_matrix(ctx: FockContext, beta: RootVec) -> DimMatrix:
@@ -438,7 +452,8 @@ def class_matrix(ctx: FockContext, beta: RootVec) -> DimMatrix:
     for word, fold in _walk(ctx, beta, merge=True):
         words.append(word)
         folds.append(fold)
-    return DimMatrix(tuple(words), _matrix(folds, _width(ctx.level, beta.height)))
+    width = _layout(ctx.rank.e, ctx.charges, beta.height)[0]
+    return DimMatrix(tuple(words), _matrix(folds, width))
 
 
 def _matrix(folds: list[State], width: int) -> tuple[tuple[QPoly, ...], ...]:
@@ -575,7 +590,7 @@ def _class_verdict(ctx: FockContext, beta: RootVec) -> QuiverBound:
     once it is done.  Each entry is the full ``_dot`` of two folds, the
     polynomial the matrix would hold, so an error names the same entry with
     the same text."""
-    width = _width(ctx.level, beta.height)
+    width = _layout(ctx.rank.e, ctx.charges, beta.height)[0]
     folds: list[State] = []
     first: list[QPoly] = []
     for j, (_, fold) in enumerate(_walk(ctx, beta, merge=True)):

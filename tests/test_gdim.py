@@ -316,7 +316,7 @@ def _verdict(monkeypatch, folds):
         "_walk",
         lambda ctx, beta, merge: (((j,), _packed(fold)) for j, fold in enumerate(folds)),
     )
-    monkeypatch.setattr(gdim, "_width", lambda level, n: WIDTH)
+    monkeypatch.setattr(gdim, "_layout", lambda e, charges, n: (WIDTH, (), {}))
     ctx = FockContext(AffineRank(1), 0)
     try:
         return gdim._class_verdict(ctx, RootVec(ctx.rank, (1, 1)))
@@ -716,12 +716,13 @@ def _fresh_cache(monkeypatch, maxsize):
 def _clear_memos():
     gdim._fold.cache_clear()
     gdim._moves.cache_clear()
+    gdim._layout.cache_clear()
 
 
 @pytest.fixture
 def fresh_cache():
-    """The module's own fold cache, emptied before and after the test, as is
-    the memo of moves."""
+    """The module's own fold cache, emptied before and after the test, as are
+    the memo of moves and the layouts of word lengths."""
     _clear_memos()
     yield gdim._fold
     _clear_memos()
@@ -771,13 +772,13 @@ def test_memoised_answers_equal_cold_answers(fresh_cache, monkeypatch):
     calls = _query_stream(1, 160)
     cold = [_cold(call) for call in calls]
     heads = set()
-    masks = gdim._masks
+    build = gdim._layout.__wrapped__
 
-    def spy(e, charges, n):  # called once by each fold or walk that steps
-        heads.add((e, charges, gdim._width(len(charges), n)))
-        return masks(e, charges, n)
+    def spy(e, charges, n):  # called once for each layout missed
+        heads.add((e, charges, n))
+        return build(e, charges, n)
 
-    monkeypatch.setattr(gdim, "_masks", spy)
+    monkeypatch.setattr(gdim, "_layout", functools.cache(spy))
     warm = [call() for call in calls]
     assert warm == cold
     assert any(answer for answer in cold)
@@ -893,6 +894,107 @@ def test_moves_memo_after_folds_of_mixed_lengths(fresh_cache):
     below = [sum(1 for m in range(n) for _ in fock.bipartitions(ctx, m)) for n in range(1, 9)]
     entries = gdim._moves.cache_info().currsize
     assert 0 < entries <= 908 < ctx.rank.e * sum(below)
+
+
+def _layout_blocks():
+    """A block of each height 0 to 6 in level one and in level two at charges
+    0 and 1, for ell 1 to 3: the middle content of each height."""
+    out = []
+    for ell in (1, 2, 3):
+        for s, level in ((0, 1), (0, 2), (1, 2)):
+            ctx = FockContext(AffineRank(ell), s, level=level)
+            for height in range(7):
+                blocks = _blocks_of_height(ell, s, level, height)
+                out.append((ctx, RootVec(ctx.rank, blocks[len(blocks) // 2])))
+    return out
+
+
+def _run_every_reader(ctx, beta):
+    """Each public reader of the layouts, on one block."""
+    words = nonzero_idempotents(ctx, beta)
+    shape = block_bipartitions(ctx, beta)[0]
+    graded_dim(ctx, words[0], words[-1])
+    kostka_q(ctx, shape, words[-1])
+    dim_matrix(ctx, beta, words[:3])
+    class_matrix(ctx, beta)
+    classify_block(ctx, beta)
+
+
+def test_each_layout_is_built_once_and_never_mutated(fresh_cache):
+    """Every reader on blocks of heights 0 to 6, twice over, builds one layout
+    per (e, charges, height), keeps the same objects the second time and
+    leaves each as a fresh build would make it: the masks a tuple, the start
+    state the empty shape alone."""
+    blocks = _layout_blocks()
+    triples = {(ctx.rank.e, ctx.charges, beta.height) for ctx, beta in blocks}
+    assert len(triples) == 3 * 3 * 7
+    for ctx, beta in blocks:
+        _run_every_reader(ctx, beta)
+    first = {t: gdim._layout(*t) for t in triples}
+    for ctx, beta in blocks:
+        _run_every_reader(ctx, beta)
+    info = gdim._layout.cache_info()
+    assert info.currsize == info.misses == len(triples)
+    for (e, charges, n), layout in first.items():
+        assert gdim._layout(e, charges, n) is layout
+        width, masks, start = layout
+        assert width == gdim._width(len(charges), n)
+        assert type(masks) is tuple and masks == gdim._masks(e, charges, n)
+        assert start == {gdim._code(((),) * len(charges), n): (0, 1)}
+
+
+MIXED_CONTEXTS = [FockContext(AffineRank(3), s, level=2) for s in range(4)] + [
+    FockContext(AffineRank(3), 0, level=1)
+]
+
+
+def _mixed_length_stream(seed, rounds):
+    """Seeded graded_dim, kostka_q and dim_matrix calls on words of lengths 0
+    to 8, prefixes of the words of 2delta, over every e = 4 context, level one
+    and level two at each charge, interleaved with class walks of the blocks
+    of the same prefixes, so walks and folds of one length share a layout.
+    Each (context, length) comes ``rounds`` times, in a shuffled order."""
+    rng = random.Random(seed)
+    rank = AffineRank(3)
+    longest = {
+        ctx: _cold(lambda ctx=ctx: residue_sequences(ctx, 2 * null_root(rank)))
+        for ctx in MIXED_CONTEXTS
+    }
+    pairs = [(ctx, n) for ctx in MIXED_CONTEXTS for n in range(9)] * rounds
+    rng.shuffle(pairs)
+    calls = []
+    for ctx, n in pairs:
+        word = rng.choice(longest[ctx])[:n]
+        other = tuple(rng.sample(word, len(word)))
+        beta = RootVec(rank, _seq_content(ctx, word))
+        kind = rng.randrange(5)
+        if kind == 0:
+            calls.append(lambda ctx=ctx, a=word, b=other: graded_dim(ctx, a, b))
+        elif kind == 1:
+            shape = rng.choice(block_bipartitions(ctx, beta))
+            calls.append(lambda ctx=ctx, sh=shape, a=word: kostka_q(ctx, sh, a))
+        elif kind == 2:
+            words = [word, other, tuple(rng.sample(word, len(word)))]
+            calls.append(lambda ctx=ctx, beta=beta, w=words: dim_matrix(ctx, beta, w).entries)
+        elif kind == 3:
+            calls.append(lambda ctx=ctx, beta=beta: class_matrix(ctx, beta).entries)
+        else:
+            calls.append(lambda ctx=ctx, beta=beta: nonzero_idempotents(ctx, beta))
+    return calls
+
+
+def test_layouts_of_mixed_lengths_and_charges_give_cold_answers(fresh_cache):
+    """Lookups and class walks over every e = 4 context and word lengths 0
+    to 8, in one process, answer as each does with nothing cached: a layout
+    read under the wrong charges, level or length would step the wrong
+    masks, widths or start codes."""
+    calls = _mixed_length_stream(11, 5)
+    cold = [_cold(call) for call in calls]
+    warm = [call() for call in calls]
+    assert warm == cold
+    assert sum(1 for answer in cold if answer) > 100
+    # one layout for each of the 5 contexts at each of the 9 lengths
+    assert gdim._layout.cache_info().currsize == len(MIXED_CONTEXTS) * 9
 
 
 @pytest.mark.parametrize("word", [(0,) * 2000, (0, 0) + (0, 1) * 600])
