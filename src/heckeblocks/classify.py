@@ -342,15 +342,14 @@ def _heckeB_reports(
     e: int, s: Optional[int], n: int, cfg: Optional[ClassifierConfig], extra: tuple[str, ...]
 ) -> list[BlockReport]:
     """``classify_heckeB`` with the notes extra appended to every report.
-    The labels come with the grown blocks; each distinct one is classified
-    once, and at level two each block reads its label's type and notes with
-    one dict lookup.  With separated parameters each level-one block carries
-    the index of its type among the distinct types, and ``classify_tensor``
-    and the note run once per pair of indices.  Both lookups key on the
-    label's plain (family, i, k), as the charge is fixed within a listing.
-    The reports share the immutable results and their inputs' (key, value)
-    pairs, which hold the grower's tuples, and are built with positional
-    arguments, since a listing builds one per block."""
+    Each distinct label, keyed by its plain (family, i, k) since the charge
+    is fixed, is classified once; at level two a block reads its type and
+    notes with one dict lookup.  With separated parameters each level-one
+    block carries the index of its type among the distinct types, and a pair
+    reads its tensor type and note from the row of its first type, filled
+    by ``classify_tensor`` once per pair of indices.  The reports share the
+    immutable results and their inputs' (key, value) pairs, which hold the
+    grower's tuples, and are built with positional arguments."""
     if cfg is None:
         cfg = ClassifierConfig()
     if type(e) is not int or e < 2:
@@ -395,18 +394,18 @@ def _heckeB_reports(
                 k = index[key] = types.index(rep_type)
             typed[-1].append((("beta2", c), k))
     note = "separated parameters: outer tensor product of two level-one blocks"
-    shared: dict[tuple[int, int], tuple[RepType, tuple[str, ...]]] = {}
+    shared: list[list] = [[None] * len(types) for _ in types]
     ell_pair, separated = ("ell", ell), ("separated", True)
     # the first blocks of all heights in order, each with the second blocks
     # of the complementary height in order: the pairs in order
     for c1, k1, m in sorted((p[1], k, m) for m, row in enumerate(typed) for p, k in row):
-        first = ("beta1", c1)
+        first, row = ("beta1", c1), shared[k1]
         for second, k2 in typed[n - m]:
-            result = shared.get((k1, k2))
+            result = row[k2]
             if result is None:
                 t1, t2 = types[k1], types[k2]
                 why = f"{note} ({t1} x {t2})"
-                result = shared[k1, k2] = (classify_tensor(t1, t2, ell), (why, *extra))
+                result = row[k2] = (classify_tensor(t1, t2, ell), (why, *extra))
             block = (ell_pair, separated, first, second)
             reports.append(BlockReport(block, None, result[0], None, result[1]))
     return reports

@@ -13,18 +13,19 @@ makes this test: a caller that needs to know whether a block is zero asks
 it for the label and catches ``NotAWeightError``.
 
 The pairings <h_i, Lambda - beta> list every nonzero block of a given
-height without listing partitions: ``_grow_blocks`` pushes each block up
-from its dominant one, labelled by ``label_dominant``, by the reflections
-that raise its height, keeping a push only at the pushed block's first
-negative pairing, so that every block is reached once and takes its
-parent's label (W fixes it), and it decodes coefficient tuples only for the
-heights a caller reads.
+height without listing partitions: ``_grow_blocks`` seeds the dominant ones,
+the family members plus k delta, with their labels and pushes each block up
+by the reflections that raise its height, keeping a push only at the pushed
+block's first negative pairing, so that every block is reached once and
+takes its parent's label (W fixes it); it decodes coefficient tuples only
+for the heights a caller reads.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
 from operator import sub
+from struct import Struct
 
 from .cartan import RootVec, _int_tuple, _Value, lambda_rep, mu_rep, null_root
 from .fock import FockContext
@@ -129,35 +130,35 @@ def _grow_blocks(
 
     c is a block exactly when Lambda - c is a weight; the weights and their
     labels are W-invariant, and the dominant ones are Lambda minus a family
-    member plus k delta (Kac, Infinite dimensional Lie algebras, Prop. 12.5).
-    With p_j = <h_j, Lambda - c> > 0, r_j maps c to c + p_j alpha_j, of
-    height p_j more, with pairings -p_j at j and p_(j-/+1) + p_j beside it.
-    A block is kept only from the reflection at its first negative vertex,
-    so from one parent: when the parent has no negative pairing before j - 1
-    and p_(j-1) + p_j >= 0, or at the wrap vertex j = e - 1, whose push moves
-    vertex 0 too, when the pushed pairings have none before j.  A block is
-    (code, label, pairings, first negative vertex), its code sum_t c_t
-    (n + 1)^(e-1-t): no coefficient exceeds n, so a push is one addition and
-    the codes sort as the tuples do.  Each height is pushed once, decoded
-    only from low on, and dropped."""
+    member plus k delta (Kac, Infinite dimensional Lie algebras, Prop. 12.5),
+    seeded with their labels.  With p_j = <h_j, Lambda - c> > 0, r_j maps c
+    to c + p_j alpha_j, of height p_j more, with pairings -p_j at j and
+    p_(j-/+1) + p_j beside it.  A block is kept only from the reflection at
+    its first negative vertex, so from one parent: when the parent has no
+    negative pairing before j - 1 and p_(j-1) + p_j >= 0, or at the wrap
+    vertex j = e - 1, whose push moves vertex 0 too, when the pushed pairings
+    have none before j.  A block is (code, label, pairings, first negative
+    vertex), its code c_0 ... c_(e-1) in big-endian fields of 1, 2, 4 or 8
+    bytes: no coefficient exceeds n, so a push is one addition, the codes
+    sort as the tuples do and a block decodes with one struct unpack.  Each
+    height is pushed once, decoded only from low on, and dropped."""
     e = ctx.rank.e
-    fund = [0] * e
-    for charge in ctx.charges:
-        fund[charge] += 1
-    unit = [(n + 1) ** (e - 1 - t) for t in range(e)]
-    members = [lambda_rep(ctx.s, i, ctx.rank) for i in _lambda_range(ctx)]
-    members += [mu_rep(ctx.s, i, ctx.rank) for i in _mu_range(ctx)]
+    fund = [ctx.charges.count(t) for t in range(e)]
+    width, field = next((w, f) for w, f in zip((1, 2, 4, 8), "BHIQ") if n < 1 << 8 * w)
+    unit = [1 << 8 * width * (e - 1 - t) for t in range(e)]
+    unpack, size = Struct(f">{e}{field}").unpack, width * e
+    members = [(LAMBDA, i, lambda_rep(ctx.s, i, ctx.rank).coeffs) for i in _lambda_range(ctx)]
+    members += [(MU, i, mu_rep(ctx.s, i, ctx.rank).coeffs) for i in _mu_range(ctx)]
     todo: list = [[] for _ in range(n + 1)]
-    for c in [member.coeffs for member in members]:
+    for family, i, c in members:
         p = [f - 2 * x + y + z for f, x, y, z in zip(fund, c, c[-1:] + c[:-1], c[1:] + c[:1])]
         code = sum([x * u for x, u in zip(c, unit)])
         for k, height in enumerate(range(sum(c), n + 1, e)):
-            label = label_dominant(ctx, tuple([x + k for x in c]))
-            todo[height].append((code + k * sum(unit), label, p, e))
+            todo[height].append((code + k * sum(unit), CanonicalRep(family, ctx.s, i, k), p, e))
     last = e - 1
-    # the pushes a block with first negative vertex f can keep: j <= f + 1, or the wrap
-    reach = [range(min(f + 2, e)) for f in range(e + 1)]
-    reach[0] = sorted({0, 1, last})
+    # the pushes a block with first negative vertex f can keep: j <= f + 1 but not f, or the wrap
+    reach = [[j for j in range(min(f + 2, e)) if j != f] for f in range(e + 1)]
+    reach[0] = sorted({1, last})
     heights = []
     for height in range(n + 1):
         blocks, todo[height] = todo[height], None
@@ -175,7 +176,7 @@ def _grow_blocks(
                     continue
                 todo[height + pj].append((code + pj * unit[j], label, q, j))
         if height >= low:
-            level = {tuple([b[0] // u % (n + 1) for u in unit]): b[1] for b in sorted(blocks)}
+            level = {unpack(b[0].to_bytes(size, "big")): b[1] for b in sorted(blocks)}
             if len(level) < len(blocks):
                 raise RuntimeError(f"a block of height {height} was reached twice")
             heights.append(level)

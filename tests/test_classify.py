@@ -24,6 +24,7 @@ from heckeblocks import (
     classify_level_two,
     classify_tensor,
     lambda_rep,
+    mu_rep,
     normalize,
     null_root,
     rep_root,
@@ -399,8 +400,9 @@ def test_grown_labels_match_canonical_rep(e):
 
 @pytest.mark.parametrize("e", range(2, 9))
 def test_grown_blocks_at_their_own_height(e):
-    """The code base is n + 1 for a grower called at height n: the blocks of
-    height n, whose largest coefficient may equal n, are still grown."""
+    """A code's fields hold every coefficient up to n for a grower called at
+    height n: the blocks of height n, whose largest coefficient may equal n,
+    are still grown."""
     rank = AffineRank(e - 1)
     contexts = [FockContext(rank, 0, level=1)]
     contexts += [FockContext(rank, s, level=2) for s in range(e)]
@@ -526,25 +528,93 @@ def test_separated_types_are_read_once_per_block_and_pair(monkeypatch):
     assert counts["tensor"] == len({r.notes for r in reports}) < len(reports)
 
 
-def test_only_dominant_blocks_are_read_by_label_dominant(monkeypatch):
-    """The grower reads a label off each dominant block once; every other
-    block takes the label of its reflection's image."""
-    ctx = FockContext(AffineRank(7), 3, level=2)
-    labels = {label for blocks in _grow_blocks(ctx, 14) for label in blocks.values()}
+def test_seeds_are_labelled_from_their_family_member(monkeypatch):
+    """The grower labels each dominant block, a family member plus k delta, as
+    it seeds it: the listings read no label off a root vector, and every seed's
+    label is the one label_dominant reads off it.  The seeds are the dominant
+    blocks, one per label."""
     read = []
-    label_dominant = orbits.label_dominant
 
-    def recorded(ctx, plus):
-        read.append(plus)
-        return label_dominant(ctx, plus)
+    def recorded(name, call):
+        def spy(*args):
+            read.append((name, args))
+            return call(*args)
 
-    monkeypatch.setattr(orbits, "label_dominant", recorded)
-    classify_heckeB(8, 3, 14)
-    # one dominant block per W-orbit, so one per label
-    assert len(read) == len(set(read)) == len(labels)
-    for c in read:
-        beta = RootVec(ctx.rank, c)
-        assert all(pair_coroot(ctx.charges, j, beta) >= 0 for j in ctx.rank.vertices), c
+        return spy
+
+    spied = [(orbits, "label_dominant"), (orbits, "canonical_rep"), (classify, "canonical_rep")]
+    for module, name in spied:
+        monkeypatch.setattr(module, name, recorded(name, getattr(module, name)))
+    assert classify_heckeB(8, 3, 14) and classify_heckeB(8, None, 14)
+    assert classify_heckeD(7, 12, ClassifierConfig(char_odd=True))
+    assert read == []
+    monkeypatch.undo()
+    for e in range(2, 9):
+        rank = AffineRank(e - 1)
+        contexts = [FockContext(rank, 0, level=1)]
+        contexts += [FockContext(rank, s, level=2) for s in range(e)]
+        for ctx in contexts:
+            grown = _grow_blocks(ctx, 14)
+            members = [lambda_rep(ctx.s, i, rank) for i in orbits._lambda_range(ctx)]
+            members += [mu_rep(ctx.s, i, rank) for i in orbits._mu_range(ctx)]
+            seeds = set()
+            for member in members:
+                for k in range(15):
+                    beta = member + null_root(rank) * k
+                    if beta.height > 14:
+                        break
+                    label = grown[beta.height][beta.coeffs]
+                    assert label == orbits.label_dominant(ctx, beta.coeffs), (ctx, beta)
+                    seeds.add(beta.coeffs)
+            dominant = {
+                c
+                for blocks in grown
+                for c in blocks
+                if all(pair_coroot(ctx.charges, j, RootVec(rank, c)) >= 0 for j in rank.vertices)
+            }
+            assert seeds == dominant, ctx
+            assert len(seeds) == len({label for blocks in grown for label in blocks.values()})
+
+
+def _compositions(n, parts):
+    """The tuples of parts nonnegative integers summing to n, in sorted order."""
+    if parts == 1:
+        return [(n,)]
+    return [(a, *rest) for a in range(n + 1) for rest in _compositions(n - a, parts - 1)]
+
+
+@pytest.mark.parametrize(
+    "e, n, charges",
+    [
+        (2, 255, (None, 0, 1)),
+        (2, 256, (None, 0, 1)),
+        (2, 300, (None, 0, 1)),
+        (3, 256, (1,)),
+        (2, 520, (None, 0, 1)),
+    ],
+)
+def test_grown_blocks_past_one_byte(e, n, charges):
+    """Past n = 255 a code's fields are two bytes wide.  At height n the grown
+    blocks are the compositions of n into e parts that canonical_rep accepts,
+    in sorted order and with its labels, whether grown from height 0 or only
+    decoded at n.  None stands for the level-one context.  A coefficient
+    itself passes 255 only at n = 520, where one-byte fields would carry."""
+    rank = AffineRank(e - 1)
+    widest = 0
+    for s in charges:
+        ctx = FockContext(rank, 0, level=1) if s is None else FockContext(rank, s, level=2)
+        want = {}
+        for c in _compositions(n, e):
+            try:
+                want[c] = canonical_rep(ctx, RootVec(rank, c))
+            except NotAWeightError:
+                pass
+        blocks = _grow_blocks(ctx, n)[n]
+        assert list(blocks.items()) == list(want.items()), ctx
+        top = _grow_blocks(ctx, n, n)
+        assert len(top) == 1 and list(top[0].items()) == list(blocks.items()), ctx
+        widest = max(widest, *map(max, blocks))
+    assert (widest > 255) == (n == 520)
 
 
 @pytest.mark.parametrize("e", [2, 3, 4])
