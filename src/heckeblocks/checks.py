@@ -13,11 +13,15 @@ Every alternate path to a graded dimension lives here, as a labelled oracle
 for the engine: the tableau replay ``_replay`` under either node-placement
 convention, the brute-force K_q of O2 and the textbook reduction of O6.  So
 does the reference Cartan algebra the oracles read: ``cartan_entry``, and
-``pair_coroot`` and ``simple_reflection``, which take the highest weight as
-a charge tuple, as ``FockContext.charges`` holds it.  So does the code that
-only verifies the paper's lemmas: the Fock-space operators e_i / f_i of A9
-on plain ``{shape: coefficient}`` vectors, the orbit BFS of A7, the ladder
-walks of A8 and the corner statistic above a node of O1.
+``defect``, ``pair_coroot`` and ``simple_reflection``, which take the
+highest weight as a charge tuple, as ``FockContext.charges`` holds it.  So
+does the code that only verifies the paper's lemmas: the Fock-space
+operators e_i / f_i of A9 on plain ``{shape: coefficient}`` vectors, the
+orbit BFS of A7, the ladder walks of A8 and the corner statistic above a
+node of O1.  Each grid is written once, here: ``_small_shapes`` (O1, O2,
+O5), ``_small_blocks`` (O7, O8), and ``_contexts`` (every context of a
+rank) and ``_weight_vectors`` (every root vector up to a height), which
+the test suite reads too.
 ``import heckeblocks`` does not load this module; import the suites from
 ``heckeblocks.checks``.
 """
@@ -63,6 +67,8 @@ from .orbits import (
     MU,
     CanonicalRep,
     NotAWeightError,
+    _lambda_range,
+    _mu_range,
     canonical_rep,
     dominant_reduce,
     rep_root,
@@ -134,7 +140,6 @@ def check_a1() -> Outcome:
     for ell in range(1, 6):
         rank = AffineRank(ell)
         ctx = FockContext(rank, 1, level=2)
-        beta = null_root(rank)
         e = rank.e
         nu1 = tuple(range(e))
         nu2 = tuple((1 + j) % e for j in range(e))
@@ -241,68 +246,40 @@ def check_a5() -> Outcome:
     return True, "corner algebra dimension is 8"
 
 
-def _expected_distinct_charges(i: int, k: int, ell: int) -> str:
-    if (i, k) == (0, 0):
-        return SIMPLE
-    if (i, k) == (1, 0):
-        return FINITE
-    if (i, k) == (0, 1) and ell == 1:
-        return TAME
-    return WILD
-
-
-def _expected_equal_charges(
-    i: int, k: int, ell: int, char2: bool, lambda_is_sign: bool
+def _expected_type(
+    i: int, k: int, ell: int, s: int, char2: bool, lambda_is_sign: bool
 ) -> str:
+    """The paper's main theorem: the type of the level-two block
+    lambda(s, i) + k delta of rank ell, for distinct (s > 0) and equal
+    (s = 0) charges alike."""
     if (i, k) == (0, 0):
         return SIMPLE
     if (i, k) == (1, 0):
         return FINITE
-    if (i, k) == (0, 1) and (ell == 1 or not lambda_is_sign):
+    if (i, k) == (0, 1) and (ell == 1 or s == 0 and not lambda_is_sign):
         return TAME
-    if (i, k) == (2, 0) and ell >= 3 and not char2:
+    if (i, k) == (2, 0) and s == 0 and ell >= 3 and not char2:
         return TAME
     return WILD
 
 
 def check_a6() -> Outcome:
     count = 0
+    flags = list(itertools.product((False, True), repeat=2))
     for ell in range(1, 7):
-        rank = AffineRank(ell)
-        for s in range(1, ell + 1):
-            ctx = FockContext(rank, s, level=2)
-            for i in range((ell - s + 1) // 2 + 1):
-                for k in range(4):
-                    rep = CanonicalRep(LAMBDA, s, i, k)
-                    for char2 in (False, True):
-                        for sign in (False, True):
-                            cfg = ClassifierConfig(char2=char2, lambda_is_sign=sign)
-                            got = classify_canonical(ctx, rep, cfg).tag
-                            want = _expected_distinct_charges(i, k, ell)
-                            if got != want:
-                                return (
-                                    False,
-                                    f"ell={ell} s={s} i={i} k={k}: {got} != {want}",
-                                )
-                            count += 1
-    for ell in range(1, 7):
-        rank = AffineRank(ell)
-        ctx = FockContext(rank, 0, level=2)
-        for i in range((ell + 1) // 2 + 1):
-            for k in range(4):
-                rep = CanonicalRep(LAMBDA, 0, i, k)
-                for char2 in (False, True):
-                    for sign in (False, True):
-                        cfg = ClassifierConfig(char2=char2, lambda_is_sign=sign)
-                        got = classify_canonical(ctx, rep, cfg).tag
-                        want = _expected_equal_charges(i, k, ell, char2, sign)
-                        if got != want:
-                            return (
-                                False,
-                                f"ell={ell} s=0 i={i} k={k} char2={char2} "
-                                f"sign={sign}: {got} != {want}",
-                            )
-                        count += 1
+        for s in range(ell + 1):
+            ctx = FockContext(AffineRank(ell), s, level=2)
+            for i, k, (char2, sign) in itertools.product(_lambda_range(ctx), range(4), flags):
+                cfg = ClassifierConfig(char2=char2, lambda_is_sign=sign)
+                got = classify_canonical(ctx, CanonicalRep(LAMBDA, s, i, k), cfg).tag
+                want = _expected_type(i, k, ell, s, char2, sign)
+                if got != want:
+                    return (
+                        False,
+                        f"ell={ell} s={s} i={i} k={k} char2={char2} sign={sign}: "
+                        f"{got} != {want}",
+                    )
+                count += 1
     return True, f"{count} classification table entries match"
 
 
@@ -371,18 +348,13 @@ def check_a7() -> Outcome:
                             f"at {beta} vs {member}",
                         )
             # round-trips on the representative table itself
-            for i in range((ell - s + 1) // 2 + 1):
-                for k in range(3):
-                    rep = CanonicalRep(LAMBDA, s, i, k)
-                    if canonical_rep(ctx, rep_root(ctx, rep)) != rep:
-                        return False, f"lambda round-trip failed at {rep}"
-                    checked += 1
-            for i in range(1, s // 2 + 1):
-                for k in range(3):
-                    rep = CanonicalRep(MU, s, i, k)
-                    if canonical_rep(ctx, rep_root(ctx, rep)) != rep:
-                        return False, f"mu round-trip failed at {rep}"
-                    checked += 1
+            labels = [(LAMBDA, i) for i in _lambda_range(ctx)]
+            labels += [(MU, i) for i in _mu_range(ctx)]
+            for (family, i), k in itertools.product(labels, range(3)):
+                rep = CanonicalRep(family, s, i, k)
+                if canonical_rep(ctx, rep_root(ctx, rep)) != rep:
+                    return False, f"{family} round-trip failed at {rep}"
+                checked += 1
     return True, f"{checked} orbit/weight checks agree with the oracle"
 
 
@@ -567,10 +539,6 @@ ACCEPTANCE = {
 }
 
 
-def acceptance_suite() -> list[CheckResult]:
-    return _run(ACCEPTANCE)
-
-
 def _run(checks: dict[str, Callable[[], Outcome]]) -> list[CheckResult]:
     """Run each check on its own, named by its key: a check that raises
     fails with the exception as its detail, and the checks after it still
@@ -653,29 +621,33 @@ def _brute_stat(
     return add - rem
 
 
-def oracle_corner_stats() -> Outcome:
-    count = 0
+def _small_shapes():
+    """Every (bi)partition of size 1 to 4, ell <= 2, at both levels and
+    every charge: (context, shape)."""
     for ell in (1, 2):
         for ctx in _contexts(ell):
             for n in range(1, 5):
-                for bp in bipartitions(ctx, n):
-                    for node in removable_nodes(ctx, bp):
-                        i = _brute_residue(ctx, (node.component, node.row, node.col))
-                        got_b = _stat_below(ctx, bp, node, i)
-                        want_b = _brute_stat(
-                            ctx, bp, (node.component, node.row, node.col), i, "below"
-                        )
-                        got_a = _stat_above(ctx, bp, node, i)
-                        want_a = _brute_stat(
-                            ctx, bp, (node.component, node.row, node.col), i, "above"
-                        )
-                        if got_b != want_b or got_a != want_a:
-                            return (
-                                False,
-                                f"stat mismatch at {bp} node {node}: "
-                                f"below {got_b}/{want_b} above {got_a}/{want_a}",
-                            )
-                        count += 1
+                for shape in bipartitions(ctx, n):
+                    yield ctx, shape
+
+
+def oracle_corner_stats() -> Outcome:
+    count = 0
+    for ctx, bp in _small_shapes():
+        for node in removable_nodes(ctx, bp):
+            cell = (node.component, node.row, node.col)
+            i = _brute_residue(ctx, cell)
+            got_b = _stat_below(ctx, bp, node, i)
+            want_b = _brute_stat(ctx, bp, cell, i, "below")
+            got_a = _stat_above(ctx, bp, node, i)
+            want_a = _brute_stat(ctx, bp, cell, i, "above")
+            if got_b != want_b or got_a != want_a:
+                return (
+                    False,
+                    f"stat mismatch at {bp} node {node}: "
+                    f"below {got_b}/{want_b} above {got_a}/{want_a}",
+                )
+            count += 1
     return True, f"{count} corner statistics match the brute-force scan"
 
 
@@ -685,7 +657,6 @@ def _brute_kostka(ctx: FockContext, shape: Bipartition, nu: tuple[int, ...]) -> 
     total = QPoly.zero()
     for order in itertools.permutations(range(len(cells))):
         seq = [cells[j] for j in order]
-        grown: list[tuple[int, ...]] = []
         partial = Bipartition((), ())
         ok = True
         deg = 0
@@ -715,24 +686,14 @@ def _brute_kostka(ctx: FockContext, shape: Bipartition, nu: tuple[int, ...]) -> 
 
 def oracle_kostka() -> Outcome:
     count = 0
-    for ell in (1, 2):
-        for ctx in _contexts(ell):
-            for n in range(1, 5):
-                for shape in bipartitions(ctx, n):
-                    words = {
-                        tableau_stats(ctx, tab)[1]
-                        for tab in enumerate_standard(ctx, shape)
-                    }
-                    for nu in sorted(words):
-                        got = kostka_q(ctx, shape, nu)
-                        want = _brute_kostka(ctx, shape, nu)
-                        if got != want:
-                            return (
-                                False,
-                                f"kostka mismatch at shape {shape}, word {nu}: "
-                                f"{got} != {want}",
-                            )
-                        count += 1
+    for ctx, shape in _small_shapes():
+        words = {tableau_stats(ctx, tab)[1] for tab in enumerate_standard(ctx, shape)}
+        for nu in sorted(words):
+            got = kostka_q(ctx, shape, nu)
+            want = _brute_kostka(ctx, shape, nu)
+            if got != want:
+                return False, f"kostka mismatch at shape {shape}, word {nu}: {got} != {want}"
+            count += 1
     return True, f"{count} tableau generating functions match brute force"
 
 
@@ -783,16 +744,13 @@ def oracle_block_tables() -> Outcome:
 
 def oracle_conventions() -> Outcome:
     count = 0
-    for ell in (1, 2):
-        for ctx in _contexts(ell):
-            for n in range(1, 5):
-                for shape in bipartitions(ctx, n):
-                    for tab in enumerate_standard(ctx, shape):
-                        post = tableau_stats(ctx, tab, "post")
-                        pre = tableau_stats(ctx, tab, "pre")
-                        if post != pre:
-                            return False, f"conventions differ on {tab}: {post} vs {pre}"
-                        count += 1
+    for ctx, shape in _small_shapes():
+        for tab in enumerate_standard(ctx, shape):
+            post = tableau_stats(ctx, tab, "post")
+            pre = tableau_stats(ctx, tab, "pre")
+            if post != pre:
+                return False, f"conventions differ on {tab}: {post} vs {pre}"
+            count += 1
     return True, f"{count} tableau degrees agree under both conventions"
 
 
@@ -809,6 +767,16 @@ def cartan_entry(rank: AffineRank, i: int, j: int) -> int:
     if j == rank.reduce(i - 1):
         a -= 1
     return a
+
+
+def defect(ctx: FockContext, beta: RootVec) -> int:
+    """def(beta) = (Lambda|beta) - (beta|beta)/2, read off the Cartan matrix:
+    the sum over the charges c of beta_(c mod e), minus half of
+    sum_ij a_ij beta_i beta_j; the quadratic form is even, as a_ii = 2."""
+    rank, b = ctx.rank, beta.coeffs
+    pairs = itertools.product(rank.vertices, repeat=2)
+    form = sum(cartan_entry(rank, i, j) * b[i] * b[j] for i, j in pairs)
+    return sum(b[rank.reduce(c)] for c in ctx.charges) - form // 2
 
 
 def pair_coroot(charges: tuple[int, ...], i: int, beta: RootVec) -> int:

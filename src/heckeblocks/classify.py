@@ -358,6 +358,9 @@ def _heckeB_reports(
         raise ValueError(f"s must be an integer or None, got {s!r}")
     if type(n) is not int or n < 0:
         raise ValueError(f"rank must be a nonnegative integer, got {n!r}")
+    if n >= 1 << 64:
+        # a block code's coefficient fields are at most 8 bytes wide
+        raise ValueError(f"rank {n} is too large: a listing takes ranks below 2**64")
     rank = AffineRank(e - 1)
     ell = rank.ell
     reports = []

@@ -13,7 +13,7 @@ project notes, outside the package.
 
 import pytest
 
-from heckeblocks.checks import acceptance_suite
+from heckeblocks.checks import ACCEPTANCE, _run
 
 EXPECTED_FAILURES = {
     "A2": "recorded reference table contradicts the forced block dimension",
@@ -38,7 +38,7 @@ EXPECTED_LINES = [
 
 @pytest.fixture(scope="module")
 def results():
-    return {r.name: r for r in acceptance_suite()}
+    return {r.name: r for r in _run(ACCEPTANCE)}
 
 
 def test_report_prints_one_line_per_criterion(results, capsys):

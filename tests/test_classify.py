@@ -30,7 +30,7 @@ from heckeblocks import (
     rep_root,
 )
 from heckeblocks import classify, orbits
-from heckeblocks.checks import cartan_entry, pair_coroot
+from heckeblocks.checks import _contexts, defect, pair_coroot
 from heckeblocks.fock import Bipartition, bipartitions, content, partitions
 from heckeblocks.orbits import LAMBDA, MU, _grow_blocks
 
@@ -377,10 +377,7 @@ def test_partition_generator_counts():
 
 @pytest.mark.parametrize("e", range(2, 9))
 def test_block_contents_match_brute_force(e):
-    rank = AffineRank(e - 1)
-    contexts = [FockContext(rank, 0, level=1)]
-    contexts += [FockContext(rank, s, level=2) for s in range(e)]
-    for ctx in contexts:
+    for ctx in _contexts(e - 1):
         grown = _grow_blocks(ctx, 10)
         for n, blocks in enumerate(grown):
             want = {content(ctx, bp).coeffs for bp in bipartitions(ctx, n)}
@@ -390,9 +387,7 @@ def test_block_contents_match_brute_force(e):
 @pytest.mark.parametrize("e", range(2, 9))
 def test_grown_labels_match_canonical_rep(e):
     rank = AffineRank(e - 1)
-    contexts = [FockContext(rank, 0, level=1)]
-    contexts += [FockContext(rank, s, level=2) for s in range(e)]
-    for ctx in contexts:
+    for ctx in _contexts(e - 1):
         for blocks in _grow_blocks(ctx, 10):
             for c, label in blocks.items():
                 assert label == canonical_rep(ctx, RootVec(rank, c)), (ctx, c)
@@ -404,9 +399,7 @@ def test_grown_blocks_at_their_own_height(e):
     height n: the blocks of height n, whose largest coefficient may equal n,
     are still grown."""
     rank = AffineRank(e - 1)
-    contexts = [FockContext(rank, 0, level=1)]
-    contexts += [FockContext(rank, s, level=2) for s in range(e)]
-    for ctx in contexts:
+    for ctx in _contexts(e - 1):
         for n in range(9):
             blocks = _grow_blocks(ctx, n)[n]
             want = {content(ctx, bp).coeffs for bp in bipartitions(ctx, n)}
@@ -443,11 +436,9 @@ def test_one_parent_rule_at_its_edge_vertices(e, wrapped):
     parent, their r_(e-1)-image, has its first negative vertex at 0: the
     pushes that only the wrap vertex's reading of the pushed pairings keeps."""
     rank = AffineRank(e - 1)
-    contexts = [FockContext(rank, 0, level=1)]
-    contexts += [FockContext(rank, s, level=2) for s in range(e)]
     wrap = RootVec.simple(rank, e - 1)
     kept_at_wrap = 0
-    for ctx in contexts:
+    for ctx in _contexts(e - 1):
         grown = _grow_blocks(ctx, 12)
         top = [list(blocks.items()) for blocks in _grow_blocks(ctx, 12, 11)]
         assert top == [list(blocks.items()) for blocks in grown[11:]]
@@ -464,45 +455,32 @@ def test_one_parent_rule_at_its_edge_vertices(e, wrapped):
     assert kept_at_wrap == wrapped
 
 
-def _defect(rank, fund, c):
-    """def(beta) = (Lambda|beta) - (beta|beta)/2 from the Cartan matrix."""
-    e = rank.e
-    norm = sum(c[i] * c[j] * cartan_entry(rank, i, j) for i in range(e) for j in range(e))
-    return sum(f * x for f, x in zip(fund, c)) - norm // 2
-
-
-def _obeys_defect_rules(tag, defect):
+def _obeys_defect_rules(tag, d):
     """simple iff def 0, finite iff def 1, tame only at def 2, wild from def 3."""
-    if (tag == SIMPLE) != (defect == 0) or (tag == FINITE) != (defect == 1):
+    if (tag == SIMPLE) != (d == 0) or (tag == FINITE) != (d == 1):
         return False
-    return (tag != TAME or defect == 2) and (defect < 3 or tag == WILD)
-
-
-def _separated_defect(rank, report):
-    one = [1] + [0] * (rank.e - 1)
-    block = dict(report.input)
-    return _defect(rank, one, block["beta1"]) + _defect(rank, one, block["beta2"])
+    return (tag != TAME or d == 2) and (d < 3 or tag == WILD)
 
 
 @pytest.mark.parametrize("e", range(2, 8))
 def test_decision_table_follows_the_defect(e):
-    """Every verdict agrees with the defect of its block, computed here from
-    the Cartan matrix alone: no grower or canonical label is in the check."""
-    rank = AffineRank(e - 1)
+    """Every verdict agrees with the defect of its block, read off the Cartan
+    matrix alone: no grower or canonical label is in the check.  A separated
+    pair's defect is the sum of its two level-one blocks' defects."""
+    *level_two, one = _contexts(e - 1)
     odd = ClassifierConfig(char_odd=True)
     for n in range(13):
-        for s in range(e):
-            fund = [0] * e
-            fund[0] += 1
-            fund[s] += 1
-            for r in classify_heckeB(e, s, n):
-                defect = _defect(rank, fund, dict(r.input)["beta"])
-                assert _obeys_defect_rules(r.rep_type.tag, defect), r
+        for ctx in level_two:
+            for r in classify_heckeB(e, ctx.s, n):
+                d = defect(ctx, RootVec(ctx.rank, dict(r.input)["beta"]))
+                assert _obeys_defect_rules(r.rep_type.tag, d), r
         separated = classify_heckeB(e, None, n)
         if e % 2:
             separated += classify_heckeD(e, n, odd)
         for r in separated:
-            assert _obeys_defect_rules(r.rep_type.tag, _separated_defect(rank, r)), r
+            block = dict(r.input)
+            d = sum(defect(one, RootVec(one.rank, block[key])) for key in ("beta1", "beta2"))
+            assert _obeys_defect_rules(r.rep_type.tag, d), r
 
 
 def test_separated_types_are_read_once_per_block_and_pair(monkeypatch):
@@ -551,9 +529,7 @@ def test_seeds_are_labelled_from_their_family_member(monkeypatch):
     monkeypatch.undo()
     for e in range(2, 9):
         rank = AffineRank(e - 1)
-        contexts = [FockContext(rank, 0, level=1)]
-        contexts += [FockContext(rank, s, level=2) for s in range(e)]
-        for ctx in contexts:
+        for ctx in _contexts(e - 1):
             grown = _grow_blocks(ctx, 14)
             members = [lambda_rep(ctx.s, i, rank) for i in orbits._lambda_range(ctx)]
             members += [mu_rep(ctx.s, i, rank) for i in orbits._mu_range(ctx)]

@@ -347,6 +347,13 @@ def test_blocks_typeD_rejects_charge_flags(capsys, flags):
     assert flags[0] in capsys.readouterr().err
 
 
+def test_blocks_refuses_a_rank_past_the_listing_limit(capsys):
+    assert main(["blocks", "--e", "3", "--s", "1", "--n", str(2**64)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "usage error: rank 18446744073709551616 is too large: a listing takes ranks below 2**64\n"
+    )
+
+
 def test_blocks_typeD(capsys):
     code, out = run(
         capsys, "blocks", "--e", "4", "--n", "3", "--typeD", "--char-odd"

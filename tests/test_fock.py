@@ -21,7 +21,15 @@ from heckeblocks import (
     residue,
     tableau_stats,
 )
-from heckeblocks.checks import _stat_above, apply_e, apply_f, fock_sum, pair_coroot, remove_node
+from heckeblocks.checks import (
+    _contexts,
+    _stat_above,
+    apply_e,
+    apply_f,
+    fock_sum,
+    pair_coroot,
+    remove_node,
+)
 from heckeblocks.fock import _stat_below, partitions
 
 
@@ -171,14 +179,12 @@ def test_corner_counts_pair_the_highest_weight_with_the_content():
     ]
     cases = 0
     for ell in (1, 2, 3):
-        rank = AffineRank(ell)
-        ctxs = [FockContext(rank, s, level=2) for s in range(ell + 1)]
-        for ctx in ctxs + [FockContext(rank, 0, level=1)]:
+        for ctx in _contexts(ell):
             for bp in shapes:
                 if ctx.level == 1 and bp.comp2:
                     continue
                 beta = content(ctx, bp)
-                for i in rank.vertices:
+                for i in ctx.rank.vertices:
                     want = pair_coroot(ctx.charges, i, beta)
                     add = addable_nodes(ctx, bp, i)
                     rem = removable_nodes(ctx, bp, i)

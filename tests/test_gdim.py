@@ -27,7 +27,6 @@ from heckeblocks import (
     content,
     count_standard,
     dim_matrix,
-    enumerate_standard,
     graded_dim,
     kostka_q,
     lambda_rep,
@@ -35,23 +34,24 @@ from heckeblocks import (
     null_root,
     quiver_bounds,
     residue_sequences,
-    tableau_stats,
     ungraded_block_dim,
 )
 from heckeblocks import fock, gdim
-from heckeblocks.checks import _replay, _replay_dim, cartan_entry, oracle_engine_replay
+from heckeblocks.checks import (
+    _contexts,
+    _replay,
+    _replay_dim,
+    _weight_vectors,
+    defect,
+    oracle_engine_replay,
+)
 from heckeblocks.fock import partitions
 from heckeblocks.gdim import _fold, _read_bound, _seq_content, _unpack, _width
 
 
 def replay_kostka(ctx, shape, nu, convention="post"):
     """K_q by replaying every standard bitableau of the shape."""
-    acc = QPoly.zero()
-    for tab in enumerate_standard(ctx, shape):
-        deg, word = tableau_stats(ctx, tab, convention)
-        if word == tuple(nu):
-            acc = acc + QPoly.monomial(deg)
-    return acc
+    return _replay(ctx, [shape], convention)[shape].get(tuple(nu), QPoly.zero())
 
 
 def test_kostka_explicit_values(ctx11):
@@ -263,13 +263,8 @@ def _weight_blocks(max_height):
     """Every weight block of height at most max_height, ell <= 3, at both
     levels and every charge."""
     for ell in (1, 2, 3):
-        rank = AffineRank(ell)
-        contexts = [FockContext(rank, s, level=2) for s in range(ell + 1)]
-        for ctx in contexts + [FockContext(rank, 0, level=1)]:
-            for coeffs in itertools.product(range(max_height + 1), repeat=rank.e):
-                beta = RootVec(rank, coeffs)
-                if beta.height > max_height:
-                    continue
+        for ctx in _contexts(ell):
+            for beta in _weight_vectors(ell, max_height):
                 try:
                     canonical_rep(ctx, beta)
                 except NotAWeightError:
@@ -459,22 +454,13 @@ def test_every_weight_block_has_a_class():
     assert count == 292
 
 
-def _defect(ctx, beta):
-    """def(beta) = sum over the charges c of beta_(c mod e), minus half of
-    sum_ij a_ij beta_i beta_j; the quadratic form is even, as a_ii = 2."""
-    rank, b = ctx.rank, beta.coeffs
-    pairs = itertools.product(rank.vertices, repeat=2)
-    form = sum(cartan_entry(rank, i, j) * b[i] * b[j] for i, j in pairs)
-    return sum(b[c % rank.e] for c in ctx.charges) - form // 2
-
-
 def test_every_class_matrix_entry_is_palindromic_about_the_defect():
     """Each nonzero entry of the class matrix, off the diagonal too, has the
     coefficient of q^d equal to that of q^(2 def(beta) - d).  DimMatrix
     checks only that each diagonal is palindromic about its own centre."""
     blocks = entries = 0
     for ctx, beta in _weight_blocks(6):
-        twice = 2 * _defect(ctx, beta)
+        twice = 2 * defect(ctx, beta)
         for row in class_matrix(ctx, beta).entries:
             for poly in row:
                 if poly:
@@ -744,7 +730,7 @@ def _query_stream(seed, count):
     lengths 4 to 6 that share their prefixes."""
     rng = random.Random(seed)
     rank = AffineRank(2)
-    contexts = [FockContext(rank, s, level=2) for s in range(3)] + [FockContext(rank, 0, level=1)]
+    contexts = _contexts(2)
     longest = residue_sequences(contexts[1], 2 * null_root(rank))
     calls = []
     for _ in range(count):

@@ -26,7 +26,7 @@ from heckeblocks.checks import (
     textbook_reduce,
     weyl_orbit_bfs,
 )
-from heckeblocks.orbits import LAMBDA, MU
+from heckeblocks.orbits import LAMBDA, MU, _lambda_range, _mu_range
 
 
 def test_canonical_rep_validation_and_round_trip():
@@ -149,12 +149,9 @@ def test_rep_root_and_canonical_round_trip():
         rank = AffineRank(ell)
         ctx = FockContext(rank, s, level=2)
         reps = [
-            CanonicalRep(LAMBDA, s, i, k)
-            for i in range((ell - s + 1) // 2 + 1)
-            for k in range(3)
-        ] + [
-            CanonicalRep(MU, s, i, k)
-            for i in range(1, s // 2 + 1)
+            CanonicalRep(family, s, i, k)
+            for family, span in ((LAMBDA, _lambda_range(ctx)), (MU, _mu_range(ctx)))
+            for i in span
             for k in range(3)
         ]
         for rep in reps:

@@ -21,13 +21,16 @@ from heckeblocks import (
     brauer_of_finite,
     class_matrix,
     classify_canonical,
+    classify_heckeB,
     classify_heckeD,
     classify_level_two,
     tableau_stats,
 )
+from heckeblocks import classify
 from heckeblocks.orbits import LAMBDA, MU, label_dominant
 
 RANK = AffineRank(2)
+TOO_LARGE = "rank 18446744073709551616 is too large: a listing takes ranks below 2**64"
 LEVEL_TWO = FockContext(RANK, 1)
 LEVEL_ONE = FockContext(RANK, 0, level=1)
 
@@ -120,8 +123,20 @@ LEVEL_ONE = FockContext(RANK, 0, level=1)
             ValueError,
             "diagonal graded dimension at e(0, 1) is not palindromic: 1+2q^2",
         ),
+        (lambda: classify_heckeB(3, 1, 2**64), ValueError, TOO_LARGE),
+        (lambda: classify_heckeB(2, None, 2**64), ValueError, TOO_LARGE),
+        (lambda: classify_heckeD(5, 2**64, ClassifierConfig(char_odd=True)), ValueError, TOO_LARGE),
     ],
 )
 def test_refused_with_its_text(call, error, text):
     with pytest.raises(error, match=f"^{re.escape(text)}$"):
         call()
+
+
+@pytest.mark.parametrize("s", [1, None])
+def test_the_rank_below_the_listing_limit_reaches_the_grower(monkeypatch, s):
+    """The limit is 2**64 exactly: the rank below it reaches the grower, a stub here."""
+    heights = []
+    monkeypatch.setattr(classify, "_grow_blocks", lambda ctx, n, low=0: heights.append(n) or [{}])
+    assert classify_heckeB(3, s, 2**64 - 1) == []
+    assert heights == [2**64 - 1]
